@@ -97,11 +97,12 @@ node-e2e:
 	$(GO) build -o bin/jrsnd-node ./cmd/jrsnd-node
 	bin/jrsnd-node -e2e -e2e-nodes $(NODES) -e2e-authority bin/jrsnd-authority
 
-# authd-bench re-measures the service baseline archived in BENCH_authd.json:
-# handler micro-benches plus a loadgen run over real loopback HTTP.
+# authd-bench re-measures the service by hand: handler micro-benches plus
+# a loadgen run over real loopback HTTP. The gated numbers are benchgate's
+# BENCH_authd_go.json and the benchmark's `authority` workload.
 authd-bench:
 	$(GO) test -run xxx -bench 'BenchmarkProvision|BenchmarkRevoke' -benchmem ./internal/authd
-	$(GO) run ./cmd/jrsnd-authority -loadgen -n 2000 -m 16 -l 20 -requests 4000 -workers 8 -batch 2 -json BENCH_authd.json
+	$(GO) run ./cmd/jrsnd-authority -loadgen -n 2000 -m 16 -l 20 -requests 4000 -workers 8 -batch 2
 
 # prof profiles a chaos-matrix run end to end: CPU and heap profiles land
 # in prof/ next to one JSONL span trace per cell, ready for

@@ -1,23 +1,20 @@
 package main
 
 import (
-	"bufio"
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"io"
 	"os"
-	"os/exec"
 	"path/filepath"
+	"slices"
 	"strconv"
-	"strings"
 	"sync"
-	"syscall"
 	"time"
 
 	"repro/internal/authd"
 	"repro/internal/codepool"
+	"repro/internal/subproc"
 )
 
 // Crash-fault harness (`jrsnd-authority -crash-harness`, `make
@@ -98,7 +95,7 @@ func (l *harnessLedger) violate(format string, args ...any) {
 func (l *harnessLedger) ackAssign(node int, codes []codepool.CodeID, epoch int) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if prev, ok := l.nodes[node]; ok && !equalCodes(prev, codes) {
+	if prev, ok := l.nodes[node]; ok && !slices.Equal(prev, codes) {
 		l.violations = append(l.violations,
 			fmt.Sprintf("node %d acked twice with different codes: %v then %v", node, prev, codes))
 		return
@@ -120,18 +117,6 @@ func (l *harnessLedger) ackRevoke(res authd.RevokeResult) {
 				fmt.Sprintf("code %d acknowledged RevokedNow %d times", l.revCode, l.revokedNowAcks))
 		}
 	}
-}
-
-func equalCodes(a, b []codepool.CodeID) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 func runCrashHarness(opts options, out io.Writer) (int, error) {
@@ -251,7 +236,7 @@ func runKillCycle(exe, dir string, pt authd.CrashPoint, cycle int, seed int64, l
 	go func() {
 		defer wg.Done()
 		_, _ = authd.RunLoad(ctx, authd.LoadConfig{
-			Target:       ch.url,
+			Target:       ch.URL(),
 			Workers:      3,
 			Requests:     200_000,
 			MixProvision: 55,
@@ -263,17 +248,17 @@ func runKillCycle(exe, dir string, pt authd.CrashPoint, cycle int, seed int64, l
 	}()
 	go func() {
 		defer wg.Done()
-		trackedOps(ctx, ch.url, led, 0)
+		trackedOps(ctx, ch.URL(), led, 0)
 	}()
 
-	state, werr := ch.wait(90 * time.Second)
+	state, werr := ch.Wait(90 * time.Second)
 	cancel()
 	wg.Wait()
 	if werr != nil {
-		return fmt.Errorf("armed child never died: %w (output:\n%s)", werr, ch.output())
+		return fmt.Errorf("armed child never died: %w (output:\n%s)", werr, ch.Output())
 	}
 	if state != crashExitCode {
-		return fmt.Errorf("armed child exited %d, want %d (output:\n%s)", state, crashExitCode, ch.output())
+		return fmt.Errorf("armed child exited %d, want %d (output:\n%s)", state, crashExitCode, ch.Output())
 	}
 
 	// Recover on a clean child and verify every acked mutation survived;
@@ -283,10 +268,10 @@ func runKillCycle(exe, dir string, pt authd.CrashPoint, cycle int, seed int64, l
 	if err != nil {
 		return fmt.Errorf("recovery child: %w", err)
 	}
-	verifyLedger(v.url, led)
-	trackedOps(context.Background(), v.url, led, 6)
-	if err := v.terminate(); err != nil {
-		return fmt.Errorf("graceful drain: %w (output:\n%s)", err, v.output())
+	verifyLedger(v.URL(), led)
+	trackedOps(context.Background(), v.URL(), led, 6)
+	if err := v.Terminate(); err != nil {
+		return fmt.Errorf("graceful drain: %w (output:\n%s)", err, v.Output())
 	}
 	return nil
 }
@@ -298,8 +283,8 @@ func verifyCleanBoot(exe, dir string, seed int64, led *harnessLedger) error {
 	if err != nil {
 		return err
 	}
-	verifyLedger(v.url, led)
-	return v.terminate()
+	verifyLedger(v.URL(), led)
+	return v.Terminate()
 }
 
 // trackedOps drives acknowledged mutations into the ledger. With n == 0
@@ -384,7 +369,7 @@ func verifyLedger(url string, led *harnessLedger) {
 			led.violate("acked node %d lost after recovery: %v", node, err)
 			continue
 		}
-		if !equalCodes(ni.Codes, codes) {
+		if !slices.Equal(ni.Codes, codes) {
 			led.violate("acked node %d recovered with codes %v, acked %v", node, ni.Codes, codes)
 		}
 	}
@@ -407,19 +392,9 @@ func verifyLedger(url string, led *harnessLedger) {
 	}
 }
 
-// child is one subprocess server instance.
-type child struct {
-	cmd    *exec.Cmd
-	url    string
-	lines  bytes.Buffer
-	mu     sync.Mutex
-	exited chan int       // exit status, buffered
-	scanWg sync.WaitGroup // joins the stdout scanner goroutine
-}
-
-// startChild launches `exe` as a durable server on an ephemeral port,
-// waits for its "serving on" line, and returns it running.
-func startChild(exe, dir string, snapEvery int, seed int64, extra []string) (*child, error) {
+// startChild launches `exe` as a durable harness-sized server on an
+// ephemeral port (unless extra overrides -addr) and returns it serving.
+func startChild(exe, dir string, snapEvery int, seed int64, extra []string) (*subproc.Proc, error) {
 	args := []string{
 		"-addr", "127.0.0.1:0",
 		"-data-dir", dir,
@@ -431,112 +406,5 @@ func startChild(exe, dir string, snapEvery int, seed int64, extra []string) (*ch
 		"-rate", "-1",
 		"-snapshot-every", strconv.Itoa(snapEvery),
 	}
-	args = append(args, extra...)
-	c := &child{cmd: exec.Command(exe, args...), exited: make(chan int, 1)}
-	stdout, err := c.cmd.StdoutPipe()
-	if err != nil {
-		return nil, err
-	}
-	c.cmd.Stderr = &lockedWriter{c: c}
-
-	addrCh := make(chan string, 1)
-	if err := c.cmd.Start(); err != nil {
-		return nil, err
-	}
-	// The scanner goroutine terminates when the pipe closes on process
-	// exit; scanWg joins it so reads of the line buffer after an exit
-	// observe the complete output.
-	c.scanWg.Add(1)
-	go func() {
-		defer c.scanWg.Done()
-		sc := bufio.NewScanner(stdout)
-		for sc.Scan() {
-			line := sc.Text()
-			c.mu.Lock()
-			c.lines.WriteString(line)
-			c.lines.WriteByte('\n')
-			c.mu.Unlock()
-			if i := strings.Index(line, "serving on http://"); i >= 0 {
-				fields := strings.Fields(line[i+len("serving on "):])
-				select {
-				case addrCh <- fields[0]:
-				default:
-				}
-			}
-		}
-		err := c.cmd.Wait()
-		code := 0
-		var xe *exec.ExitError
-		if errors.As(err, &xe) {
-			code = xe.ExitCode()
-		} else if err != nil {
-			code = -1
-		}
-		c.exited <- code
-	}()
-
-	select {
-	case c.url = <-addrCh:
-		return c, nil
-	case code := <-c.exited:
-		c.exited <- code // keep it readable for wait()
-		return nil, fmt.Errorf("child exited %d before serving (output:\n%s)", code, c.output())
-	case <-time.After(30 * time.Second):
-		_ = c.cmd.Process.Kill()
-		return nil, fmt.Errorf("child never reported its address (output:\n%s)", c.output())
-	}
-}
-
-// kill SIGKILLs the child — the replica harness's crash fault — and waits
-// for it to die.
-func (c *child) kill() {
-	_ = c.cmd.Process.Kill()
-	code := <-c.exited
-	c.exited <- code // keep readable for a later wait()
-	c.scanWg.Wait()
-}
-
-// wait blocks until the child exits on its own (the armed crash) and
-// returns its exit status.
-func (c *child) wait(timeout time.Duration) (int, error) {
-	select {
-	case code := <-c.exited:
-		c.scanWg.Wait()
-		return code, nil
-	case <-time.After(timeout):
-		_ = c.cmd.Process.Kill()
-		<-c.exited
-		c.scanWg.Wait()
-		return 0, errors.New("timed out waiting for the armed crash")
-	}
-}
-
-// terminate sends SIGTERM and requires a clean graceful drain (exit 0).
-func (c *child) terminate() error {
-	if err := c.cmd.Process.Signal(syscall.SIGTERM); err != nil {
-		return err
-	}
-	code, err := c.wait(30 * time.Second)
-	if err != nil {
-		return err
-	}
-	if code != 0 {
-		return fmt.Errorf("graceful shutdown exited %d", code)
-	}
-	return nil
-}
-
-func (c *child) output() string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.lines.String()
-}
-
-// lockedWriter folds the child's stderr into the same line buffer.
-type lockedWriter struct{ c *child }
-
-func (w *lockedWriter) Write(p []byte) (int, error) {
-	w.c.mu.Lock()
-	defer w.c.mu.Unlock()
-	return w.c.lines.Write(p)
+	return subproc.Start(exe, append(args, extra...))
 }

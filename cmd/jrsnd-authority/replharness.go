@@ -5,17 +5,18 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
 	"os"
 	"path/filepath"
-	"strconv"
+	"slices"
 	"strings"
 	"sync"
 	"time"
 
 	"repro/internal/authd"
 	"repro/internal/codepool"
+	"repro/internal/metrics"
+	"repro/internal/subproc"
 )
 
 // Replication-fault harness (`jrsnd-authority -replica-harness`, `make
@@ -68,7 +69,7 @@ type replGroup struct {
 	addrs []string
 	urls  []string
 	dirs  []string
-	kids  []*child // index-aligned with urls; nil while down
+	kids  []*subproc.Proc // index-aligned with urls; nil while down
 	out   io.Writer
 }
 
@@ -86,17 +87,15 @@ func runReplicaHarness(opts options, out io.Writer) (int, error) {
 		return 1, err
 	}
 
-	g := &replGroup{exe: exe, seed: opts.seed, out: out}
-	for i := 0; i < replicaCount; i++ {
-		addr, err := reserveAddr()
-		if err != nil {
-			return 1, err
-		}
-		g.addrs = append(g.addrs, addr)
+	addrs, err := subproc.ReserveAddrs("tcp", replicaCount)
+	if err != nil {
+		return 1, err
+	}
+	g := &replGroup{exe: exe, seed: opts.seed, out: out, addrs: addrs, kids: make([]*subproc.Proc, replicaCount)}
+	for i, addr := range addrs {
 		g.urls = append(g.urls, "http://"+addr)
 		g.dirs = append(g.dirs, filepath.Join(work, fmt.Sprintf("replica-%d", i)))
 	}
-	g.kids = make([]*child, replicaCount)
 
 	fmt.Fprintf(out, "replica-harness: %d-replica group (min-sync 1, snapshot-every %d) at %s\n",
 		replicaCount, replSnapEvery, strings.Join(g.urls, " "))
@@ -130,7 +129,7 @@ func runReplicaHarness(opts options, out io.Writer) (int, error) {
 
 	for _, c := range g.kids {
 		if c != nil {
-			c.kill()
+			c.Kill()
 		}
 	}
 	if n := len(led.violations); n > 0 {
@@ -142,7 +141,7 @@ func runReplicaHarness(opts options, out io.Writer) (int, error) {
 			if c == nil {
 				continue
 			}
-			fmt.Fprintf(out, "replica-harness: replica %d output:\n%s\n", i, c.output())
+			fmt.Fprintf(out, "replica-harness: replica %d output:\n%s\n", i, c.Output())
 		}
 		return 1, errors.New("replica harness detected invariant violations")
 	}
@@ -150,16 +149,6 @@ func runReplicaHarness(opts options, out io.Writer) (int, error) {
 	fmt.Fprintf(out, "replica-harness: all cycles passed (%d acked nodes, max acked seq %d, epoch %d)\n",
 		len(led.nodes), led.ackedSeq(), led.maxEpoch)
 	return 0, nil
-}
-
-// reserveAddr picks a free loopback port and releases it for the child.
-func reserveAddr() (string, error) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return "", err
-	}
-	addr := ln.Addr().String()
-	return addr, ln.Close()
 }
 
 func (g *replGroup) startPrimary(i int) error {
@@ -379,7 +368,7 @@ func (g *replGroup) verifyReplica(url string, led *harnessLedger) {
 			led.violate("%s: acked node %d lost: %v", url, node, err)
 			continue
 		}
-		if !equalCodes(ni.Codes, codes) {
+		if !slices.Equal(ni.Codes, codes) {
 			led.violate("%s: node %d holds codes %v, acked %v", url, node, ni.Codes, codes)
 		}
 	}
@@ -422,7 +411,7 @@ func (g *replGroup) followerKillCycle(led *harnessLedger) error {
 	}()
 
 	g.ack(led, 16, false)
-	g.kids[victim].kill()
+	g.kids[victim].Kill()
 	g.kids[victim] = nil
 	// The group must keep acknowledging with one follower down: min-sync 1
 	// is satisfied by the surviving follower.
@@ -457,10 +446,12 @@ func (g *replGroup) partitionCatchupCycle(led *harnessLedger) error {
 	}
 	lagged := g.urls[fols[0]]
 
-	before, err := scrapeCounter(lagged, "jrsnd_authd_catchup_snapshots_total")
+	const catchups = "jrsnd_authd_catchup_snapshots_total"
+	snap, err := scrapeMetrics(lagged)
 	if err != nil {
 		return fmt.Errorf("scrape before partition: %w", err)
 	}
+	before := snap.Counters[catchups]
 	if err := postPause(lagged, true); err != nil {
 		return fmt.Errorf("pause %s: %w", lagged, err)
 	}
@@ -477,10 +468,10 @@ func (g *replGroup) partitionCatchupCycle(led *harnessLedger) error {
 	if err := g.waitConverged(30 * time.Second); err != nil {
 		return err
 	}
-	after, err := scrapeCounter(lagged, "jrsnd_authd_catchup_snapshots_total")
-	if err != nil {
+	if snap, err = scrapeMetrics(lagged); err != nil {
 		return fmt.Errorf("scrape after catch-up: %w", err)
 	}
+	after := snap.Counters[catchups]
 	if after <= before {
 		return fmt.Errorf("%s converged without a snapshot catch-up (counter %v -> %v); the partition did not exercise the bootstrap path", lagged, before, after)
 	}
@@ -509,7 +500,7 @@ func (g *replGroup) promotionCycle(led *harnessLedger) error {
 	g.ack(led, 16, false)
 	minSeq := led.ackedSeq()
 
-	g.kids[prim].kill()
+	g.kids[prim].Kill()
 	g.kids[prim] = nil
 
 	// No lost acknowledged mutation across the replica set: min-sync 1
@@ -596,24 +587,12 @@ func postPromote(url string, minSeq uint64) (int, error) {
 	return resp.StatusCode, nil
 }
 
-// scrapeCounter reads one instrument's value from a replica's /metrics.
-func scrapeCounter(url, name string) (float64, error) {
+// scrapeMetrics fetches and parses a replica's /metrics exposition.
+func scrapeMetrics(url string) (metrics.Snapshot, error) {
 	resp, err := http.Get(url + "/metrics")
 	if err != nil {
-		return 0, err
+		return metrics.Snapshot{}, err
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, 1<<22))
-	if err != nil {
-		return 0, err
-	}
-	for _, line := range strings.Split(string(data), "\n") {
-		if strings.HasPrefix(line, name+" ") || strings.HasPrefix(line, name+"{") {
-			fields := strings.Fields(line)
-			if len(fields) == 2 {
-				return strconv.ParseFloat(fields[1], 64)
-			}
-		}
-	}
-	return 0, fmt.Errorf("metric %s not found on %s", name, url)
+	return metrics.ParsePrometheus(io.LimitReader(resp.Body, 1<<22))
 }

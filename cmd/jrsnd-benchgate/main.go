@@ -57,8 +57,8 @@ type benchResult struct {
 	AllocsPerOp int64   `json:"allocs_per_op"`
 }
 
-// baselineFile is the on-disk baseline shape (one file per suite, in the
-// flat snake_case style of BENCH_authd.json).
+// baselineFile is the on-disk baseline shape: one flat snake_case JSON
+// file per suite.
 type baselineFile struct {
 	Suite      string                 `json:"suite"`
 	GoBench    string                 `json:"go_bench"` // the command the numbers came from

@@ -1,22 +1,20 @@
 package main
 
 import (
-	"bufio"
-	"bytes"
+	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
 	"os"
-	"os/exec"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
-	"sync"
-	"syscall"
 	"time"
+
+	"repro/internal/authd"
+	"repro/internal/subproc"
 )
 
 // Multi-process end-to-end harness (`jrsnd-node -e2e`, `make node-e2e`).
@@ -53,7 +51,7 @@ func runE2E(opts options, out io.Writer) (int, error) {
 		if dir, err = os.MkdirTemp("", "jrsnd-node-e2e-*"); err != nil {
 			return 1, err
 		}
-		defer func() { _ = os.RemoveAll(dir) }() // kept on failure paths that return early? no — removed; logs are printed instead
+		defer func() { _ = os.RemoveAll(dir) }()
 	}
 	if err := e2eRun(opts, dir, out); err != nil {
 		return 1, err
@@ -70,31 +68,29 @@ func e2eRun(opts options, dir string, out io.Writer) error {
 	n := opts.e2eNodes
 
 	// Authority first: the daemons cannot even derive their keys without it.
-	auth, err := startProc(opts.e2eAuthority, []string{
+	auth, err := subproc.Start(opts.e2eAuthority, []string{
 		"-addr", "127.0.0.1:0",
 		"-n", strconv.Itoa(e2eN),
 		"-m", strconv.Itoa(e2eM),
 		"-l", strconv.Itoa(e2eL),
 		"-gamma", strconv.Itoa(e2eGamma),
 		"-rate", "-1",
-	}, "serving on http://")
+	})
 	if err != nil {
 		return fmt.Errorf("starting the authority: %w", err)
 	}
-	defer auth.kill()
-	fmt.Fprintf(out, "node-e2e: authority on %s\n", auth.match)
+	defer auth.Kill()
+	fmt.Fprintf(out, "node-e2e: authority on %s\n", auth.URL())
 
 	// Provision the slots the daemons will claim (slot IDs 0..n-1).
-	if err := e2eProvision(auth.match, n); err != nil {
-		return err
+	if _, err := (&authd.Client{Base: auth.URL()}).Provision(context.Background(), n, "node-e2e"); err != nil {
+		return fmt.Errorf("provisioning: %w", err)
 	}
 	fmt.Fprintf(out, "node-e2e: provisioned %d slots\n", n)
 
-	// Reserve one loopback UDP port per node. The ports are released
-	// before the daemons bind them — a race in principle, but the harness
-	// needs every daemon to know every peer's address before any of them
-	// start, and loopback port reuse in the gap is vanishingly rare.
-	addrs, err := reserveUDPAddrs(n)
+	// One loopback UDP port per node: every daemon must know every peer's
+	// address before any of them starts.
+	addrs, err := subproc.ReserveAddrs("udp", n)
 	if err != nil {
 		return err
 	}
@@ -107,7 +103,7 @@ func e2eRun(opts options, dir string, out io.Writer) error {
 			}
 		}
 		return []string{
-			"-authority", auth.match,
+			"-authority", auth.URL(),
 			"-node-id", strconv.Itoa(id),
 			"-addr", addrs[id],
 			"-peers", strings.Join(others, ","),
@@ -119,16 +115,16 @@ func e2eRun(opts options, dir string, out io.Writer) error {
 		}
 	}
 
-	nodes := make([]*proc, n)
+	nodes := make([]*subproc.Proc, n)
 	defer func() {
 		for _, nd := range nodes {
 			if nd != nil {
-				nd.kill()
+				nd.Kill()
 			}
 		}
 	}()
 	for id := 0; id < n; id++ {
-		if nodes[id], err = startProc(selfExe, nodeArgs(id), "serving on http://"); err != nil {
+		if nodes[id], err = subproc.Start(selfExe, nodeArgs(id)); err != nil {
 			return fmt.Errorf("starting node %d: %w", id, err)
 		}
 	}
@@ -150,10 +146,10 @@ func e2eRun(opts options, dir string, out io.Writer) error {
 
 	// Phase 1: full mutual discovery.
 	for id, nd := range nodes {
-		if err := pollStatus(nd.match, e2eDiscoveryTimeout, func(s status) bool {
-			return equalInts(s.Discovered, want(id)) && equalInts(s.Peers, want(id))
+		if err := pollStatus(nd.URL(), e2eDiscoveryTimeout, func(s status) bool {
+			return slices.Equal(s.Discovered, want(id)) && slices.Equal(s.Peers, want(id))
 		}); err != nil {
-			return fmt.Errorf("node %d never reached full discovery: %w\n%s", id, err, nd.output())
+			return fmt.Errorf("node %d never reached full discovery: %w\n%s", id, err, nd.Output())
 		}
 	}
 	if err := checkViolations(nodes); err != nil {
@@ -163,37 +159,37 @@ func e2eRun(opts options, dir string, out io.Writer) error {
 
 	// Phase 2: SIGKILL one daemon; the survivors must reap it.
 	victim := 1
-	nodes[victim].kill()
+	nodes[victim].Kill()
 	fmt.Fprintf(out, "node-e2e: killed node %d\n", victim)
 	for id, nd := range nodes {
 		if id == victim {
 			continue
 		}
-		if err := pollStatus(nd.match, e2eDiscoveryTimeout, func(s status) bool {
-			return !containsInt(s.Peers, victim)
+		if err := pollStatus(nd.URL(), e2eDiscoveryTimeout, func(s status) bool {
+			return !slices.Contains(s.Peers, victim)
 		}); err != nil {
-			return fmt.Errorf("node %d never reaped the killed peer: %w\n%s", id, err, nd.output())
+			return fmt.Errorf("node %d never reaped the killed peer: %w\n%s", id, err, nd.Output())
 		}
 	}
 	fmt.Fprintf(out, "node-e2e: survivors reaped node %d\n", victim)
 
 	// Phase 3: restart on the same slot and address; full re-discovery.
-	if nodes[victim], err = startProc(selfExe, nodeArgs(victim), "serving on http://"); err != nil {
+	if nodes[victim], err = subproc.Start(selfExe, nodeArgs(victim)); err != nil {
 		return fmt.Errorf("restarting node %d: %w", victim, err)
 	}
-	if err := pollStatus(nodes[victim].match, e2eDiscoveryTimeout, func(s status) bool {
-		return equalInts(s.Discovered, want(victim)) && equalInts(s.Peers, want(victim))
+	if err := pollStatus(nodes[victim].URL(), e2eDiscoveryTimeout, func(s status) bool {
+		return slices.Equal(s.Discovered, want(victim)) && slices.Equal(s.Peers, want(victim))
 	}); err != nil {
-		return fmt.Errorf("restarted node %d never re-discovered: %w\n%s", victim, err, nodes[victim].output())
+		return fmt.Errorf("restarted node %d never re-discovered: %w\n%s", victim, err, nodes[victim].Output())
 	}
 	for id, nd := range nodes {
 		if id == victim {
 			continue
 		}
-		if err := pollStatus(nd.match, e2eDiscoveryTimeout, func(s status) bool {
-			return containsInt(s.Peers, victim)
+		if err := pollStatus(nd.URL(), e2eDiscoveryTimeout, func(s status) bool {
+			return slices.Contains(s.Peers, victim)
 		}); err != nil {
-			return fmt.Errorf("node %d never re-admitted the restarted peer: %w\n%s", id, err, nd.output())
+			return fmt.Errorf("node %d never re-admitted the restarted peer: %w\n%s", id, err, nd.Output())
 		}
 	}
 	if err := checkViolations(nodes); err != nil {
@@ -203,52 +199,15 @@ func e2eRun(opts options, dir string, out io.Writer) error {
 
 	// Phase 4: graceful shutdown all around.
 	for id, nd := range nodes {
-		if err := nd.terminate(); err != nil {
-			return fmt.Errorf("node %d unclean shutdown: %w\n%s", id, err, nd.output())
+		if err := nd.Terminate(); err != nil {
+			return fmt.Errorf("node %d unclean shutdown: %w\n%s", id, err, nd.Output())
 		}
 		nodes[id] = nil
 	}
-	if err := auth.terminate(); err != nil {
-		return fmt.Errorf("authority unclean shutdown: %w\n%s", err, auth.output())
+	if err := auth.Terminate(); err != nil {
+		return fmt.Errorf("authority unclean shutdown: %w\n%s", err, auth.Output())
 	}
 	return nil
-}
-
-// e2eProvision claims `count` slots from the authority so GET /v1/node
-// resolves for slot IDs 0..count-1.
-func e2eProvision(base string, count int) error {
-	body, err := json.Marshal(map[string]any{"count": count, "tag": "node-e2e"})
-	if err != nil {
-		return err
-	}
-	resp, err := http.Post(base+"/v1/provision", "application/json", bytes.NewReader(body))
-	if err != nil {
-		return fmt.Errorf("provisioning: %w", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		b, _ := io.ReadAll(resp.Body)
-		return fmt.Errorf("provisioning: %s: %s", resp.Status, b)
-	}
-	return nil
-}
-
-// reserveUDPAddrs binds and releases count loopback UDP ports.
-func reserveUDPAddrs(count int) ([]string, error) {
-	addrs := make([]string, count)
-	conns := make([]net.PacketConn, count)
-	for i := range addrs {
-		pc, err := net.ListenPacket("udp", "127.0.0.1:0")
-		if err != nil {
-			return nil, err
-		}
-		conns[i] = pc
-		addrs[i] = pc.LocalAddr().String()
-	}
-	for _, pc := range conns {
-		_ = pc.Close()
-	}
-	return addrs, nil
 }
 
 // pollStatus polls a daemon's /status until cond holds.
@@ -286,12 +245,12 @@ func fetchStatus(base string) (status, error) {
 
 // checkViolations fails if any live daemon has recorded an invariant
 // violation.
-func checkViolations(nodes []*proc) error {
+func checkViolations(nodes []*subproc.Proc) error {
 	for id, nd := range nodes {
 		if nd == nil {
 			continue
 		}
-		s, err := fetchStatus(nd.match)
+		s, err := fetchStatus(nd.URL())
 		if err != nil {
 			return fmt.Errorf("node %d status: %w", id, err)
 		}
@@ -300,142 +259,4 @@ func checkViolations(nodes []*proc) error {
 		}
 	}
 	return nil
-}
-
-func equalInts(got, want []int) bool {
-	if len(got) != len(want) {
-		return false
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func containsInt(xs []int, x int) bool {
-	for _, v := range xs {
-		if v == x {
-			return true
-		}
-	}
-	return false
-}
-
-// proc is one managed subprocess, in the style of the authority
-// harness's child: stdout is scanned for a "<prefix>URL" line (match),
-// stderr folds into the same buffer, exit status lands on exited.
-type proc struct {
-	cmd    *exec.Cmd
-	match  string // the URL from the awaited line, e.g. "http://127.0.0.1:40331"
-	mu     sync.Mutex
-	lines  bytes.Buffer
-	exited chan int
-	scanWg sync.WaitGroup // joins the stdout scanner goroutine
-}
-
-// startProc launches exe and waits for a stdout line containing prefix;
-// match is set to the whitespace-delimited token starting at the URL.
-func startProc(exe string, args []string, prefix string) (*proc, error) {
-	p := &proc{cmd: exec.Command(exe, args...), exited: make(chan int, 1)}
-	stdout, err := p.cmd.StdoutPipe()
-	if err != nil {
-		return nil, err
-	}
-	p.cmd.Stderr = &procWriter{p: p}
-	matchCh := make(chan string, 1)
-	if err := p.cmd.Start(); err != nil {
-		return nil, err
-	}
-	// The scanner goroutine terminates when the pipe closes on process
-	// exit; scanWg joins it so reads of the line buffer after an exit
-	// observe the complete output.
-	p.scanWg.Add(1)
-	go func() {
-		defer p.scanWg.Done()
-		sc := bufio.NewScanner(stdout)
-		for sc.Scan() {
-			line := sc.Text()
-			p.mu.Lock()
-			p.lines.WriteString(line)
-			p.lines.WriteByte('\n')
-			p.mu.Unlock()
-			if i := strings.Index(line, prefix); i >= 0 {
-				urlStart := i + len(prefix) - len("http://")
-				fields := strings.Fields(line[urlStart:])
-				if len(fields) > 0 {
-					select {
-					case matchCh <- fields[0]:
-					default:
-					}
-				}
-			}
-		}
-		err := p.cmd.Wait()
-		code := 0
-		var xe *exec.ExitError
-		if errors.As(err, &xe) {
-			code = xe.ExitCode()
-		} else if err != nil {
-			code = -1
-		}
-		p.exited <- code
-	}()
-
-	select {
-	case p.match = <-matchCh:
-		return p, nil
-	case code := <-p.exited:
-		p.exited <- code
-		return nil, fmt.Errorf("process exited %d before serving (output:\n%s)", code, p.output())
-	case <-time.After(30 * time.Second):
-		_ = p.cmd.Process.Kill()
-		return nil, fmt.Errorf("process never reported its address (output:\n%s)", p.output())
-	}
-}
-
-// kill SIGKILLs the process — the harness's crash fault — and waits for
-// it to die.
-func (p *proc) kill() {
-	_ = p.cmd.Process.Kill()
-	code := <-p.exited
-	p.exited <- code
-	p.scanWg.Wait()
-}
-
-// terminate sends SIGTERM and requires a clean exit.
-func (p *proc) terminate() error {
-	if err := p.cmd.Process.Signal(syscall.SIGTERM); err != nil {
-		return err
-	}
-	select {
-	case code := <-p.exited:
-		p.exited <- code
-		p.scanWg.Wait()
-		if code != 0 {
-			return fmt.Errorf("exit status %d", code)
-		}
-		return nil
-	case <-time.After(30 * time.Second):
-		_ = p.cmd.Process.Kill()
-		<-p.exited
-		p.scanWg.Wait()
-		return errors.New("timed out draining")
-	}
-}
-
-func (p *proc) output() string {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.lines.String()
-}
-
-// procWriter folds stderr into the line buffer.
-type procWriter struct{ p *proc }
-
-func (w *procWriter) Write(b []byte) (int, error) {
-	w.p.mu.Lock()
-	defer w.p.mu.Unlock()
-	return w.p.lines.Write(b)
 }

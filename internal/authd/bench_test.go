@@ -14,7 +14,8 @@ import (
 // Service-level micro-benches: one full handler pass (decode → sharded
 // state → encode) without network, so the numbers isolate the service
 // from the kernel's loopback stack. The loadgen (`jrsnd-authority
-// -loadgen`, BENCH_authd.json) measures the same paths over real HTTP.
+// -loadgen`, the benchmark's `authority` workload) measures the same
+// paths over real HTTP.
 
 func benchServer(b *testing.B, n int) *Server {
 	b.Helper()

@@ -33,6 +33,7 @@ import (
 var servicePkgs = []string{
 	"repro/internal/authd",
 	"repro/internal/transport",
+	"repro/internal/subproc",
 	"repro/cmd/jrsnd-authority",
 	"repro/cmd/jrsnd-node",
 }

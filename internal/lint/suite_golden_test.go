@@ -14,6 +14,7 @@ import (
 
 func TestGoldenGoroutinelifecycle(t *testing.T) {
 	runGolden(t, "goroutinelifecycle", "goroutinelifecycle", "repro/internal/transport/gltest", 1)
+	runGolden(t, "goroutinelifecycle", "goroutinelifecycle", "repro/internal/subproc/gltest", 1)
 }
 
 func TestGoldenLockorder(t *testing.T) {
