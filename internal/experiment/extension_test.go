@@ -60,6 +60,7 @@ func TestMeasureNuProfileMonotoneAndConsistent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, "nu-profile", nuProfileFigure(profile))
 	if len(profile.PM) != 6 || len(profile.PHat) != 6 {
 		t.Fatalf("profile lengths %d/%d, want 6", len(profile.PM), len(profile.PHat))
 	}
@@ -146,6 +147,7 @@ func TestInterferenceValidationShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, "ext-noise", fig)
 	s := fig.Series[0]
 	// Perfect decode at the paper's operating density, breakdown at the
 	// extreme end.
@@ -205,6 +207,7 @@ func TestExtAdaptiveNu(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, "ext-adaptive-nu", fig)
 	if fig.ID != "ext-adaptive-nu" || len(fig.Series) != 3 {
 		t.Fatal("malformed figure")
 	}
