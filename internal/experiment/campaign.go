@@ -23,14 +23,15 @@ import (
 	"repro/internal/stats"
 )
 
-// JammerModel selects the adversary for a campaign.
+// JammerModel selects the adversary for a campaign. The zero value is
+// reactive jamming, the worst case the paper's figures report.
 type JammerModel int
 
 // Jammer models.
 const (
-	JamNone JammerModel = iota
+	JamReactive JammerModel = iota
+	JamNone
 	JamRandom
-	JamReactive
 )
 
 func (j JammerModel) String() string {
@@ -86,52 +87,26 @@ type PointMeasure struct {
 
 // MeasurePoint runs the Monte-Carlo campaign for one parameter point.
 func MeasurePoint(cfg PointConfig) (PointMeasure, error) {
-	if err := cfg.Params.Validate(); err != nil {
-		return PointMeasure{}, fmt.Errorf("experiment: %w", err)
-	}
-	if cfg.Runs < 1 {
-		return PointMeasure{}, fmt.Errorf("experiment: Runs=%d must be >= 1", cfg.Runs)
-	}
-	// Runs are independent and individually seeded, so they execute in
-	// parallel; aggregation happens sequentially in run order, keeping the
-	// result bit-for-bit deterministic.
 	type runResult struct {
 		measure PointMeasure
 		tdSum   float64
 		tdCount int
 		tdHist  *stats.Histogram
-		err     error
 	}
-	results := make([]runResult, cfg.Runs)
 	// Latency histogram bounds: the Theorem-2 delay model is bounded by
 	// 3t_p + λt_h + transmissions + 2t_key; 3× the mean covers it.
 	histHi := 3 * analysis.DNDPLatency(cfg.Params)
-	workers := runtime.GOMAXPROCS(0)
-	if workers > cfg.Runs {
-		workers = cfg.Runs
+	results, err := eachRun(cfg, func(seed int64) (runResult, error) {
+		hist, err := stats.NewHistogram(0, histHi, 256)
+		if err != nil {
+			return runResult{}, err
+		}
+		one, tdS, tdC, err := measureOnce(cfg, seed, hist)
+		return runResult{measure: one, tdSum: tdS, tdCount: tdC, tdHist: hist}, err
+	})
+	if err != nil {
+		return PointMeasure{}, err
 	}
-	var wg sync.WaitGroup
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for run := range next {
-				hist, herr := stats.NewHistogram(0, histHi, 256)
-				if herr != nil {
-					results[run] = runResult{err: herr}
-					continue
-				}
-				one, tdS, tdC, err := measureOnce(cfg, cfg.Seed+int64(run)*7919, hist)
-				results[run] = runResult{measure: one, tdSum: tdS, tdCount: tdC, tdHist: hist, err: err}
-			}
-		}()
-	}
-	for run := 0; run < cfg.Runs; run++ {
-		next <- run
-	}
-	close(next)
-	wg.Wait()
 
 	var agg PointMeasure
 	var pd, pm, pHat stats.Sample
@@ -142,9 +117,6 @@ func MeasurePoint(cfg PointConfig) (PointMeasure, error) {
 		return PointMeasure{}, err
 	}
 	for _, res := range results {
-		if res.err != nil {
-			return PointMeasure{}, res.err
-		}
 		one := res.measure
 		pd.Add(one.PD)
 		pm.Add(one.PM)
@@ -173,36 +145,86 @@ func MeasurePoint(cfg PointConfig) (PointMeasure, error) {
 		agg.TD = analysis.DNDPLatency(cfg.Params)
 	}
 	agg.TM = analysis.MNDPLatency(cfg.Params, cfg.Params.Nu, agg.AvgDegree)
-	agg.TBar = agg.TD
-	if agg.TM > agg.TBar {
-		agg.TBar = agg.TM
-	}
+	agg.TBar = max(agg.TD, agg.TM)
 	return agg, nil
 }
 
-// measureOnce runs a single seeded deployment. tdHist, when non-nil,
-// receives every sampled D-NDP latency.
-func measureOnce(cfg PointConfig, seed int64, tdHist *stats.Histogram) (PointMeasure, float64, int, error) {
+// eachRun validates cfg and calls once for each of cfg.Runs independent
+// runs, seeded Seed+run·7919. The runs execute in parallel; the results
+// come back in run order, so aggregating them sequentially keeps every
+// campaign bit-for-bit deterministic. The first error in run order wins.
+func eachRun[T any](cfg PointConfig, once func(seed int64) (T, error)) ([]T, error) {
+	if err := cfg.Params.Validate(); err != nil {
+		return nil, fmt.Errorf("experiment: %w", err)
+	}
+	if cfg.Runs < 1 {
+		return nil, fmt.Errorf("experiment: Runs=%d must be >= 1", cfg.Runs)
+	}
+	results := make([]T, cfg.Runs)
+	errs := make([]error, cfg.Runs)
+	workers := min(runtime.GOMAXPROCS(0), cfg.Runs)
+	var wg sync.WaitGroup
+	next := make(chan int)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for run := range next {
+				results[run], errs[run] = once(cfg.Seed + int64(run)*7919)
+			}
+		}()
+	}
+	for run := 0; run < cfg.Runs; run++ {
+		next <- run
+	}
+	close(next)
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	return results, nil
+}
+
+// edge is one honest physical-neighbor pair, u < v.
+type edge struct{ u, v int }
+
+// deployment is the first half of every campaign run: the placement, the
+// code pre-distribution and compromise, and the D-NDP outcome of every
+// honest physical edge.
+type deployment struct {
+	physical    *field.Graph
+	compromised *codepool.CodeSet
+	edges       []edge       // honest physical edges, in (u, v) order
+	logical     *field.Graph // the edges D-NDP discovered
+	dSucc       int          // D-NDP successes, one latency sample each
+	tdSum       float64      // sum of the sampled D-NDP latencies
+}
+
+// deploy runs a single seeded deployment up to and including D-NDP.
+// tdHist, when non-nil, receives every sampled D-NDP latency.
+func deploy(cfg PointConfig, seed int64, tdHist *stats.Histogram) (deployment, error) {
 	p := cfg.Params
 	streams := sim.NewStreams(seed)
 
-	deploy, err := field.New(p.FieldWidth, p.FieldHeight)
+	area, err := field.New(p.FieldWidth, p.FieldHeight)
 	if err != nil {
-		return PointMeasure{}, 0, 0, err
+		return deployment{}, err
 	}
-	positions := deploy.PlaceUniform(streams.Get("placement"), p.N)
-	graph, err := field.PhysicalGraph(deploy, positions, p.Range)
+	positions := area.PlaceUniform(streams.Get("placement"), p.N)
+	graph, err := field.PhysicalGraph(area, positions, p.Range)
 	if err != nil {
-		return PointMeasure{}, 0, 0, err
+		return deployment{}, err
 	}
 
 	pool, err := codepool.New(codepool.Config{N: p.N, M: p.M, L: p.L, Rand: streams.Get("codepool")})
 	if err != nil {
-		return PointMeasure{}, 0, 0, err
+		return deployment{}, err
 	}
 	compromisedNodes, compromised, err := pool.CompromiseRandom(streams.Get("compromise"), p.Q)
 	if err != nil {
-		return PointMeasure{}, 0, 0, err
+		return deployment{}, err
 	}
 	isCompromised := make([]bool, p.N)
 	for _, i := range compromisedNodes {
@@ -211,18 +233,13 @@ func measureOnce(cfg PointConfig, seed int64, tdHist *stats.Histogram) (PointMea
 
 	jammer, err := buildJammer(cfg, compromised, streams.Get("jammer"))
 	if err != nil {
-		return PointMeasure{}, 0, 0, err
+		return deployment{}, err
 	}
 
 	// D-NDP outcome per physical edge.
-	type edge struct{ u, v int }
-	var edges []edge
-	logical := &field.Graph{Adj: make([][]int, p.N)}
-	dSucc := 0
+	d := deployment{physical: graph, compromised: compromised, logical: &field.Graph{Adj: make([][]int, p.N)}}
 	redundancyRng := streams.Get("redundancy")
 	latRng := streams.Get("latency")
-	var tdSum float64
-	tdCount := 0
 	for u := 0; u < p.N; u++ {
 		if isCompromised[u] {
 			continue // compromised nodes do not run the honest protocol
@@ -231,37 +248,45 @@ func measureOnce(cfg PointConfig, seed int64, tdHist *stats.Histogram) (PointMea
 			if v <= u || isCompromised[v] {
 				continue
 			}
-			edges = append(edges, edge{u, v})
+			d.edges = append(d.edges, edge{u, v})
 			shared := pool.Shared(u, v)
 			if dndpSucceeds(shared, jammer, cfg.DisableRedundancy, redundancyRng) {
-				dSucc++
-				logical.Adj[u] = append(logical.Adj[u], v)
-				logical.Adj[v] = append(logical.Adj[v], u)
+				d.dSucc++
+				d.logical.Adj[u] = append(d.logical.Adj[u], v)
+				d.logical.Adj[v] = append(d.logical.Adj[v], u)
 				sample := sampleDNDPLatency(p, latRng)
-				tdSum += sample
-				tdCount++
+				d.tdSum += sample
 				if tdHist != nil {
 					tdHist.Add(sample)
 				}
 			}
 		}
 	}
-	if len(edges) == 0 {
-		return PointMeasure{}, 0, 0, fmt.Errorf("experiment: deployment produced no physical edges; increase density")
+	if len(d.edges) == 0 {
+		return deployment{}, fmt.Errorf("experiment: deployment produced no physical edges; increase density")
 	}
+	return d, nil
+}
+
+// measureOnce runs a single seeded deployment and its M-NDP round(s). It
+// returns the run's measure and the sum and count of its D-NDP latency
+// samples; tdHist, when non-nil, receives every sample.
+func measureOnce(cfg PointConfig, seed int64, tdHist *stats.Histogram) (PointMeasure, float64, int, error) {
+	d, err := deploy(cfg, seed, tdHist)
+	if err != nil {
+		return PointMeasure{}, 0, 0, err
+	}
+	p := cfg.Params
+	logical, edges := d.logical, d.edges
 
 	// M-NDP outcome per physical edge: an indirect logical path of at most
 	// ν hops (excluding the direct logical edge, if any).
-	mndpEdge := func(u, v int) bool {
-		_, ok := logical.HopDistance(u, v, p.Nu, true)
-		return ok
-	}
 	mSucc := 0
-	either := dSucc
+	either := d.dSucc
 	newEdges := 0
 	for _, e := range edges {
 		direct := containsInt(logical.Adj[e.u], e.v)
-		if mndpEdge(e.u, e.v) {
+		if _, ok := logical.HopDistance(e.u, e.v, p.Nu, true); ok {
 			mSucc++
 			if !direct {
 				either++
@@ -301,13 +326,13 @@ func measureOnce(cfg PointConfig, seed int64, tdHist *stats.Histogram) (PointMea
 
 	total := float64(len(edges))
 	return PointMeasure{
-		PD:               float64(dSucc) / total,
+		PD:               float64(d.dSucc) / total,
 		PM:               float64(mSucc) / total,
 		PHat:             float64(either) / total,
-		AvgDegree:        graph.AvgDegree(),
-		CompromisedCodes: float64(compromised.Len()),
+		AvgDegree:        d.physical.AvgDegree(),
+		CompromisedCodes: float64(d.compromised.Len()),
 		Edges:            total,
-	}, tdSum, tdCount, nil
+	}, d.tdSum, d.dSucc, nil
 }
 
 func buildJammer(cfg PointConfig, compromised *codepool.CodeSet, rng *rand.Rand) (radio.Jammer, error) {

@@ -118,16 +118,13 @@ func CrossCheckFigure(p analysis.Params, runs int, seed int64) (Figure, error) {
 	if err != nil {
 		return Figure{}, err
 	}
-	point := func(label string, v float64) Series {
-		return Series{Label: label, X: []float64{0}, Y: []float64{v}}
-	}
 	return Figure{
 		ID:    "ext-crosscheck",
 		Title: "Cross-fidelity check — P̂_D from three independent engines",
 		Series: []Series{
-			point("campaign Monte Carlo", res.CampaignPD),
-			point("event-driven protocol engine", res.EventPD),
-			point("Theorem 1 (reactive)", res.TheoryPD),
+			scalar("campaign Monte Carlo", res.CampaignPD),
+			scalar("event-driven protocol engine", res.EventPD),
+			scalar("Theorem 1 (reactive)", res.TheoryPD),
 		},
 		Notes: []string{
 			"the campaign models jam outcomes per Theorem 1; the event engine exchanges every message",

@@ -4,9 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/analysis"
-	"repro/internal/codepool"
-	"repro/internal/field"
-	"repro/internal/sim"
 )
 
 // Extension experiments beyond the paper's figures: the multi-antenna
@@ -93,23 +90,20 @@ type NuProfile struct {
 // MeasureNuProfile runs the campaign once per seed and evaluates every hop
 // bound ν ≤ maxNu in a single pass over the logical graph (one BFS per
 // edge, recording the indirect hop distance). It is how Fig. 5(a) and the
-// adaptive-ν experiment share work.
+// adaptive-ν experiment share work. M-NDP is a single round;
+// cfg.Params.Nu and cfg.IterateMNDP are not read.
 func MeasureNuProfile(cfg PointConfig, maxNu int) (NuProfile, error) {
-	if err := cfg.Params.Validate(); err != nil {
-		return NuProfile{}, fmt.Errorf("experiment: %w", err)
-	}
-	if cfg.Runs < 1 {
-		return NuProfile{}, fmt.Errorf("experiment: Runs=%d must be >= 1", cfg.Runs)
-	}
 	if maxNu < 1 {
 		return NuProfile{}, fmt.Errorf("experiment: maxNu=%d must be >= 1", maxNu)
 	}
+	runs, err := eachRun(cfg, func(seed int64) (NuProfile, error) {
+		return nuProfileOnce(cfg, seed, maxNu)
+	})
+	if err != nil {
+		return NuProfile{}, err
+	}
 	agg := NuProfile{MaxNu: maxNu, PM: make([]float64, maxNu), PHat: make([]float64, maxNu)}
-	for run := 0; run < cfg.Runs; run++ {
-		one, err := nuProfileOnce(cfg, cfg.Seed+int64(run)*7919, maxNu)
-		if err != nil {
-			return NuProfile{}, err
-		}
+	for _, one := range runs {
 		agg.PD += one.PD
 		for i := 0; i < maxNu; i++ {
 			agg.PM[i] += one.PM[i]
@@ -125,95 +119,38 @@ func MeasureNuProfile(cfg PointConfig, maxNu int) (NuProfile, error) {
 	return agg, nil
 }
 
+// nuProfileOnce runs one seeded deployment and histograms each edge's
+// indirect logical hop distance up to maxNu.
 func nuProfileOnce(cfg PointConfig, seed int64, maxNu int) (NuProfile, error) {
-	p := cfg.Params
-	streams := sim.NewStreams(seed)
-	deploy, err := field.New(p.FieldWidth, p.FieldHeight)
+	d, err := deploy(cfg, seed, nil)
 	if err != nil {
 		return NuProfile{}, err
 	}
-	positions := deploy.PlaceUniform(streams.Get("placement"), p.N)
-	graph, err := field.PhysicalGraph(deploy, positions, p.Range)
-	if err != nil {
-		return NuProfile{}, err
-	}
-	pool, err := codepool.New(codepool.Config{N: p.N, M: p.M, L: p.L, Rand: streams.Get("codepool")})
-	if err != nil {
-		return NuProfile{}, err
-	}
-	compromisedNodes, compromised, err := pool.CompromiseRandom(streams.Get("compromise"), p.Q)
-	if err != nil {
-		return NuProfile{}, err
-	}
-	isCompromised := make([]bool, p.N)
-	for _, i := range compromisedNodes {
-		isCompromised[i] = true
-	}
-	jammer, err := buildJammer(cfg, compromised, streams.Get("jammer"))
-	if err != nil {
-		return NuProfile{}, err
-	}
-	redundancyRng := streams.Get("redundancy")
-
-	type edge struct{ u, v int }
-	var edges []edge
-	logical := &field.Graph{Adj: make([][]int, p.N)}
-	dSucc := 0
-	for u := 0; u < p.N; u++ {
-		if isCompromised[u] {
-			continue
+	// mAt[h] counts edges whose shortest indirect path has h hops; eitherAt[h]
+	// counts edges first discovered at ν = h (D-NDP edges at ν = 1).
+	mAt := make([]int, maxNu+1)
+	eitherAt := make([]int, maxNu+1)
+	for _, e := range d.edges {
+		dist, ok := d.logical.HopDistance(e.u, e.v, maxNu, true)
+		if ok {
+			mAt[dist]++
 		}
-		for _, v := range graph.Adj[u] {
-			if v <= u || isCompromised[v] {
-				continue
-			}
-			edges = append(edges, edge{u, v})
-			if dndpSucceeds(pool.Shared(u, v), jammer, cfg.DisableRedundancy, redundancyRng) {
-				dSucc++
-				logical.Adj[u] = append(logical.Adj[u], v)
-				logical.Adj[v] = append(logical.Adj[v], u)
-			}
+		switch {
+		case containsInt(d.logical.Adj[e.u], e.v):
+			eitherAt[1]++
+		case ok:
+			eitherAt[dist]++
 		}
 	}
-	if len(edges) == 0 {
-		return NuProfile{}, fmt.Errorf("experiment: no physical edges; increase density")
-	}
-
 	out := NuProfile{MaxNu: maxNu, PM: make([]float64, maxNu), PHat: make([]float64, maxNu)}
-	total := float64(len(edges))
-	out.PD = float64(dSucc) / total
-	mAtDist := make([]int, maxNu+1) // indirect-path length histogram
-	directCount := 0
-	for _, e := range edges {
-		if dist, ok := logical.HopDistance(e.u, e.v, maxNu, true); ok && dist >= 2 {
-			mAtDist[dist]++
-		}
-		if containsInt(logical.Adj[e.u], e.v) {
-			directCount++
-		}
-	}
-	cum := 0
+	total := float64(len(d.edges))
+	out.PD = float64(d.dSucc) / total
+	m, either := 0, 0
 	for nu := 1; nu <= maxNu; nu++ {
-		cum += mAtDist[nu]
-		out.PM[nu-1] = float64(cum) / total
-	}
-	// P̂(ν) = fraction discovered directly or via an indirect ≤ν-hop path.
-	// Indirect paths only help the edges that failed D-NDP; for those no
-	// direct logical edge exists, so the histogram entries are disjoint
-	// from directCount except for succeeded edges that *also* have an
-	// indirect path. Count precisely:
-	cumEither := make([]int, maxNu+1)
-	for _, e := range edges {
-		direct := containsInt(logical.Adj[e.u], e.v)
-		dist, ok := logical.HopDistance(e.u, e.v, maxNu, true)
-		for nu := 1; nu <= maxNu; nu++ {
-			if direct || (ok && dist <= nu) {
-				cumEither[nu]++
-			}
-		}
-	}
-	for nu := 1; nu <= maxNu; nu++ {
-		out.PHat[nu-1] = float64(cumEither[nu]) / total
+		m += mAt[nu]
+		either += eitherAt[nu]
+		out.PM[nu-1] = float64(m) / total
+		out.PHat[nu-1] = float64(either) / total
 	}
 	return out, nil
 }
@@ -232,10 +169,7 @@ func ExtAdaptiveNu(cfg SweepConfig, targets []float64, maxNu int) (Figure, error
 	// The paper's stressed operating point is 5% compromised nodes
 	// (q = 100 at n = 2000, where P̂_D ≈ 0.2); scale with n so reduced
 	// deployments stay meaningful.
-	p.Q = p.N / 20
-	if p.Q < 1 {
-		p.Q = 1
-	}
+	p.Q = max(1, p.N/20)
 	profile, err := MeasureNuProfile(PointConfig{
 		Params: p,
 		Jammer: cfg.Jammer,

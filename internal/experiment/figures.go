@@ -13,6 +13,11 @@ type Series struct {
 	Y     []float64
 }
 
+// scalar is a one-value series, a row of a parameter-style table.
+func scalar(label string, v float64) Series {
+	return Series{Label: label, X: []float64{0}, Y: []float64{v}}
+}
+
 // Figure is the reproduction of one paper figure (or table): a set of
 // series plus free-form notes recording the paper's qualitative claims.
 type Figure struct {
@@ -33,8 +38,8 @@ type SweepConfig struct {
 	Runs int
 	// Seed for reproducibility.
 	Seed int64
-	// Jammer model; the paper's figures report reactive jamming (the
-	// worst case).
+	// Jammer model; the zero value is reactive jamming, the worst case
+	// the paper's figures report.
 	Jammer JammerModel
 	// IterateMNDP closes the logical graph under repeated M-NDP rounds.
 	IterateMNDP bool
@@ -46,9 +51,6 @@ func (c SweepConfig) withDefaults() SweepConfig {
 	}
 	if c.Runs == 0 {
 		c.Runs = 100
-	}
-	if c.Jammer == 0 {
-		c.Jammer = JamReactive
 	}
 	return c
 }
@@ -220,7 +222,8 @@ func Fig4(cfg SweepConfig, l int) (Figure, error) {
 
 // Fig5a reproduces Fig. 5(a): impact of ν on P̂_M with P̂_D ≈ 0.2 (q=100).
 // All hop bounds are evaluated in one pass over each run's logical graph
-// (MeasureNuProfile), and the theory overlay uses the iterated Theorem-3
+// (MeasureNuProfile), so the ν profile is single-round M-NDP whatever
+// cfg.IterateMNDP says. The theory overlay uses the iterated Theorem-3
 // recurrence for ν > 2.
 func Fig5a(cfg SweepConfig) (Figure, error) {
 	cfg = cfg.withDefaults()
@@ -228,11 +231,10 @@ func Fig5a(cfg SweepConfig) (Figure, error) {
 	p := cfg.Base
 	p.Q = 100 // the paper's P̂_D = 0.2 operating point
 	profile, err := MeasureNuProfile(PointConfig{
-		Params:      p,
-		Jammer:      cfg.Jammer,
-		Runs:        cfg.Runs,
-		Seed:        cfg.Seed,
-		IterateMNDP: cfg.IterateMNDP,
+		Params: p,
+		Jammer: cfg.Jammer,
+		Runs:   cfg.Runs,
+		Seed:   cfg.Seed,
 	}, maxNu)
 	if err != nil {
 		return Figure{}, err
@@ -299,28 +301,25 @@ func Fig5b(cfg SweepConfig) (Figure, error) {
 // Table1 reproduces Table I plus the derived quantities of §V-B.
 func Table1() Figure {
 	p := analysis.Defaults()
-	row := func(label string, v float64) Series {
-		return Series{Label: label, X: []float64{0}, Y: []float64{v}}
-	}
 	return Figure{
 		ID:    "table1",
 		Title: "Table I — default evaluation parameters and derived quantities",
 		Series: []Series{
-			row("n", float64(p.N)), row("m", float64(p.M)), row("l", float64(p.L)),
-			row("q", float64(p.Q)), row("N (chips)", float64(p.ChipLen)), row("R (b/s)", p.ChipRate),
-			row("rho (s/bit)", p.Rho), row("mu", p.Mu), row("nu", float64(p.Nu)),
-			row("l_t", float64(p.LenType)), row("l_id", float64(p.LenID)), row("l_n", float64(p.LenNonce)),
-			row("l_f=l_mac", float64(p.LenMAC)), row("l_nu", float64(p.LenNu)), row("l_sig", float64(p.LenSig)),
-			row("t_key (s)", p.TKey), row("t_sig (s)", p.TSig), row("t_ver (s)", p.TVer),
-			row("s = w*m", float64(p.S())),
-			row("l_h (bits)", p.HelloBits()),
-			row("l_f coded (bits)", p.AuthBits()),
-			row("t_h (s)", p.THello()),
-			row("t_b (s)", p.TBuffer()),
-			row("lambda", p.Lambda()),
-			row("t_p (s)", p.TProcess()),
-			row("r (hello rounds)", float64(p.HelloRounds())),
-			row("g (avg degree)", p.AvgDegree()),
+			scalar("n", float64(p.N)), scalar("m", float64(p.M)), scalar("l", float64(p.L)),
+			scalar("q", float64(p.Q)), scalar("N (chips)", float64(p.ChipLen)), scalar("R (b/s)", p.ChipRate),
+			scalar("rho (s/bit)", p.Rho), scalar("mu", p.Mu), scalar("nu", float64(p.Nu)),
+			scalar("l_t", float64(p.LenType)), scalar("l_id", float64(p.LenID)), scalar("l_n", float64(p.LenNonce)),
+			scalar("l_f=l_mac", float64(p.LenMAC)), scalar("l_nu", float64(p.LenNu)), scalar("l_sig", float64(p.LenSig)),
+			scalar("t_key (s)", p.TKey), scalar("t_sig (s)", p.TSig), scalar("t_ver (s)", p.TVer),
+			scalar("s = w*m", float64(p.S())),
+			scalar("l_h (bits)", p.HelloBits()),
+			scalar("l_f coded (bits)", p.AuthBits()),
+			scalar("t_h (s)", p.THello()),
+			scalar("t_b (s)", p.TBuffer()),
+			scalar("lambda", p.Lambda()),
+			scalar("t_p (s)", p.TProcess()),
+			scalar("r (hello rounds)", float64(p.HelloRounds())),
+			scalar("g (avg degree)", p.AvgDegree()),
 		},
 		Notes: []string{"derived quantities computed per §V-B"},
 	}

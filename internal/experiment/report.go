@@ -92,8 +92,8 @@ func BuildReport(cfg SweepConfig) (Report, error) {
 	}
 	dnd3a := series(fig3a, "D-NDP (sim)")
 	peakL := fig3a.Series[0].X[argmax(dnd3a)]
-	check("fig3a", "P̂ peaks near l ≈ 100 then declines", peakL >= 60 && peakL <= 140 && last(dnd3a) < max(dnd3a),
-		"peak at l=%v (%.3f), endpoint %.3f", peakL, max(dnd3a), last(dnd3a))
+	check("fig3a", "P̂ peaks near l ≈ 100 then declines", peakL >= 60 && peakL <= 140 && last(dnd3a) < maxOf(dnd3a),
+		"peak at l=%v (%.3f), endpoint %.3f", peakL, maxOf(dnd3a), last(dnd3a))
 
 	// Fig. 3(b): D-NDP rises then falls; JR-SND stays high.
 	fig3b, err := add(Fig3b(cfg))
@@ -134,7 +134,7 @@ func BuildReport(cfg SweepConfig) (Report, error) {
 		return Report{}, err
 	}
 	pd5a := series(fig5a, "D-NDP (sim)")
-	check("fig5a", "P̂_D flat in ν", max(pd5a)-minOf(pd5a) < 0.05, "spread %.4f", max(pd5a)-minOf(pd5a))
+	check("fig5a", "P̂_D flat in ν", maxOf(pd5a)-minOf(pd5a) < 0.05, "spread %.4f", maxOf(pd5a)-minOf(pd5a))
 	p5aAt6 := valueAt(fig5a.Series[0].X, series(fig5a, "JR-SND (sim)"), 6)
 	check("fig5a", "P̂ > 0.9 for ν >= 6", p5aAt6 > 0.9, "P̂(ν=6) = %.3f", p5aAt6)
 
@@ -149,7 +149,7 @@ func BuildReport(cfg SweepConfig) (Report, error) {
 		"T̄_M(6) = %.2f s", valueAt(fig5b.Series[0].X, tm5b, 6))
 
 	// Chip-level ECC threshold.
-	dsssFig, err := add(DSSSValidation(cfg.Seed, maxInt(cfg.Runs, 10)))
+	dsssFig, err := add(DSSSValidation(cfg.Seed, max(cfg.Runs, 10)))
 	if err != nil {
 		return Report{}, err
 	}
@@ -246,7 +246,7 @@ func argmax(ys []float64) int {
 	return best
 }
 
-func max(ys []float64) float64 {
+func maxOf(ys []float64) float64 {
 	if len(ys) == 0 {
 		return 0
 	}
@@ -282,11 +282,4 @@ func nonIncreasing(ys []float64, slack float64) bool {
 		}
 	}
 	return true
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

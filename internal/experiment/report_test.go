@@ -49,8 +49,8 @@ func TestReportHelpers(t *testing.T) {
 	if argmax([]float64{1, 7, 3}) != 1 {
 		t.Fatal("argmax wrong")
 	}
-	if max([]float64{1, 7, 3}) != 7 || minOf([]float64{4, 2, 9}) != 2 {
-		t.Fatal("max/min wrong")
+	if maxOf([]float64{1, 7, 3}) != 7 || minOf([]float64{4, 2, 9}) != 2 {
+		t.Fatal("maxOf/minOf wrong")
 	}
 	if !nonDecreasing([]float64{1, 1.5, 1.4}, 0.2) || nonDecreasing([]float64{1, 0.5}, 0.1) {
 		t.Fatal("nonDecreasing wrong")
