@@ -1,8 +1,9 @@
 // Command jrsnd-sim reproduces the paper's evaluation artifacts: pass an
 // experiment id and it prints the measured series next to the theoretical
 // curves. Available ids: table1, fig2a, fig2b, fig3a, fig3b, fig4a, fig4b,
-// fig5a, fig5b, dsss, dos, ext-antennas, ext-gold, ext-adaptive-nu,
-// baseline-q, baseline-latency, baseline-dos, or "all".
+// fig5a, fig5b, dsss, dos, ext-antennas, ext-gold, ext-z, ext-noise,
+// ext-predistribution, ext-crosscheck, ext-adaptive-nu, baseline-q,
+// baseline-latency, baseline-dos, or "all" (-list prints them).
 //
 // Usage:
 //
@@ -37,7 +38,7 @@ func main() {
 // profile teardown deferred below always runs.
 func mainRun() int {
 	var (
-		exp     = flag.String("exp", "all", "experiment id (table1, fig2a..fig5b, dsss, dos, all)")
+		exp     = flag.String("exp", "all", "experiment id, or all (-list prints the ids)")
 		runs    = flag.Int("runs", 100, "Monte-Carlo runs per parameter point")
 		seed    = flag.Int64("seed", 1, "base random seed")
 		jammer  = flag.String("jammer", "reactive", "jammer model: none, random, reactive")
@@ -56,8 +57,8 @@ func mainRun() int {
 	)
 	flag.Parse()
 	if *list {
-		for _, id := range experimentIDs() {
-			fmt.Println(id)
+		for _, r := range runners {
+			fmt.Println(r.id)
 		}
 		return 0
 	}
@@ -160,16 +161,9 @@ func run(exp string, runs int, seed int64, jammer string, iterate bool, n int, c
 			return err
 		}
 	}
-	var jm experiment.JammerModel
-	switch jammer {
-	case "none":
-		jm = experiment.JamNone
-	case "random":
-		jm = experiment.JamRandom
-	case "reactive":
-		jm = experiment.JamReactive
-	default:
-		return fmt.Errorf("unknown jammer %q", jammer)
+	jm, _, err := parseJammer(jammer)
+	if err != nil {
+		return err
 	}
 	base := analysis.Defaults()
 	if n > 0 {
@@ -183,38 +177,6 @@ func run(exp string, runs int, seed int64, jammer string, iterate bool, n int, c
 		IterateMNDP: iterate,
 	}
 
-	runners := []runner{
-		{"table1", func() (experiment.Figure, error) { return experiment.Table1(), nil }},
-		{"fig2a", func() (experiment.Figure, error) { return experiment.Fig2a(cfg) }},
-		{"fig2b", func() (experiment.Figure, error) { return experiment.Fig2b(cfg) }},
-		{"fig3a", func() (experiment.Figure, error) { return experiment.Fig3a(cfg) }},
-		{"fig3b", func() (experiment.Figure, error) { return experiment.Fig3b(cfg) }},
-		{"fig4a", func() (experiment.Figure, error) { return experiment.Fig4(cfg, 40) }},
-		{"fig4b", func() (experiment.Figure, error) { return experiment.Fig4(cfg, 20) }},
-		{"fig5a", func() (experiment.Figure, error) { return experiment.Fig5a(cfg) }},
-		{"fig5b", func() (experiment.Figure, error) { return experiment.Fig5b(cfg) }},
-		{"dsss", func() (experiment.Figure, error) { return experiment.DSSSValidation(seed, max(runs, 10)) }},
-		{"dos", func() (experiment.Figure, error) { return experiment.DoSExperiment(seed, 20) }},
-		{"ext-antennas", func() (experiment.Figure, error) { return experiment.ExtAntennas(base) }},
-		{"ext-gold", func() (experiment.Figure, error) { return experiment.GoldComparison(seed, 64, 5000) }},
-		{"ext-z", func() (experiment.Figure, error) { return experiment.ExtZ(cfg) }},
-		{"ext-noise", func() (experiment.Figure, error) { return experiment.InterferenceValidation(seed, max(runs, 10)) }},
-		{"ext-predistribution", func() (experiment.Figure, error) { return experiment.PredistributionComparison(base, seed) }},
-		{"ext-crosscheck", func() (experiment.Figure, error) {
-			return experiment.CrossCheckFigure(analysis.Params{}, max(runs/4, 3), seed)
-		}},
-		{"ext-adaptive-nu", func() (experiment.Figure, error) {
-			return experiment.ExtAdaptiveNu(cfg, nil, 8)
-		}},
-		{"baseline-q", func() (experiment.Figure, error) { return experiment.BaselineQ(cfg) }},
-		{"baseline-latency", func() (experiment.Figure, error) {
-			return experiment.BaselineLatency(base, seed, max(runs*10, 100))
-		}},
-		{"baseline-dos", func() (experiment.Figure, error) { return experiment.BaselineDoS(base) }},
-	}
-	if ids := experimentIDs(); len(ids) != len(runners) {
-		return fmt.Errorf("internal: experiment id list out of sync (%d vs %d)", len(ids), len(runners))
-	}
 	matched := false
 	for _, r := range runners {
 		if exp != "all" && exp != r.id {
@@ -222,7 +184,7 @@ func run(exp string, runs int, seed int64, jammer string, iterate bool, n int, c
 		}
 		matched = true
 		start := time.Now()
-		fig, err := r.fn()
+		fig, err := r.fn(cfg)
 		if err != nil {
 			return fmt.Errorf("%s: %w", r.id, err)
 		}
@@ -253,40 +215,64 @@ func run(exp string, runs int, seed int64, jammer string, iterate bool, n int, c
 // runner pairs an experiment id with its producer.
 type runner struct {
 	id string
-	fn func() (experiment.Figure, error)
+	fn func(cfg experiment.SweepConfig) (experiment.Figure, error)
 }
 
-// experimentIDs lists every supported -exp id, in run order. A consistency
-// check in run() keeps it in sync with the runner table.
-func experimentIDs() []string {
-	return []string{
-		"table1",
-		"fig2a", "fig2b", "fig3a", "fig3b", "fig4a", "fig4b", "fig5a", "fig5b",
-		"dsss", "dos",
-		"ext-antennas", "ext-gold", "ext-z", "ext-noise",
-		"ext-predistribution", "ext-crosscheck", "ext-adaptive-nu",
-		"baseline-q", "baseline-latency", "baseline-dos",
-	}
+// runners is every -exp id with its producer, in run (and -list) order.
+// The producers read the flags through cfg: Base carries -n, Runs -runs,
+// Seed -seed.
+var runners = []runner{
+	{"table1", func(experiment.SweepConfig) (experiment.Figure, error) { return experiment.Table1(), nil }},
+	{"fig2a", experiment.Fig2a},
+	{"fig2b", experiment.Fig2b},
+	{"fig3a", experiment.Fig3a},
+	{"fig3b", experiment.Fig3b},
+	{"fig4a", func(cfg experiment.SweepConfig) (experiment.Figure, error) { return experiment.Fig4(cfg, 40) }},
+	{"fig4b", func(cfg experiment.SweepConfig) (experiment.Figure, error) { return experiment.Fig4(cfg, 20) }},
+	{"fig5a", experiment.Fig5a},
+	{"fig5b", experiment.Fig5b},
+	{"dsss", func(cfg experiment.SweepConfig) (experiment.Figure, error) {
+		return experiment.DSSSValidation(cfg.Seed, max(cfg.Runs, 10))
+	}},
+	{"dos", func(cfg experiment.SweepConfig) (experiment.Figure, error) {
+		return experiment.DoSExperiment(cfg.Seed, 20)
+	}},
+	{"ext-antennas", func(cfg experiment.SweepConfig) (experiment.Figure, error) { return experiment.ExtAntennas(cfg.Base) }},
+	{"ext-gold", func(cfg experiment.SweepConfig) (experiment.Figure, error) {
+		return experiment.GoldComparison(cfg.Seed, 64, 5000)
+	}},
+	{"ext-z", experiment.ExtZ},
+	{"ext-noise", func(cfg experiment.SweepConfig) (experiment.Figure, error) {
+		return experiment.InterferenceValidation(cfg.Seed, max(cfg.Runs, 10))
+	}},
+	{"ext-predistribution", func(cfg experiment.SweepConfig) (experiment.Figure, error) {
+		return experiment.PredistributionComparison(cfg.Base, cfg.Seed)
+	}},
+	{"ext-crosscheck", func(cfg experiment.SweepConfig) (experiment.Figure, error) {
+		return experiment.CrossCheckFigure(analysis.Params{}, max(cfg.Runs/4, 3), cfg.Seed)
+	}},
+	{"ext-adaptive-nu", func(cfg experiment.SweepConfig) (experiment.Figure, error) {
+		return experiment.ExtAdaptiveNu(cfg, nil, 8)
+	}},
+	{"baseline-q", experiment.BaselineQ},
+	{"baseline-latency", func(cfg experiment.SweepConfig) (experiment.Figure, error) {
+		return experiment.BaselineLatency(cfg.Base, cfg.Seed, max(cfg.Runs*10, 100))
+	}},
+	{"baseline-dos", func(cfg experiment.SweepConfig) (experiment.Figure, error) { return experiment.BaselineDoS(cfg.Base) }},
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-// coreJammer maps the -jammer flag to the protocol engine's adversary kind.
-func coreJammer(jammer string) (core.JammerKind, error) {
-	switch jammer {
+// parseJammer maps the -jammer name to the campaign's jammer model and the
+// protocol engine's adversary kind.
+func parseJammer(name string) (experiment.JammerModel, core.JammerKind, error) {
+	switch name {
 	case "none":
-		return core.JamNone, nil
+		return experiment.JamNone, core.JamNone, nil
 	case "random":
-		return core.JamRandom, nil
+		return experiment.JamRandom, core.JamRandom, nil
 	case "reactive":
-		return core.JamReactive, nil
+		return experiment.JamReactive, core.JamReactive, nil
 	default:
-		return 0, fmt.Errorf("unknown jammer %q", jammer)
+		return 0, 0, fmt.Errorf("unknown jammer %q", name)
 	}
 }
 
@@ -294,7 +280,7 @@ func coreJammer(jammer string) (core.JammerKind, error) {
 // (D-NDP followed by M-NDP) and writes the metric snapshot and, optionally,
 // the streaming trace. Default deployment: 50 nodes under Table I density.
 func runInstrumented(metricsPath, jsonlPath string, seed int64, jammer string, n, q int) error {
-	jk, err := coreJammer(jammer)
+	_, jk, err := parseJammer(jammer)
 	if err != nil {
 		return err
 	}
@@ -395,16 +381,9 @@ func runInstrumented(metricsPath, jsonlPath string, seed int64, jammer string, n
 }
 
 func runPoint(runs int, seed int64, jammer string, n, q int) error {
-	var jm experiment.JammerModel
-	switch jammer {
-	case "none":
-		jm = experiment.JamNone
-	case "random":
-		jm = experiment.JamRandom
-	case "reactive":
-		jm = experiment.JamReactive
-	default:
-		return fmt.Errorf("unknown jammer %q", jammer)
+	jm, _, err := parseJammer(jammer)
+	if err != nil {
+		return err
 	}
 	p := analysis.Defaults()
 	if n > 0 {

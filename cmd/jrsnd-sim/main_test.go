@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -30,18 +31,30 @@ func TestRunTable1(t *testing.T) {
 }
 
 func TestExperimentIDsInSync(t *testing.T) {
-	// run() cross-checks the id list against the runner table; invoking
-	// any single experiment exercises that check.
-	ids := experimentIDs()
+	// The runner table is the only id list: -list prints it and run()
+	// dispatches on it. Pin its order.
+	want := []string{
+		"table1",
+		"fig2a", "fig2b", "fig3a", "fig3b", "fig4a", "fig4b", "fig5a", "fig5b",
+		"dsss", "dos",
+		"ext-antennas", "ext-gold", "ext-z", "ext-noise",
+		"ext-predistribution", "ext-crosscheck", "ext-adaptive-nu",
+		"baseline-q", "baseline-latency", "baseline-dos",
+	}
+	ids := make([]string, len(runners))
+	seen := map[string]bool{}
+	for i, r := range runners {
+		if seen[r.id] {
+			t.Fatalf("duplicate id %q", r.id)
+		}
+		seen[r.id] = true
+		ids[i] = r.id
+	}
 	if len(ids) < 20 {
 		t.Fatalf("only %d experiment ids", len(ids))
 	}
-	seen := map[string]bool{}
-	for _, id := range ids {
-		if seen[id] {
-			t.Fatalf("duplicate id %q", id)
-		}
-		seen[id] = true
+	if !slices.Equal(ids, want) {
+		t.Fatalf("runner ids %v, want %v", ids, want)
 	}
 }
 
