@@ -241,13 +241,16 @@ func TestDeterministicPackageScope(t *testing.T) {
 		"repro/internal/radio", "repro/internal/faults", "repro/internal/wire",
 		"repro/internal/adversary", "repro/internal/codepool", "repro/internal/authd",
 		"repro/internal/core/sub",
+		"repro/internal/experiment", "repro/internal/field", "repro/internal/analysis",
+		"repro/internal/stats", "repro/internal/chips", "repro/internal/rs",
+		"repro/internal/ibc", "repro/internal/baseline",
 	} {
 		if !IsDeterministicPackage(path) {
 			t.Errorf("IsDeterministicPackage(%q) = false, want true", path)
 		}
 	}
 	for _, path := range []string{
-		"repro", "repro/internal/experiment", "repro/internal/metrics",
+		"repro", "repro/internal/metrics", "repro/internal/chipset",
 		"repro/cmd/jrsnd-sim", "repro/internal/corecraft",
 	} {
 		if IsDeterministicPackage(path) {

@@ -27,6 +27,16 @@ var deterministicPkgs = []string{
 	"repro/internal/adversary",
 	"repro/internal/codepool",
 	"repro/internal/authd",
+	// The packages that compute the paper's figures: a fixed seed must
+	// give byte-identical series.
+	"repro/internal/experiment",
+	"repro/internal/field",
+	"repro/internal/analysis",
+	"repro/internal/stats",
+	"repro/internal/chips",
+	"repro/internal/rs",
+	"repro/internal/ibc",
+	"repro/internal/baseline",
 	// The transport is the real (socket) path, so wall-clock use is
 	// legitimate there — but each site must justify itself with an
 	// allow directive, keeping the sim/real clock boundary auditable.
