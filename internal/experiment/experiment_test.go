@@ -199,45 +199,45 @@ func TestLatencyMeasuresMatchTheorems(t *testing.T) {
 }
 
 func TestFiguresSmoke(t *testing.T) {
-	// Scaled-down pass over every figure: runs must succeed and produce
-	// full-length, in-range series.
+	// Scaled-down pass over every registered experiment: runs must succeed
+	// and produce full-length, in-range series, pinned as goldens.
 	if testing.Short() {
 		t.Skip("figure sweeps are slow; skipped with -short")
 	}
+	// Pinned elsewhere: dsss, ext-noise and ext-adaptive-nu by their own
+	// tests at cheaper arguments, fig3b (which sweeps n itself) by
+	// TestFig3bSweepsN.
+	pinnedElsewhere := map[string]bool{"dsss": true, "ext-noise": true, "ext-adaptive-nu": true, "fig3b": true}
 	cfg := SweepConfig{Base: testParams(), Runs: 2, Seed: 9, Jammer: JamReactive}
-	figs := []struct {
-		name string
-		fn   func() (Figure, error)
-	}{
-		{"fig2a", func() (Figure, error) { return Fig2a(cfg) }},
-		{"fig2b", func() (Figure, error) { return Fig2b(cfg) }},
-		{"fig3a", func() (Figure, error) { return Fig3a(cfg) }},
-		{"fig4a", func() (Figure, error) { return Fig4(cfg, 40) }},
-		{"fig4b", func() (Figure, error) { return Fig4(cfg, 20) }},
-		{"fig5a", func() (Figure, error) { return Fig5a(cfg) }},
-		{"fig5b", func() (Figure, error) { return Fig5b(cfg) }},
-	}
-	for _, tc := range figs {
-		fig, err := tc.fn()
-		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
+	for _, e := range Experiments {
+		if pinnedElsewhere[e.ID] {
+			continue
 		}
-		checkGolden(t, tc.name, fig)
-		if len(fig.Series) == 0 {
-			t.Fatalf("%s: no series", tc.name)
-		}
-		for _, s := range fig.Series {
-			if len(s.X) != len(s.Y) || len(s.X) == 0 {
-				t.Fatalf("%s/%s: malformed series", tc.name, s.Label)
+		t.Run(e.ID, func(t *testing.T) {
+			fig, err := e.Run(cfg)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if strings.Contains(fig.YLabel, "P̂") {
-				for i, y := range s.Y {
-					if y < -1e-9 || y > 1+1e-9 {
-						t.Fatalf("%s/%s[%d]: probability %v out of range", tc.name, s.Label, i, y)
+			if fig.ID != e.ID {
+				t.Fatalf("figure id %q", fig.ID)
+			}
+			checkGolden(t, e.ID, fig)
+			if len(fig.Series) == 0 {
+				t.Fatal("no series")
+			}
+			for _, s := range fig.Series {
+				if len(s.X) != len(s.Y) || len(s.X) == 0 {
+					t.Fatalf("%s: malformed series", s.Label)
+				}
+				if strings.Contains(fig.YLabel, "P̂") {
+					for i, y := range s.Y {
+						if y < -1e-9 || y > 1+1e-9 {
+							t.Fatalf("%s[%d]: probability %v out of range", s.Label, i, y)
+						}
 					}
 				}
 			}
-		}
+		})
 	}
 }
 
@@ -276,6 +276,7 @@ func TestFig3bSweepsN(t *testing.T) {
 	if fig.ID != "fig3b" || len(fig.Series) == 0 {
 		t.Fatal("malformed fig3b")
 	}
+	checkGolden(t, "fig3b", fig)
 }
 
 func TestTable1Printable(t *testing.T) {
