@@ -1,13 +1,15 @@
 package jrsnd
 
-// Benchmark harness: one benchmark per paper artifact (Table I and every
-// figure of §VI-B), micro-benchmarks for the hot substrate operations, and
-// ablation benches for the design choices called out in DESIGN.md §6.
+// Benchmark harness: one BenchmarkExperiments/<id> sub-benchmark per
+// registered experiment (Table I, every figure of §VI-B, the validations,
+// extensions and baselines), micro-benchmarks for the hot substrate
+// operations, and ablation benches for the design choices called out in
+// DESIGN.md §6.
 //
-// Figure benches run the full n=2000 Monte-Carlo campaign at Runs=1 per
-// iteration (the paper's 100-run averages are produced by cmd/jrsnd-sim);
-// besides wall-clock time they report the headline measured quantity via
-// b.ReportMetric so bench output doubles as a quick reproduction check.
+// Experiment benches run the full n=2000 Monte-Carlo campaign at Runs=1
+// per iteration (the paper's 100-run averages are produced by
+// cmd/jrsnd-sim); the figure values themselves are pinned by the golden
+// CSVs of internal/experiment.
 
 import (
 	"math/rand"
@@ -27,135 +29,18 @@ import (
 	"repro/internal/trace"
 )
 
-func benchSweep(b *testing.B) experiment.SweepConfig {
-	b.Helper()
-	return experiment.SweepConfig{
-		Runs:   1,
-		Seed:   1,
-		Jammer: experiment.JamReactive,
-	}
-}
-
-func reportLast(b *testing.B, fig experiment.Figure, label, unit string) {
-	b.Helper()
-	for _, s := range fig.Series {
-		if s.Label == label && len(s.Y) > 0 {
-			b.ReportMetric(s.Y[len(s.Y)-1], unit)
-			return
-		}
-	}
-}
-
-func BenchmarkTable1(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		fig := experiment.Table1()
-		if len(fig.Series) == 0 {
-			b.Fatal("empty table")
-		}
-	}
-}
-
-func BenchmarkFig2a(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		fig, err := experiment.Fig2a(benchSweep(b))
-		if err != nil {
-			b.Fatal(err)
-		}
-		reportLast(b, fig, "JR-SND (sim)", "P@m=200")
-	}
-}
-
-func BenchmarkFig2b(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		fig, err := experiment.Fig2b(benchSweep(b))
-		if err != nil {
-			b.Fatal(err)
-		}
-		reportLast(b, fig, "JR-SND T̄ = max", "s@m=200")
-	}
-}
-
-func BenchmarkFig3a(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		fig, err := experiment.Fig3a(benchSweep(b))
-		if err != nil {
-			b.Fatal(err)
-		}
-		reportLast(b, fig, "JR-SND (sim)", "P@l=160")
-	}
-}
-
-func BenchmarkFig3b(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		fig, err := experiment.Fig3b(benchSweep(b))
-		if err != nil {
-			b.Fatal(err)
-		}
-		reportLast(b, fig, "JR-SND (sim)", "P@n=4000")
-	}
-}
-
-func BenchmarkFig4a(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		fig, err := experiment.Fig4(benchSweep(b), 40)
-		if err != nil {
-			b.Fatal(err)
-		}
-		reportLast(b, fig, "JR-SND (sim)", "P@q=100")
-	}
-}
-
-func BenchmarkFig4b(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		fig, err := experiment.Fig4(benchSweep(b), 20)
-		if err != nil {
-			b.Fatal(err)
-		}
-		reportLast(b, fig, "JR-SND (sim)", "P@q=100")
-	}
-}
-
-func BenchmarkFig5a(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		fig, err := experiment.Fig5a(benchSweep(b))
-		if err != nil {
-			b.Fatal(err)
-		}
-		reportLast(b, fig, "JR-SND (sim)", "P@nu=8")
-	}
-}
-
-func BenchmarkFig5b(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		fig, err := experiment.Fig5b(benchSweep(b))
-		if err != nil {
-			b.Fatal(err)
-		}
-		reportLast(b, fig, "JR-SND T̄ = max", "s@nu=8")
-	}
-}
-
-func BenchmarkDSSSValidation(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		fig, err := experiment.DSSSValidation(1, 5)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(fig.Series) == 0 {
-			b.Fatal("empty figure")
-		}
-	}
-}
-
-func BenchmarkDoSExperiment(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		fig, err := experiment.DoSExperiment(1, 10)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(fig.Series) == 0 {
-			b.Fatal("empty figure")
-		}
+// BenchmarkExperiments runs every registered experiment once per
+// iteration, as cmd/jrsnd-sim -exp <id> -runs 1 would.
+func BenchmarkExperiments(b *testing.B) {
+	cfg := experiment.SweepConfig{Base: analysis.Defaults(), Runs: 1, Seed: 1}
+	for _, e := range experiment.Experiments {
+		b.Run(e.ID, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := e.Run(cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

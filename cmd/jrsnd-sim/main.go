@@ -1,9 +1,7 @@
 // Command jrsnd-sim reproduces the paper's evaluation artifacts: pass an
 // experiment id and it prints the measured series next to the theoretical
-// curves. Available ids: table1, fig2a, fig2b, fig3a, fig3b, fig4a, fig4b,
-// fig5a, fig5b, dsss, dos, ext-antennas, ext-gold, ext-z, ext-noise,
-// ext-predistribution, ext-crosscheck, ext-adaptive-nu, baseline-q,
-// baseline-latency, baseline-dos, or "all" (-list prints them).
+// curves. -list prints the ids of the experiment registry in
+// internal/experiment; "all" runs every one of them in that order.
 //
 // Usage:
 //
@@ -57,8 +55,8 @@ func mainRun() int {
 	)
 	flag.Parse()
 	if *list {
-		for _, r := range runners {
-			fmt.Println(r.id)
+		for _, id := range experiment.IDs() {
+			fmt.Println(id)
 		}
 		return 0
 	}
@@ -177,22 +175,25 @@ func run(exp string, runs int, seed int64, jammer string, iterate bool, n int, c
 		IterateMNDP: iterate,
 	}
 
-	matched := false
-	for _, r := range runners {
-		if exp != "all" && exp != r.id {
-			continue
-		}
-		matched = true
-		start := time.Now()
-		fig, err := r.fn(cfg)
+	todo := experiment.Experiments
+	if exp != "all" {
+		e, err := experiment.Lookup(exp)
 		if err != nil {
-			return fmt.Errorf("%s: %w", r.id, err)
+			return err
+		}
+		todo = []experiment.Experiment{e}
+	}
+	for _, e := range todo {
+		start := time.Now()
+		fig, err := e.Run(cfg)
+		if err != nil {
+			return fmt.Errorf("%s: %w", e.ID, err)
 		}
 		if err := experiment.Print(os.Stdout, fig); err != nil {
 			return err
 		}
 		if csvDir != "" {
-			f, err := os.Create(filepath.Join(csvDir, r.id+".csv"))
+			f, err := os.Create(filepath.Join(csvDir, e.ID+".csv"))
 			if err != nil {
 				return err
 			}
@@ -204,61 +205,9 @@ func run(exp string, runs int, seed int64, jammer string, iterate bool, n int, c
 				return werr
 			}
 		}
-		fmt.Printf("  (%s computed in %v)\n\n", r.id, time.Since(start).Round(time.Millisecond))
-	}
-	if !matched {
-		return fmt.Errorf("unknown experiment %q", exp)
+		fmt.Printf("  (%s computed in %v)\n\n", e.ID, time.Since(start).Round(time.Millisecond))
 	}
 	return nil
-}
-
-// runner pairs an experiment id with its producer.
-type runner struct {
-	id string
-	fn func(cfg experiment.SweepConfig) (experiment.Figure, error)
-}
-
-// runners is every -exp id with its producer, in run (and -list) order.
-// The producers read the flags through cfg: Base carries -n, Runs -runs,
-// Seed -seed.
-var runners = []runner{
-	{"table1", func(experiment.SweepConfig) (experiment.Figure, error) { return experiment.Table1(), nil }},
-	{"fig2a", experiment.Fig2a},
-	{"fig2b", experiment.Fig2b},
-	{"fig3a", experiment.Fig3a},
-	{"fig3b", experiment.Fig3b},
-	{"fig4a", func(cfg experiment.SweepConfig) (experiment.Figure, error) { return experiment.Fig4(cfg, 40) }},
-	{"fig4b", func(cfg experiment.SweepConfig) (experiment.Figure, error) { return experiment.Fig4(cfg, 20) }},
-	{"fig5a", experiment.Fig5a},
-	{"fig5b", experiment.Fig5b},
-	{"dsss", func(cfg experiment.SweepConfig) (experiment.Figure, error) {
-		return experiment.DSSSValidation(cfg.Seed, max(cfg.Runs, 10))
-	}},
-	{"dos", func(cfg experiment.SweepConfig) (experiment.Figure, error) {
-		return experiment.DoSExperiment(cfg.Seed, 20)
-	}},
-	{"ext-antennas", func(cfg experiment.SweepConfig) (experiment.Figure, error) { return experiment.ExtAntennas(cfg.Base) }},
-	{"ext-gold", func(cfg experiment.SweepConfig) (experiment.Figure, error) {
-		return experiment.GoldComparison(cfg.Seed, 64, 5000)
-	}},
-	{"ext-z", experiment.ExtZ},
-	{"ext-noise", func(cfg experiment.SweepConfig) (experiment.Figure, error) {
-		return experiment.InterferenceValidation(cfg.Seed, max(cfg.Runs, 10))
-	}},
-	{"ext-predistribution", func(cfg experiment.SweepConfig) (experiment.Figure, error) {
-		return experiment.PredistributionComparison(cfg.Base, cfg.Seed)
-	}},
-	{"ext-crosscheck", func(cfg experiment.SweepConfig) (experiment.Figure, error) {
-		return experiment.CrossCheckFigure(analysis.Params{}, max(cfg.Runs/4, 3), cfg.Seed)
-	}},
-	{"ext-adaptive-nu", func(cfg experiment.SweepConfig) (experiment.Figure, error) {
-		return experiment.ExtAdaptiveNu(cfg, nil, 8)
-	}},
-	{"baseline-q", experiment.BaselineQ},
-	{"baseline-latency", func(cfg experiment.SweepConfig) (experiment.Figure, error) {
-		return experiment.BaselineLatency(cfg.Base, cfg.Seed, max(cfg.Runs*10, 100))
-	}},
-	{"baseline-dos", func(cfg experiment.SweepConfig) (experiment.Figure, error) { return experiment.BaselineDoS(cfg.Base) }},
 }
 
 // parseJammer maps the -jammer name to the campaign's jammer model and the

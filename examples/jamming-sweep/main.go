@@ -25,7 +25,7 @@ func main() {
 
 func run() error {
 	fmt.Println("--- chip-level: frame decode vs same-code jam fraction ---")
-	fig, err := jrsnd.DSSSValidation(1, 30)
+	fig, err := jrsnd.RunExperiment("dsss", jrsnd.SweepConfig{Seed: 1, Runs: 30})
 	if err != nil {
 		return err
 	}

@@ -22,6 +22,9 @@ type ClaimCheck struct {
 	Detail   string
 }
 
+// reportIDs are the registry experiments a report runs, in report order.
+var reportIDs = []string{"table1", "fig2a", "fig2b", "fig3a", "fig3b", "fig4a", "fig4b", "fig5a", "fig5b", "dsss", "dos"}
+
 // BuildReport runs the full evaluation (all paper figures plus the
 // validation experiments) and checks the paper's qualitative claims
 // against the measurements.
@@ -29,13 +32,6 @@ func BuildReport(cfg SweepConfig) (Report, error) {
 	cfg = cfg.withDefaults()
 	r := Report{Config: cfg}
 
-	add := func(fig Figure, err error) (Figure, error) {
-		if err != nil {
-			return Figure{}, err
-		}
-		r.Figures = append(r.Figures, fig)
-		return fig, nil
-	}
 	check := func(artifact, claim string, pass bool, format string, args ...any) {
 		r.Checks = append(r.Checks, ClaimCheck{
 			Artifact: artifact,
@@ -53,13 +49,22 @@ func BuildReport(cfg SweepConfig) (Report, error) {
 		return nil
 	}
 
-	r.Figures = append(r.Figures, Table1())
+	figs := make(map[string]Figure, len(reportIDs))
+	for _, id := range reportIDs {
+		e, err := Lookup(id)
+		if err != nil {
+			return Report{}, err
+		}
+		fig, err := e.Run(cfg)
+		if err != nil {
+			return Report{}, err
+		}
+		r.Figures = append(r.Figures, fig)
+		figs[id] = fig
+	}
 
 	// Fig. 2(a): P̂ rises with m; JR-SND ≈ 1 at m = 100.
-	fig2a, err := add(Fig2a(cfg))
-	if err != nil {
-		return Report{}, err
-	}
+	fig2a := figs["fig2a"]
 	jr := series(fig2a, "JR-SND (sim)")
 	at100 := valueAt(fig2a.Series[0].X, jr, 100)
 	check("fig2a", "JR-SND ≈ 1 at m=100", at100 >= 0.99, "measured %.4f", at100)
@@ -67,10 +72,7 @@ func BuildReport(cfg SweepConfig) (Report, error) {
 		"first %.3f last %.3f", series(fig2a, "D-NDP (sim)")[0], last(series(fig2a, "D-NDP (sim)")))
 
 	// Fig. 2(b): T̄_D quadratic, crossover near m=60, < 2 s at m=100.
-	fig2b, err := add(Fig2b(cfg))
-	if err != nil {
-		return Report{}, err
-	}
+	fig2b := figs["fig2b"]
 	td := series(fig2b, "D-NDP T̄ (sim)")
 	tm := series(fig2b, "M-NDP T̄ (Theorem 4)")
 	crossover := -1.0
@@ -86,20 +88,14 @@ func BuildReport(cfg SweepConfig) (Report, error) {
 	check("fig2b", "JR-SND latency < 2 s at m=100", tAt100 < 2, "measured %.3f s", tAt100)
 
 	// Fig. 3(a): peak near l = 100, then slow decline.
-	fig3a, err := add(Fig3a(cfg))
-	if err != nil {
-		return Report{}, err
-	}
+	fig3a := figs["fig3a"]
 	dnd3a := series(fig3a, "D-NDP (sim)")
 	peakL := fig3a.Series[0].X[argmax(dnd3a)]
 	check("fig3a", "P̂ peaks near l ≈ 100 then declines", peakL >= 60 && peakL <= 140 && last(dnd3a) < maxOf(dnd3a),
 		"peak at l=%v (%.3f), endpoint %.3f", peakL, maxOf(dnd3a), last(dnd3a))
 
 	// Fig. 3(b): D-NDP rises then falls; JR-SND stays high.
-	fig3b, err := add(Fig3b(cfg))
-	if err != nil {
-		return Report{}, err
-	}
+	fig3b := figs["fig3b"]
 	dnd3b := series(fig3b, "D-NDP (sim)")
 	iPeak := argmax(dnd3b)
 	check("fig3b", "D-NDP rises then declines in n", iPeak > 0 && iPeak < len(dnd3b)-1,
@@ -109,14 +105,7 @@ func BuildReport(cfg SweepConfig) (Report, error) {
 
 	// Fig. 4(a)/(b): monotone decline in q; P̂_D(q=100) ≈ 0.2 at l=40;
 	// l=20 declines more gently at large q.
-	fig4a, err := add(Fig4(cfg, 40))
-	if err != nil {
-		return Report{}, err
-	}
-	fig4b, err := add(Fig4(cfg, 20))
-	if err != nil {
-		return Report{}, err
-	}
+	fig4a, fig4b := figs["fig4a"], figs["fig4b"]
 	pd4a := series(fig4a, "D-NDP (sim)")
 	check("fig4a", "all curves decline with q", nonIncreasing(pd4a, 0.02) &&
 		nonIncreasing(series(fig4a, "JR-SND (sim)"), 0.02), "D-NDP %.3f→%.3f", pd4a[0], last(pd4a))
@@ -129,30 +118,21 @@ func BuildReport(cfg SweepConfig) (Report, error) {
 		"l=20: %.3f vs l=40: %.3f", jr4bEnd, jr4aEnd)
 
 	// Fig. 5(a): P̂_D flat in ν; P̂ > 0.9 for ν >= 6.
-	fig5a, err := add(Fig5a(cfg))
-	if err != nil {
-		return Report{}, err
-	}
+	fig5a := figs["fig5a"]
 	pd5a := series(fig5a, "D-NDP (sim)")
 	check("fig5a", "P̂_D flat in ν", maxOf(pd5a)-minOf(pd5a) < 0.05, "spread %.4f", maxOf(pd5a)-minOf(pd5a))
 	p5aAt6 := valueAt(fig5a.Series[0].X, series(fig5a, "JR-SND (sim)"), 6)
 	check("fig5a", "P̂ > 0.9 for ν >= 6", p5aAt6 > 0.9, "P̂(ν=6) = %.3f", p5aAt6)
 
 	// Fig. 5(b): T̄_M increasing, a few seconds at ν=6.
-	fig5b, err := add(Fig5b(cfg))
-	if err != nil {
-		return Report{}, err
-	}
+	fig5b := figs["fig5b"]
 	tm5b := series(fig5b, "M-NDP T̄ (Theorem 4, measured g)")
 	check("fig5b", "T̄_M increases with ν, seconds-scale at ν=6",
 		nonDecreasing(tm5b, 0) && valueAt(fig5b.Series[0].X, tm5b, 6) > 2 && valueAt(fig5b.Series[0].X, tm5b, 6) < 10,
 		"T̄_M(6) = %.2f s", valueAt(fig5b.Series[0].X, tm5b, 6))
 
 	// Chip-level ECC threshold.
-	dsssFig, err := add(DSSSValidation(cfg.Seed, max(cfg.Runs, 10)))
-	if err != nil {
-		return Report{}, err
-	}
+	dsssFig := figs["dsss"]
 	dsssY := dsssFig.Series[0].Y
 	dsssX := dsssFig.Series[0].X
 	sharp := true
@@ -167,10 +147,7 @@ func BuildReport(cfg SweepConfig) (Report, error) {
 	check("dsss", "ECC threshold sharp at μ/(1+μ) = 0.5", sharp, "curve %v", dsssY)
 
 	// DoS bound.
-	dosFig, err := add(DoSExperiment(cfg.Seed, 20))
-	if err != nil {
-		return Report{}, err
-	}
+	dosFig := figs["dos"]
 	var noRev, withRev float64
 	for _, s := range dosFig.Series {
 		switch s.Label {

@@ -27,8 +27,8 @@
 //     coding) validating the message-level jamming model; see the
 //     internal/dsss and internal/rs packages and the jamming-sweep example.
 //   - Experiments: Monte-Carlo campaigns that reproduce every figure of
-//     the paper's evaluation; see Fig2a through Fig5b, DSSSValidation and
-//     DoSExperiment.
+//     the paper's evaluation; see RunExperiment, ExperimentIDs and
+//     MeasurePoint.
 //
 // # Quick start
 //
@@ -173,41 +173,21 @@ const (
 // MeasurePoint runs the Monte-Carlo campaign for one parameter point.
 func MeasurePoint(cfg PointConfig) (PointMeasure, error) { return experiment.MeasurePoint(cfg) }
 
-// Fig2a reproduces Fig. 2(a): impact of m on P̂.
-func Fig2a(cfg SweepConfig) (Figure, error) { return experiment.Fig2a(cfg) }
-
-// Fig2b reproduces Fig. 2(b): impact of m on T̄.
-func Fig2b(cfg SweepConfig) (Figure, error) { return experiment.Fig2b(cfg) }
-
-// Fig3a reproduces Fig. 3(a): P̂ versus l.
-func Fig3a(cfg SweepConfig) (Figure, error) { return experiment.Fig3a(cfg) }
-
-// Fig3b reproduces Fig. 3(b): P̂ versus n.
-func Fig3b(cfg SweepConfig) (Figure, error) { return experiment.Fig3b(cfg) }
-
-// Fig4 reproduces Fig. 4 at the given l (40 for 4(a), 20 for 4(b)).
-func Fig4(cfg SweepConfig, l int) (Figure, error) { return experiment.Fig4(cfg, l) }
-
-// Fig5a reproduces Fig. 5(a): impact of ν on P̂ at P̂_D ≈ 0.2.
-func Fig5a(cfg SweepConfig) (Figure, error) { return experiment.Fig5a(cfg) }
-
-// Fig5b reproduces Fig. 5(b): T̄ versus ν.
-func Fig5b(cfg SweepConfig) (Figure, error) { return experiment.Fig5b(cfg) }
-
-// DSSSValidation sweeps the chip-level jam fraction, validating the
-// μ/(1+μ) ECC contract the jamming model relies on.
-func DSSSValidation(seed int64, trialsPerPoint int) (Figure, error) {
-	return experiment.DSSSValidation(seed, trialsPerPoint)
+// RunExperiment runs the registered experiment with the given id (see
+// ExperimentIDs): Table I, a figure of the paper's evaluation, a
+// validation, an extension or a baseline, exactly as cmd/jrsnd-sim -exp
+// computes it from cfg.
+func RunExperiment(id string, cfg SweepConfig) (Figure, error) {
+	e, err := experiment.Lookup(id)
+	if err != nil {
+		return Figure{}, err
+	}
+	return e.Run(cfg)
 }
 
-// DoSExperiment measures the verification work a compromised-code DoS
-// attacker can force, with and without the §V-D revocation defence.
-func DoSExperiment(seed int64, rounds int) (Figure, error) {
-	return experiment.DoSExperiment(seed, rounds)
-}
-
-// Table1 reproduces Table I with the derived §V-B quantities.
-func Table1() Figure { return experiment.Table1() }
+// ExperimentIDs lists the ids RunExperiment accepts, in cmd/jrsnd-sim's
+// run order.
+func ExperimentIDs() []string { return experiment.IDs() }
 
 // PrintFigure renders a figure as an aligned text table.
 func PrintFigure(w io.Writer, f Figure) error { return experiment.Print(w, f) }
@@ -264,9 +244,8 @@ func WriteMetricsJSON(w io.Writer, s MetricsSnapshot) error { return metrics.Wri
 
 // Baselines — the schemes the paper argues against (§I/§II).
 
-// Baseline scheme types; see internal/baseline for the comparison
-// experiments built on them (BaselineQ, BaselineLatency, BaselineDoS in
-// cmd/jrsnd-sim).
+// Baseline scheme types; the comparison experiments built on them are the
+// baseline-q, baseline-latency and baseline-dos ids of RunExperiment.
 type (
 	BaselineCommonCode    = baseline.CommonCode
 	BaselinePairwiseCode  = baseline.PairwiseCode
@@ -276,29 +255,3 @@ type (
 
 // DefaultUFH returns UFH parameters in the regime of the paper's ref [3].
 func DefaultUFH() BaselineUFH { return baseline.DefaultUFH() }
-
-// ExtAntennas, ExtAdaptiveNu and GoldComparison run the extension
-// experiments (the paper's named future work and code-family comparison).
-func ExtAntennas(base Params) (Figure, error) { return experiment.ExtAntennas(base) }
-
-// ExtAdaptiveNu measures the dynamic-ν controller of §VI-B.
-func ExtAdaptiveNu(cfg SweepConfig, targets []float64, maxNu int) (Figure, error) {
-	return experiment.ExtAdaptiveNu(cfg, targets, maxNu)
-}
-
-// GoldComparison contrasts pseudorandom and Gold spreading codes.
-func GoldComparison(seed int64, familySize, trials int) (Figure, error) {
-	return experiment.GoldComparison(seed, familySize, trials)
-}
-
-// BaselineQ, BaselineLatency and BaselineDoS quantify the §I/§II
-// comparisons.
-func BaselineQ(cfg SweepConfig) (Figure, error) { return experiment.BaselineQ(cfg) }
-
-// BaselineLatency compares D-NDP latency with UFH key establishment.
-func BaselineLatency(base Params, seed int64, samples int) (Figure, error) {
-	return experiment.BaselineLatency(base, seed, samples)
-}
-
-// BaselineDoS contrasts DoS verification loads across schemes.
-func BaselineDoS(base Params) (Figure, error) { return experiment.BaselineDoS(base) }

@@ -90,8 +90,12 @@ func TestFacadeMeasureAndPrint(t *testing.T) {
 	if m.PHat < m.PD {
 		t.Fatal("JR-SND below D-NDP")
 	}
+	table, err := jrsnd.RunExperiment("table1", jrsnd.SweepConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	var sb strings.Builder
-	if err := jrsnd.PrintFigure(&sb, jrsnd.Table1()); err != nil {
+	if err := jrsnd.PrintFigure(&sb, table); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(sb.String(), "Table I") {
@@ -161,9 +165,18 @@ func TestFacadeBaselines(t *testing.T) {
 	if cc.DiscoveryProbability(1) != 0 {
 		t.Fatal("common code survived compromise")
 	}
-	fig, err := jrsnd.BaselineDoS(jrsnd.DefaultParams())
+	fig, err := jrsnd.RunExperiment("baseline-dos", jrsnd.SweepConfig{Base: jrsnd.DefaultParams()})
 	if err != nil || len(fig.Series) == 0 {
-		t.Fatalf("BaselineDoS: %v", err)
+		t.Fatalf("baseline-dos: %v", err)
+	}
+}
+
+func TestFacadeRunExperimentUnknownID(t *testing.T) {
+	if _, err := jrsnd.RunExperiment("fig9z", jrsnd.SweepConfig{}); err == nil {
+		t.Fatal("accepted unknown experiment id")
+	}
+	if ids := jrsnd.ExperimentIDs(); len(ids) < 20 || ids[0] != "table1" {
+		t.Fatalf("experiment ids %v", ids)
 	}
 }
 
