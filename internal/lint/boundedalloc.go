@@ -5,7 +5,6 @@ import (
 	"go/token"
 	"go/types"
 	"regexp"
-	"strings"
 )
 
 // boundedalloc: the internal/wire discipline (PR 3) and the authd request
@@ -30,17 +29,10 @@ var boundedallocPkgs = []string{
 var capNameRe = regexp.MustCompile(`(?i)max|cap|lim|bound`)
 
 var boundedallocAnalyzer = &Analyzer{
-	Name: "boundedalloc",
-	Doc:  "in codec packages, allocation and read sizes must be dominated by a cap comparison",
-	AppliesTo: func(pkgPath string) bool {
-		for _, root := range boundedallocPkgs {
-			if pkgPath == root || strings.HasPrefix(pkgPath, root+"/") {
-				return true
-			}
-		}
-		return false
-	},
-	Run: runBoundedalloc,
+	Name:      "boundedalloc",
+	Doc:       "in codec packages, allocation and read sizes must be dominated by a cap comparison",
+	AppliesTo: func(pkgPath string) bool { return inScope(pkgPath, boundedallocPkgs) },
+	Run:       runBoundedalloc,
 }
 
 func runBoundedalloc(pass *Pass) {

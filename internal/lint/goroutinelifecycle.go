@@ -3,7 +3,6 @@ package lint
 import (
 	"go/ast"
 	"go/types"
-	"strings"
 )
 
 // goroutinelifecycle: the service layers (authd replication, the
@@ -40,14 +39,7 @@ var servicePkgs = []string{
 
 // IsServicePackage reports whether the concurrency analyzers police
 // pkgPath. Sub-packages inherit the scope.
-func IsServicePackage(pkgPath string) bool {
-	for _, root := range servicePkgs {
-		if pkgPath == root || strings.HasPrefix(pkgPath, root+"/") {
-			return true
-		}
-	}
-	return false
-}
+func IsServicePackage(pkgPath string) bool { return inScope(pkgPath, servicePkgs) }
 
 var goroutinelifecycleAnalyzer = &Analyzer{
 	Name:     "goroutinelifecycle",

@@ -5,6 +5,7 @@ import (
 	"go/token"
 	"runtime"
 	"sort"
+	"strings"
 	"sync"
 )
 
@@ -80,6 +81,17 @@ type Analyzer struct {
 	AppliesTo func(pkgPath string) bool
 	Run       func(*Pass)
 	RunSuite  func(*SuitePass)
+}
+
+// inScope reports whether pkgPath is one of roots or a sub-package of
+// one; it is how the scoped analyzers pick their packages.
+func inScope(pkgPath string, roots []string) bool {
+	for _, root := range roots {
+		if pkgPath == root || strings.HasPrefix(pkgPath, root+"/") {
+			return true
+		}
+	}
+	return false
 }
 
 // Analyzers returns the full suite in stable order.

@@ -37,15 +37,6 @@ var lockorderPkgs = []string{
 	"repro/internal/transport",
 }
 
-func isLockorderPackage(pkgPath string) bool {
-	for _, root := range lockorderPkgs {
-		if pkgPath == root || strings.HasPrefix(pkgPath, root+"/") {
-			return true
-		}
-	}
-	return false
-}
-
 var lockorderAnalyzer = &Analyzer{
 	Name:     "lockorder",
 	Doc:      "lock-acquisition order across authd and transport must be acyclic (cycles are potential deadlocks)",
@@ -102,7 +93,7 @@ func runLockorder(pass *SuitePass) {
 	// Deterministic traversal: scoped functions sorted by key.
 	var keys []string
 	for key, node := range pass.Graph.Funcs {
-		if isLockorderPackage(node.Pkg.Path) {
+		if inScope(node.Pkg.Path, lockorderPkgs) {
 			keys = append(keys, key)
 		}
 	}

@@ -35,14 +35,7 @@ var instrumentedPkgs = []string{
 }
 
 // IsInstrumentedPackage reports whether spanbalance polices pkgPath.
-func IsInstrumentedPackage(pkgPath string) bool {
-	for _, root := range instrumentedPkgs {
-		if pkgPath == root || strings.HasPrefix(pkgPath, root+"/") {
-			return true
-		}
-	}
-	return false
-}
+func IsInstrumentedPackage(pkgPath string) bool { return inScope(pkgPath, instrumentedPkgs) }
 
 var spanbalanceAnalyzer = &Analyzer{
 	Name:      "spanbalance",

@@ -3,7 +3,6 @@ package lint
 import (
 	"go/ast"
 	"go/types"
-	"strings"
 )
 
 // wallclock: the chaos matrix's double-run determinism check (PR 2/3,
@@ -58,14 +57,7 @@ var wallclockFuncs = map[string]bool{
 }
 
 // IsDeterministicPackage reports whether wallclock polices pkgPath.
-func IsDeterministicPackage(pkgPath string) bool {
-	for _, root := range deterministicPkgs {
-		if pkgPath == root || strings.HasPrefix(pkgPath, root+"/") {
-			return true
-		}
-	}
-	return false
-}
+func IsDeterministicPackage(pkgPath string) bool { return inScope(pkgPath, deterministicPkgs) }
 
 var wallclockAnalyzer = &Analyzer{
 	Name:      "wallclock",
