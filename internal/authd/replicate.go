@@ -534,6 +534,10 @@ func (s *Server) applyReplicated(frame []byte, wantFP uint64) error {
 		s.poison(err)
 		return fmt.Errorf("%w: %v", ErrReplicaDiverged, err)
 	}
+	// Count the record before the WAL append publishes its sequence to the
+	// replication tracker: whoever sees the follower at seq S then also
+	// sees S applied records in /metrics.
+	s.m.replApplied.Inc()
 	if _, err := s.wal.append(rec, obs); err != nil {
 		return err
 	}
@@ -543,7 +547,6 @@ func (s *Server) applyReplicated(frame []byte, wantFP uint64) error {
 		s.poison(err)
 		return err
 	}
-	s.m.replApplied.Inc()
 	return nil
 }
 
