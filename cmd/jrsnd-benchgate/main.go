@@ -1,5 +1,6 @@
 // Command jrsnd-benchgate is the benchmark-regression gate: it runs the
-// Go benchmarks of the hot-path packages (sim, dsss, authd), reduces each
+// Go benchmarks of the hot-path packages (sim, dsss, authd, transport,
+// and the figure campaign's field and codepool kernels), reduces each
 // benchmark to its best observed ns/op across -count repetitions, and
 // compares the result against the checked-in per-suite baseline
 // (BENCH_sim.json, BENCH_dsss.json, …). A benchmark slower than
@@ -46,9 +47,11 @@ var suites = map[string]suite{
 	"dsss":      {Pkg: "./internal/dsss", Baseline: "BENCH_dsss.json"},
 	"authd":     {Pkg: "./internal/authd", Baseline: "BENCH_authd_go.json"},
 	"transport": {Pkg: "./internal/transport", Baseline: "BENCH_transport.json"},
+	"field":     {Pkg: "./internal/field", Baseline: "BENCH_field.json"},
+	"codepool":  {Pkg: "./internal/codepool", Baseline: "BENCH_codepool.json"},
 }
 
-var suiteOrder = []string{"sim", "dsss", "authd", "transport"}
+var suiteOrder = []string{"sim", "dsss", "authd", "transport", "field", "codepool"}
 
 // benchResult is one benchmark's reduced measurement.
 type benchResult struct {
