@@ -3,6 +3,7 @@ package codepool
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -100,27 +101,48 @@ func TestHoldersAndCodesConsistent(t *testing.T) {
 	}
 }
 
+// Shared and AppendShared equal a brute-force ℂ_a ∩ ℂ_b on every pool
+// shape: structured, structured after Join has run a batch expansion, and
+// uniform. AppendShared must keep what dst already holds.
 func TestSharedMatchesBruteForce(t *testing.T) {
-	p := mustPool(t, 60, 12, 10, 5)
-	for a := 0; a < 10; a++ {
-		for b := a + 1; b < 10; b++ {
-			want := map[CodeID]bool{}
-			bcodes := map[CodeID]bool{}
-			for _, c := range p.Codes(b) {
-				bcodes[c] = true
-			}
-			for _, c := range p.Codes(a) {
-				if bcodes[c] {
-					want[c] = true
+	joined := mustPool(t, 37, 6, 8, 31) // 3 vacant slots, w = 5
+	for joined.Expansions() < 2 {
+		if _, err := joined.Join(rand.New(rand.NewSource(int64(joined.N())))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	uniform, err := NewUniform(Config{N: 60, M: 12, Rand: rand.New(rand.NewSource(5))}, 40)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		p    *Pool
+	}{
+		{"structured", mustPool(t, 60, 12, 10, 5)},
+		{"joined", joined},
+		{"uniform", uniform},
+	} {
+		p := tc.p
+		prefix := []CodeID{-1, -2}
+		for a := 0; a < p.N(); a++ {
+			for b := 0; b < p.N(); b++ {
+				bcodes := map[CodeID]bool{}
+				for _, c := range p.Codes(b) {
+					bcodes[c] = true
 				}
-			}
-			got := p.Shared(a, b)
-			if len(got) != len(want) {
-				t.Fatalf("Shared(%d,%d) = %v, want %d codes", a, b, got, len(want))
-			}
-			for _, c := range got {
-				if !want[c] {
-					t.Fatalf("Shared(%d,%d) contains %d not in both sets", a, b, c)
+				var want []CodeID
+				for _, c := range p.Codes(a) {
+					if bcodes[c] {
+						want = append(want, c)
+					}
+				}
+				if got := p.Shared(a, b); !slices.Equal(got, want) {
+					t.Fatalf("%s: Shared(%d,%d) = %v, want %v", tc.name, a, b, got, want)
+				}
+				got := p.AppendShared(append(make([]CodeID, 0, 16), prefix...), a, b)
+				if !slices.Equal(got, append(slices.Clone(prefix), want...)) {
+					t.Fatalf("%s: AppendShared(%v, %d, %d) = %v, want %v after the prefix", tc.name, prefix, a, b, got, want)
 				}
 			}
 		}

@@ -240,6 +240,9 @@ func deploy(cfg PointConfig, seed int64, tdHist *stats.Histogram) (deployment, e
 	d := deployment{physical: graph, compromised: compromised, logical: &field.Graph{Adj: make([][]int, p.N)}}
 	redundancyRng := streams.Get("redundancy")
 	latRng := streams.Get("latency")
+	// Per-edge scratch: two nodes share at most m codes.
+	shared := make([]codepool.CodeID, 0, p.M)
+	received := make([]codepool.CodeID, 0, p.M)
 	for u := 0; u < p.N; u++ {
 		if isCompromised[u] {
 			continue // compromised nodes do not run the honest protocol
@@ -249,8 +252,8 @@ func deploy(cfg PointConfig, seed int64, tdHist *stats.Histogram) (deployment, e
 				continue
 			}
 			d.edges = append(d.edges, edge{u, v})
-			shared := pool.Shared(u, v)
-			if dndpSucceeds(shared, jammer, cfg.DisableRedundancy, redundancyRng) {
+			shared = pool.AppendShared(shared[:0], u, v)
+			if dndpSucceeds(shared, received, jammer, cfg.DisableRedundancy, redundancyRng) {
 				d.dSucc++
 				d.logical.Adj[u] = append(d.logical.Adj[u], v)
 				d.logical.Adj[v] = append(d.logical.Adj[v], u)
@@ -351,14 +354,15 @@ func buildJammer(cfg PointConfig, compromised *codepool.CodeSet, rng *rand.Rand)
 // dndpSucceeds plays out the x sub-sessions of one D-NDP execution under
 // the message-level jamming model: a sub-session on code c survives when
 // the HELLO and all three follow-up messages escape jamming; the execution
-// succeeds when any sub-session survives (Theorem 1).
-func dndpSucceeds(shared []codepool.CodeID, jammer radio.Jammer, disableRedundancy bool, rng *rand.Rand) bool {
+// succeeds when any sub-session survives (Theorem 1). received is scratch
+// space; its contents are overwritten.
+func dndpSucceeds(shared, received []codepool.CodeID, jammer radio.Jammer, disableRedundancy bool, rng *rand.Rand) bool {
 	if len(shared) == 0 {
 		return false
 	}
 	// First the HELLOs: the responder can only use codes whose HELLO copy
 	// it actually decoded.
-	received := shared[:0:0]
+	received = received[:0]
 	for _, c := range shared {
 		if !jammer.TryJam(radio.Transmission{Code: c, Kind: 1}) {
 			received = append(received, c)
@@ -368,8 +372,8 @@ func dndpSucceeds(shared []codepool.CodeID, jammer radio.Jammer, disableRedundan
 		return false
 	}
 	if disableRedundancy {
-		pick := received[rng.Intn(len(received))]
-		received = []codepool.CodeID{pick}
+		pick := rng.Intn(len(received))
+		received = received[pick : pick+1]
 	}
 	for _, c := range received {
 		if subSessionSurvives(c, jammer) {
