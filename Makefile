@@ -31,7 +31,8 @@ tier1: build
 benchgate:
 	$(GO) run ./cmd/jrsnd-benchgate
 
-# lint machine-enforces the repo invariants (determinism, bounded decode,
+# lint first fails if gofmt would rewrite any file (fix with `gofmt -w`),
+# then machine-enforces the repo invariants (determinism, bounded decode,
 # constant-time compares, goroutine lifecycle, lock ordering, hot-path
 # allocation freedom) with the stdlib-only analyzer in internal/lint;
 # JSON findings are folded into a one-line summary and the pipeline exits
@@ -39,6 +40,7 @@ benchgate:
 # `make lint LINT_CHECKS=goroutinelifecycle,lockorder`. See
 # docs/static-analysis.md.
 lint:
+	@unformatted="$$(gofmt -l .)"; if [ -n "$$unformatted" ]; then echo "gofmt -l lists files that need gofmt -w:"; echo "$$unformatted"; exit 1; fi
 	$(GO) run ./cmd/jrsnd-lint -json $(if $(LINT_CHECKS),-checks $(LINT_CHECKS)) ./... | $(GO) run ./cmd/jrsnd-lint -summarize
 
 # lint-fixtures is the analyzer liveness gate: every seeded-violation

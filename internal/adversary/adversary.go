@@ -116,11 +116,11 @@ type FloodTarget struct {
 // Profile configures a Byzantine behavior. Node, Rng, Engine, Tx, and
 // Limits are required; the per-behavior knobs default sensibly when zero.
 type Profile struct {
-	Node   int            // the adversary's (compromised) node index
-	Rng    *rand.Rand     // seed-derived stream; owned by the adversary
-	Engine *sim.Engine    // event engine for scheduling injections
-	Tx     Transmitter    // the medium to inject through
-	Limits wire.Limits    // codec caps for decoding/forging frames
+	Node   int         // the adversary's (compromised) node index
+	Rng    *rand.Rand  // seed-derived stream; owned by the adversary
+	Engine *sim.Engine // event engine for scheduling injections
+	Tx     Transmitter // the medium to inject through
+	Limits wire.Limits // codec caps for decoding/forging frames
 
 	// MaxInjections caps scheduled reinjections/forgeries (Replay, Forge)
 	// so a long run cannot exhaust the forged-ID space. Default 64.

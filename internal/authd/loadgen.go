@@ -58,17 +58,17 @@ type OpStats struct {
 
 // LoadReport is the aggregated result of one load run.
 type LoadReport struct {
-	Ops        int                `json:"ops"`
-	Errors     int                `json:"errors"`
+	Ops    int `json:"ops"`
+	Errors int `json:"errors"`
 	// Unavailable counts operations that exhausted every replica
 	// (ErrUnavailable) — expected while a kill/partition harness has the
 	// primary down, so they are not folded into Errors.
-	Unavailable int           `json:"unavailable,omitempty"`
-	Duration    time.Duration `json:"duration_ns"`
-	Throughput float64            `json:"ops_per_sec"`
-	P50        time.Duration      `json:"p50_ns"`
-	P99        time.Duration      `json:"p99_ns"`
-	PerOp      map[string]OpStats `json:"per_op"`
+	Unavailable int                `json:"unavailable,omitempty"`
+	Duration    time.Duration      `json:"duration_ns"`
+	Throughput  float64            `json:"ops_per_sec"`
+	P50         time.Duration      `json:"p50_ns"`
+	P99         time.Duration      `json:"p99_ns"`
+	PerOp       map[string]OpStats `json:"per_op"`
 	// FinalEpoch and Revoked snapshot the server state after the run.
 	FinalEpoch int `json:"final_epoch"`
 	Revoked    int `json:"revoked"`

@@ -41,7 +41,10 @@ func TestHotpathEscapeCrossCheck(t *testing.T) {
 	}
 
 	// Hot body line ranges, keyed by module-relative file path.
-	type span struct{ name string; lo, hi int }
+	type span struct {
+		name   string
+		lo, hi int
+	}
 	hot := map[string][]span{}
 	closure := graph.Closure(roots)
 	for key := range closure {

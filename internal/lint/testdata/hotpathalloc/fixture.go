@@ -27,11 +27,11 @@ func helper(n int, name string) int {
 	for i := 0; i < n; i++ {
 		xs = append(xs, i) // want hotpathalloc "append in hot path"
 	}
-	sink[n] = n // want hotpathalloc "map write in hot path"
+	sink[n] = n       // want hotpathalloc "map write in hot path"
 	var boxed any = n // want hotpathalloc "interface boxing in hot path"
 	_ = boxed
 	f := func() int { return n } // want hotpathalloc "closure in hot path"
-	raw := []byte(name) // want hotpathalloc "conversion in hot path"
+	raw := []byte(name)          // want hotpathalloc "conversion in hot path"
 	if len(raw) == 0 {
 		fmt.Println(n) // want hotpathalloc "fmt.Println in hot path"
 	}

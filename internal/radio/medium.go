@@ -80,12 +80,12 @@ func (f InterceptorFunc) Intercept(from, to int, msg Message) Message { return f
 // omnipresent jammer destroys the frame (decided once per transmission,
 // since the jamming signal covers the whole neighborhood).
 type Medium struct {
-	engine   *sim.Engine
-	jammer   Jammer
-	adjacent func(node int) []int
-	chipLen  int
-	chipRate float64
-	mu       float64
+	engine    *sim.Engine
+	jammer    Jammer
+	adjacent  func(node int) []int
+	chipLen   int
+	chipRate  float64
+	mu        float64
 	observer  func(from, to int, msg Message, jammed bool)
 	faults    FaultInjector
 	intercept Interceptor

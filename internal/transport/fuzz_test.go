@@ -30,10 +30,10 @@ func FuzzDatagram(f *testing.F) {
 	f.Add(encodeEnvelope(dgBye, 1, nil))
 	f.Add([]byte{})
 	f.Add([]byte("JR"))
-	f.Add([]byte{'J', 'R', Version, dgHello, 0, 0, 0, 1, 0xFF, 0xFF})  // declares a 65535-byte field
-	f.Add([]byte{'J', 'R', 99, dgFrame, 0, 0, 0, 1})                   // wrong version
-	f.Add([]byte{'X', 'X', Version, dgFrame, 0, 0, 0, 1, 'h', 'i'})    // wrong magic
-	f.Add([]byte{'J', 'R', Version, 200, 0, 0, 0, 1})                  // unknown kind
+	f.Add([]byte{'J', 'R', Version, dgHello, 0, 0, 0, 1, 0xFF, 0xFF}) // declares a 65535-byte field
+	f.Add([]byte{'J', 'R', 99, dgFrame, 0, 0, 0, 1})                  // wrong version
+	f.Add([]byte{'X', 'X', Version, dgFrame, 0, 0, 0, 1, 'h', 'i'})   // wrong magic
+	f.Add([]byte{'J', 'R', Version, 200, 0, 0, 0, 1})                 // unknown kind
 
 	reg := metrics.New()
 	var delivered int

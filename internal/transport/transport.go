@@ -52,12 +52,12 @@ const headerLen = 8
 
 // Datagram kinds.
 const (
-	dgHello = iota + 1 // handshake initiation: nonce + code-slot MAC
-	dgAck              // handshake completion: echoed nonce + responder MAC
-	dgFrame            // one canonical wire frame
-	dgPing             // keepalive probe
-	dgPong             // keepalive answer
-	dgBye              // graceful leave: remove me now, don't wait for the reaper
+	dgHello    = iota + 1 // handshake initiation: nonce + code-slot MAC
+	dgAck                 // handshake completion: echoed nonce + responder MAC
+	dgFrame               // one canonical wire frame
+	dgPing                // keepalive probe
+	dgPong                // keepalive answer
+	dgBye                 // graceful leave: remove me now, don't wait for the reaper
 	numDgKinds = dgBye
 )
 
