@@ -18,7 +18,6 @@ import (
 	"repro/internal/analysis"
 	"repro/internal/baseline"
 	"repro/internal/chips"
-	"repro/internal/codepool"
 	"repro/internal/core"
 	"repro/internal/dsss"
 	"repro/internal/experiment"
@@ -231,30 +230,6 @@ func BenchmarkRSDecodeWithErasures(b *testing.B) {
 		if _, err := codec.Decode(enc, len(msg), erasures); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-func BenchmarkPreDistribution2000(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := codepool.New(codepool.Config{
-			N: 2000, M: 100, L: 40,
-			Rand: rand.New(rand.NewSource(int64(i))),
-		}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkSharedCodes(b *testing.B) {
-	pool, err := codepool.New(codepool.Config{
-		N: 2000, M: 100, L: 40, Rand: rand.New(rand.NewSource(7)),
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		pool.Shared(i%2000, (i+1)%2000)
 	}
 }
 
