@@ -34,17 +34,33 @@ func Correlate(u, v Sequence) (float64, error) {
 //
 //jrsnd:hotpath
 func CorrelateAt(code Sequence, buf []int32, off int) float64 {
-	n := code.Len()
+	n := code.n
 	if n == 0 {
 		return 0
 	}
+	win := buf[off : off+n]
 	var acc int64
-	for i := 0; i < n; i++ {
-		v := int64(buf[off+i])
-		if code.bit(i) {
-			acc += v
-		} else {
-			acc -= v
+	for k, w := range code.words {
+		seg := win[64*k:]
+		if len(seg) < 64 {
+			// Partial last word: m is 0 for a +1 chip and -1 (all
+			// ones) for a -1 chip, so (v^m)-m is ±v without a branch.
+			for _, v := range seg {
+				m := int64(w&1) - 1
+				acc += (int64(v) ^ m) - m
+				w >>= 1
+			}
+			break
+		}
+		d := (*[64]int32)(seg)
+		for j := 0; j < 64; j += 8 {
+			l := &signLanes[uint8(w)]
+			w >>= 8
+			e := (*[8]int32)(d[j : j+8])
+			acc += int64(e[0])*int64(l[0]) + int64(e[1])*int64(l[1]) +
+				int64(e[2])*int64(l[2]) + int64(e[3])*int64(l[3]) +
+				int64(e[4])*int64(l[4]) + int64(e[5])*int64(l[5]) +
+				int64(e[6])*int64(l[6]) + int64(e[7])*int64(l[7])
 		}
 	}
 	return float64(acc) / float64(n)

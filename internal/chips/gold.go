@@ -172,5 +172,5 @@ func rotate(s Sequence, k int) Sequence {
 	if k == 0 {
 		return s.Clone()
 	}
-	return s.Slice(k, n).Append(s.Slice(0, k))
+	return Concat(s.Slice(k, n), s.Slice(0, k))
 }

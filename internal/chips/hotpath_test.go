@@ -5,9 +5,10 @@ import (
 	"testing"
 )
 
-// The correlation kernels are //jrsnd:hotpath roots: the DSSS receiver
-// evaluates them once per (offset, code) candidate, so they must not
-// allocate. The static hotpathalloc analyzer enforces this at lint time;
+// The correlation and superposition kernels are //jrsnd:hotpath roots:
+// the DSSS receiver evaluates correlation once per (offset, code)
+// candidate and the channel adds every signal through AddSigns, so they
+// must not allocate. The static hotpathalloc analyzer enforces this at lint time;
 // these tests pin it at runtime.
 
 func TestCorrelateAllocFree(t *testing.T) {
@@ -36,5 +37,19 @@ func TestCorrelateAtAllocFree(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("CorrelateAt allocates %v objects per run, want 0", allocs)
+	}
+}
+
+func TestAddSignsAllocFree(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	s := NewRandom(rng, 1000)
+	dst := make([]int32, 900)
+	for _, neg := range []bool{false, true} {
+		allocs := testing.AllocsPerRun(100, func() {
+			s.AddSigns(dst, 37, neg)
+		})
+		if allocs != 0 {
+			t.Fatalf("AddSigns(neg=%v) allocates %v objects per run, want 0", neg, allocs)
+		}
 	}
 }

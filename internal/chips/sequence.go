@@ -2,8 +2,12 @@
 // elementary signal representation of a DSSS system. A chip sequence is a
 // vector over {+1, -1}; spread codes, spread messages and jamming signals
 // are all chip sequences. Sequences are stored packed, one bit per chip
-// (bit 1 means chip +1, bit 0 means chip -1), so correlation reduces to
-// popcount over XOR-ed words.
+// (bit 1 means chip +1, bit 0 means chip -1), and every kernel walks the
+// packed 64-bit words rather than unpacking chip by chip: correlation of
+// two sequences is popcount over XOR-ed words, superposition onto a
+// multi-level buffer adds eight ±1 lanes per byte by table lookup,
+// correlation against such a buffer weights its samples by the same
+// lanes, and slicing and concatenation move whole words by shifts.
 package chips
 
 import (
@@ -169,28 +173,76 @@ func (s Sequence) Slice(from, to int) Sequence {
 		panic(fmt.Sprintf("chips: slice [%d,%d) out of range [0,%d]", from, to, s.n))
 	}
 	c := New(to - from)
-	for i := 0; i < c.n; i++ {
-		if s.bit(from + i) {
-			c.set(i, true)
-		}
+	c.orBits(0, s, from, c.n)
+	return c
+}
+
+// Concat returns the concatenation of parts in one allocation.
+func Concat(parts ...Sequence) Sequence {
+	n := 0
+	for _, p := range parts {
+		n += p.n
+	}
+	c := New(n)
+	at := 0
+	for _, p := range parts {
+		c.orBits(at, p, 0, p.n)
+		at += p.n
 	}
 	return c
 }
 
-// Append returns the concatenation of s and t.
-func (s Sequence) Append(t Sequence) Sequence {
-	c := New(s.n + t.n)
-	copy(c.words, s.words)
-	if s.n%64 == 0 {
-		copy(c.words[s.n/64:], t.words)
-	} else {
-		for i := 0; i < t.n; i++ {
-			if t.bit(i) {
-				c.set(s.n+i, true)
-			}
+// errAddSignsRange is AddSigns' panic value, declared once so the hot
+// path does not box a fresh string.
+var errAddSignsRange = errors.New("chips: AddSigns range out of bounds")
+
+// signLanes[b] holds the eight chips of byte b as ±1, lane j from bit j.
+var signLanes = func() (t [256][8]int32) {
+	for b := range t {
+		for j := range t[b] {
+			t[b][j] = int32(b>>uint(j)&1)*2 - 1
 		}
 	}
-	return c
+	return t
+}()
+
+// AddSigns adds chips [from, from+len(dst)) of s to dst, chip from+i
+// onto dst[i] as ±1, each negated when neg is set. It reads 64 chips per
+// word and adds them eight at a time from signLanes; the DSSS channel
+// superimposes every signal through it.
+//
+//jrsnd:hotpath
+func (s Sequence) AddSigns(dst []int32, from int, neg bool) {
+	if from < 0 || from+len(dst) > s.n {
+		panic(errAddSignsRange)
+	}
+	var flip uint64
+	if neg {
+		flip = ^uint64(0)
+	}
+	for ; len(dst) >= 64; dst, from = dst[64:], from+64 {
+		w := s.wordAt(from) ^ flip
+		d := (*[64]int32)(dst)
+		for k := 0; k < 64; k += 8 {
+			l := &signLanes[uint8(w)]
+			w >>= 8
+			e := (*[8]int32)(d[k : k+8])
+			e[0] += l[0]
+			e[1] += l[1]
+			e[2] += l[2]
+			e[3] += l[3]
+			e[4] += l[4]
+			e[5] += l[5]
+			e[6] += l[6]
+			e[7] += l[7]
+		}
+	}
+	if len(dst) > 0 {
+		w := s.wordAt(from) ^ flip
+		for i := range dst {
+			dst[i] += int32(w>>uint(i)&1)*2 - 1
+		}
+	}
 }
 
 // Signs returns the sequence as a freshly allocated ±1 slice.
@@ -270,6 +322,34 @@ func (s *Sequence) set(i int, v bool) {
 		s.words[i/64] |= 1 << uint(i%64)
 	} else {
 		s.words[i/64] &^= 1 << uint(i%64)
+	}
+}
+
+// wordAt returns chips [p, p+64) of s packed like a word, chip p in bit
+// 0; chips past n read as zero bits. p must be in [0, n).
+func (s Sequence) wordAt(p int) uint64 {
+	q, r := uint(p)/64, uint(p)%64
+	w := s.words[q] >> r
+	if r != 0 && q+1 < uint(len(s.words)) {
+		w |= s.words[q+1] << (64 - r)
+	}
+	return w
+}
+
+// orBits ORs chips [from, from+n) of src into s starting at chip at, a
+// word per step. The target chips must still be zero (-1).
+func (s *Sequence) orBits(at int, src Sequence, from, n int) {
+	for k := 0; k < n; k += 64 {
+		w := src.wordAt(from + k)
+		if rem := n - k; rem < 64 {
+			w &= 1<<uint(rem) - 1
+		}
+		q, r := uint(at+k)/64, uint(at+k)%64
+		s.words[q] |= w << r
+		// A zero spill may point past the last word; skip it.
+		if hi := w >> (64 - r); hi != 0 {
+			s.words[q+1] |= hi
+		}
 	}
 }
 

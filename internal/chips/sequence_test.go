@@ -138,21 +138,6 @@ func TestXorActsAsChipProduct(t *testing.T) {
 	}
 }
 
-func TestSliceAndAppend(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	s := NewRandom(rng, 200)
-	left, right := s.Slice(0, 77), s.Slice(77, 200)
-	joined := left.Append(right)
-	if !joined.Equal(s) {
-		t.Fatal("Slice+Append did not reconstruct the sequence")
-	}
-	// Word-aligned fast path.
-	l2, r2 := s.Slice(0, 128), s.Slice(128, 200)
-	if !l2.Append(r2).Equal(s) {
-		t.Fatal("aligned Slice+Append did not reconstruct the sequence")
-	}
-}
-
 func TestFlipChips(t *testing.T) {
 	s := New(10)
 	s.FlipChips(0, 5, 9)

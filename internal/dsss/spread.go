@@ -75,18 +75,18 @@ func Spread(bits []byte, code chips.Sequence) (chips.Sequence, error) {
 		return chips.Sequence{}, errors.New("dsss: empty message")
 	}
 	inv := code.Invert()
-	out := chips.New(0)
+	parts := make([]chips.Sequence, len(bits))
 	for i, b := range bits {
 		switch b {
 		case 1:
-			out = out.Append(code)
+			parts[i] = code
 		case 0:
-			out = out.Append(inv)
+			parts[i] = inv
 		default:
 			return chips.Sequence{}, fmt.Errorf("dsss: bit %d has invalid value %d", i, b)
 		}
 	}
-	return out, nil
+	return chips.Concat(parts...), nil
 }
 
 // DespreadInto is the allocation-free de-spread kernel: it fills bits
