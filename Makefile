@@ -116,13 +116,15 @@ prof:
 	$(GO) run ./cmd/jrsnd-report -trace prof/traces -trace-only -folded prof/flame.folded -o prof/spans.md
 
 # fuzz runs every native fuzz target (wire decoder, handshake transcript,
-# DSSS sync window, authd request decoder, WAL replay/boot path, transport
+# DSSS sync window, chip-channel superposition against its per-chip
+# reference, authd request decoder, WAL replay/boot path, transport
 # datagram dispatch) for FUZZTIME each. Out of tier1: run it before releases or after touching a
 # codec, receive path, or the durability layer.
 fuzz:
 	$(GO) test -run xxx -fuzz FuzzDecodeFrame -fuzztime $(FUZZTIME) ./internal/wire
 	$(GO) test -run xxx -fuzz FuzzHandshakeTranscript -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run xxx -fuzz FuzzSyncWindow -fuzztime $(FUZZTIME) ./internal/dsss
+	$(GO) test -run xxx -fuzz FuzzChannelAdd -fuzztime $(FUZZTIME) ./internal/dsss
 	$(GO) test -run xxx -fuzz FuzzDecodeRequest -fuzztime $(FUZZTIME) ./internal/authd
 	$(GO) test -run xxx -fuzz FuzzReplayWAL -fuzztime $(FUZZTIME) ./internal/authd
 	$(GO) test -run xxx -fuzz FuzzDatagram -fuzztime $(FUZZTIME) ./internal/transport

@@ -32,21 +32,35 @@ func (c *Channel) Len() int { return len(c.buf) }
 
 // Add superimposes a signal starting at chip offset off. Portions falling
 // outside the timeline are clipped.
+//
+//jrsnd:hotpath
 func (c *Channel) Add(signal chips.Sequence, off int) {
-	for i := 0; i < signal.Len(); i++ {
-		pos := off + i
-		if pos < 0 || pos >= len(c.buf) {
-			continue
-		}
-		c.buf[pos] += int32(signal.At(i))
-	}
+	c.add(signal, off, false)
 }
 
 // AddInverted superimposes the chip-wise inverse of signal at off — the
 // strongest jamming waveform against a known transmission, driving the
 // correlation toward −1.
+//
+//jrsnd:hotpath
 func (c *Channel) AddInverted(signal chips.Sequence, off int) {
-	c.Add(signal.Invert(), off)
+	c.add(signal, off, true)
+}
+
+// add clips [off, off+signal.Len()) to the timeline once, then adds the
+// surviving chips word by word, negated when neg is set.
+func (c *Channel) add(signal chips.Sequence, off int, neg bool) {
+	lo, hi := 0, signal.Len()
+	if off < 0 {
+		lo = -off
+	}
+	if room := len(c.buf) - off; hi > room {
+		hi = room
+	}
+	if lo >= hi {
+		return
+	}
+	signal.AddSigns(c.buf[off+lo:off+hi], lo, neg)
 }
 
 // AddNoise adds independent ±amplitude noise chips over [off, off+length).

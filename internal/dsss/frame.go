@@ -155,18 +155,10 @@ func (f *Frame) Receive(buf []int32, off int, code chips.Sequence, msgLen int) (
 	// confidently decoded to the *wrong* value shows up as an RS symbol
 	// error, which the decoder also handles (within the smaller unknown-
 	// error budget).
-	erasedBytes := map[int]bool{}
-	for _, be := range bitErasures {
-		erasedBytes[be/8] = true
-		bits[be] = 0 // placeholder value for packing
-	}
+	erasures := erasedSymbols(bits, bitErasures)
 	coded, err := BitsToBytes(bits)
 	if err != nil {
 		return nil, err
-	}
-	erasures := make([]int, 0, len(erasedBytes))
-	for pos := range erasedBytes {
-		erasures = append(erasures, pos)
 	}
 	if f.m != nil {
 		f.m.ErasureSymbols.Add(uint64(len(erasures)))
@@ -188,4 +180,19 @@ func (f *Frame) Receive(buf []int32, off int, code chips.Sequence, msgLen int) (
 		f.m.DecodeOK.Inc()
 	}
 	return framed[len(frameMagic):], nil
+}
+
+// erasedSymbols maps the ascending erased-bit indices onto the strictly
+// ascending coded-byte positions that contain them, and zeroes each erased
+// bit as a placeholder for packing. It compacts bitErasures in place:
+// byte positions never run ahead of the bit indices they come from.
+func erasedSymbols(bits []byte, bitErasures []int) []int {
+	erasures := bitErasures[:0]
+	for _, be := range bitErasures {
+		bits[be] = 0
+		if pos := be / 8; len(erasures) == 0 || erasures[len(erasures)-1] != pos {
+			erasures = append(erasures, pos)
+		}
+	}
+	return erasures
 }

@@ -1,6 +1,7 @@
 package dsss
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 
@@ -93,6 +94,40 @@ func FuzzSyncWindow(f *testing.F) {
 		}
 		if off < 0 || off+msgBits*chipLen > len(buf) {
 			t.Fatalf("frame offset %d out of bounds for %d chips", off, len(buf))
+		}
+	})
+}
+
+// FuzzChannelAdd superimposes an arbitrary signal at an arbitrary offset
+// on a fixed, already noisy channel and compares Add or AddInverted with
+// the per-chip reference refAdd. The signal is the first length bits of
+// data (MSB first), so lengths that are not a multiple of 64 and offsets
+// before, across and past either end of the buffer all come up.
+func FuzzChannelAdd(f *testing.F) {
+	const bufLen = 300
+	f.Add([]byte{0xA5, 0x3C, 0xFF, 0x00, 0x81, 0x7E, 0x12, 0x34, 0x56}, uint16(70), int16(0), false)
+	f.Add([]byte{0xA5, 0x3C, 0xFF, 0x00, 0x81, 0x7E, 0x12, 0x34, 0x56}, uint16(65), int16(-9), true)
+	f.Add(bytes.Repeat([]byte{0x6B}, 48), uint16(383), int16(250), false)
+	f.Add([]byte{0x80}, uint16(1), int16(bufLen-1), true)
+	f.Add([]byte{}, uint16(0), int16(5), false)
+
+	f.Fuzz(func(t *testing.T, data []byte, length uint16, off int16, invert bool) {
+		bits := BytesToBits(data)
+		signal := chips.FromBits(bits[:int(length)%(len(bits)+1)])
+		rng := rand.New(rand.NewSource(int64(len(data))))
+		ch := noisyChannel(t, rng, bufLen)
+		want := append([]int32(nil), ch.Samples()...)
+		if invert {
+			ch.AddInverted(signal, int(off))
+		} else {
+			ch.Add(signal, int(off))
+		}
+		refAdd(want, signal, int(off), invert)
+		for i, v := range want {
+			if ch.Samples()[i] != v {
+				t.Fatalf("%d chips at off %d (inverted=%v): sample %d = %d, want %d",
+					signal.Len(), off, invert, i, ch.Samples()[i], v)
+			}
 		}
 	})
 }

@@ -101,3 +101,17 @@ func TestScanForSignalAllocFree(t *testing.T) {
 		t.Fatalf("scanForSignal allocates %v objects per run, want 0", allocs)
 	}
 }
+
+func TestChannelAddAllocFree(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	signal := chips.NewRandom(rng, 3*testChipLen+17)
+	ch, err := NewChannel(3 * testChipLen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	add := testing.AllocsPerRun(100, func() { ch.Add(signal, -5) })
+	inverted := testing.AllocsPerRun(100, func() { ch.AddInverted(signal, 37) })
+	if add != 0 || inverted != 0 {
+		t.Fatalf("Add allocates %v and AddInverted %v objects per run, want 0", add, inverted)
+	}
+}
