@@ -8,9 +8,9 @@ import (
 )
 
 // Physical-layer micro-benchmarks, gated by cmd/jrsnd-benchgate against
-// the checked-in BENCH_dsss.json baseline. The correlation inner loops
-// here are the word-parallel-optimization target on the ROADMAP; the
-// baseline pins today's cost so that work shows up as a measured win.
+// the checked-in BENCH_dsss.json baseline: the word-parallel kernels
+// (superposition, correlation, spreading) and the receive path built on
+// them.
 
 // benchSignal builds a 2-byte frame spread at offset 900 in a noisy-free
 // buffer, shared by the receive-path benchmarks.
@@ -85,6 +85,40 @@ func BenchmarkTransmit(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := frame.Transmit(msg, code); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkChannelAdd measures chip superposition in the ext-noise shape:
+// a 12-byte frame at N=512 plus 64 full-length foreign transmissions,
+// all at offset 0, on a channel cleared per op as a fresh one would be.
+func BenchmarkChannelAdd(b *testing.B) {
+	frame, err := NewFrame(1.0, 0.15)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(14))
+	msg := make([]byte, 12)
+	rng.Read(msg)
+	sig, err := frame.Transmit(msg, chips.NewRandom(rng, 512))
+	if err != nil {
+		b.Fatal(err)
+	}
+	foreign := make([]chips.Sequence, 64)
+	for i := range foreign {
+		foreign[i] = chips.NewRandom(rng, sig.Len())
+	}
+	ch, err := NewChannel(sig.Len())
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		clear(ch.buf)
+		ch.Add(sig, 0)
+		for _, f := range foreign {
+			ch.Add(f, 0)
 		}
 	}
 }
