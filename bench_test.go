@@ -19,7 +19,6 @@ import (
 	"repro/internal/baseline"
 	"repro/internal/chips"
 	"repro/internal/core"
-	"repro/internal/dsss"
 	"repro/internal/experiment"
 	"repro/internal/field"
 	"repro/internal/ibc"
@@ -145,55 +144,6 @@ func BenchmarkCorrelate512(b *testing.B) {
 	}
 }
 
-func BenchmarkCorrelateAt512(b *testing.B) {
-	rng := rand.New(rand.NewSource(2))
-	code := chips.NewRandom(rng, 512)
-	buf := make([]int32, 4096)
-	for i := range buf {
-		buf[i] = int32(rng.Intn(3) - 1)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		chips.CorrelateAt(code, buf, i%(len(buf)-512))
-	}
-}
-
-func BenchmarkSpread(b *testing.B) {
-	rng := rand.New(rand.NewSource(3))
-	code := chips.NewRandom(rng, 512)
-	bits := dsss.BytesToBits(make([]byte, 8))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := dsss.Spread(bits, code); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkSlidingWindowSync(b *testing.B) {
-	rng := rand.New(rand.NewSource(4))
-	codes := make([]chips.Sequence, 8)
-	for i := range codes {
-		codes[i] = chips.NewRandom(rng, 512)
-	}
-	msg := dsss.BytesToBits([]byte{0xAA, 0x55})
-	sig, err := dsss.Spread(msg, codes[5])
-	if err != nil {
-		b.Fatal(err)
-	}
-	ch, err := dsss.NewChannel(2000 + sig.Len())
-	if err != nil {
-		b.Fatal(err)
-	}
-	ch.Add(sig, 1500)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := dsss.Synchronize(ch.Samples(), codes, 0.15, len(msg)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkRSEncode(b *testing.B) {
 	codec, err := rs.NewCodec(1.0)
 	if err != nil {
@@ -313,33 +263,6 @@ func BenchmarkBaselineUFHSimulation(b *testing.B) {
 		last = u.SimulateEstablishment(rng)
 	}
 	b.ReportMetric(last, "s/establishment")
-}
-
-func BenchmarkChipLevelExchange(b *testing.B) {
-	// One complete chip-level frame round trip (transmit + scan + decode)
-	// at the paper's N=512.
-	rng := rand.New(rand.NewSource(13))
-	frame, err := dsss.NewFrame(1.0, 0.15)
-	if err != nil {
-		b.Fatal(err)
-	}
-	code := chips.NewRandom(rng, 512)
-	msg := []byte("HELLO:A")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sig, err := frame.Transmit(msg, code)
-		if err != nil {
-			b.Fatal(err)
-		}
-		ch, err := dsss.NewChannel(sig.Len() + 600)
-		if err != nil {
-			b.Fatal(err)
-		}
-		ch.Add(sig, 300)
-		if _, _, _, err := frame.ReceiveScan(ch.Samples(), []chips.Sequence{code}, len(msg)); err != nil {
-			b.Fatal(err)
-		}
-	}
 }
 
 func BenchmarkCrossCheck(b *testing.B) {
