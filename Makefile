@@ -117,8 +117,8 @@ prof:
 
 # fuzz runs every native fuzz target (wire decoder, handshake transcript,
 # DSSS sync window, chip-channel superposition against its per-chip
-# reference, authd request decoder, WAL replay/boot path, transport
-# datagram dispatch) for FUZZTIME each. Out of tier1: run it before releases or after touching a
+# reference, authd request decoder, WAL replay/boot path, snapshot
+# decoder, transport datagram dispatch) for FUZZTIME each. Out of tier1: run it before releases or after touching a
 # codec, receive path, or the durability layer.
 fuzz:
 	$(GO) test -run xxx -fuzz FuzzDecodeFrame -fuzztime $(FUZZTIME) ./internal/wire
@@ -127,6 +127,7 @@ fuzz:
 	$(GO) test -run xxx -fuzz FuzzChannelAdd -fuzztime $(FUZZTIME) ./internal/dsss
 	$(GO) test -run xxx -fuzz FuzzDecodeRequest -fuzztime $(FUZZTIME) ./internal/authd
 	$(GO) test -run xxx -fuzz FuzzReplayWAL -fuzztime $(FUZZTIME) ./internal/authd
+	$(GO) test -run xxx -fuzz FuzzDecodeSnapshot -fuzztime $(FUZZTIME) ./internal/authd
 	$(GO) test -run xxx -fuzz FuzzDatagram -fuzztime $(FUZZTIME) ./internal/transport
 
 # vuln scans the module against the Go vulnerability database. Out of
