@@ -293,102 +293,125 @@ func verifyCleanBoot(exe, dir string, seed int64, led *harnessLedger) error {
 // against a healthy server and fails the ledger if any errors.
 func trackedOps(ctx context.Context, url string, led *harnessLedger, n int) {
 	cl := &authd.Client{Base: url, ClientID: "crash-harness", MaxAttempts: 1}
-	mustAck := n > 0
 	for i := 0; n == 0 || i < n; i++ {
-		select {
-		case <-ctx.Done():
+		if ctx.Err() != nil {
 			return
-		default:
 		}
 		opCtx, cancelOp := context.WithTimeout(ctx, 5*time.Second)
-		var err error
-		switch i % 4 {
-		case 0, 1:
-			var res authd.ProvisionResponse
-			if res, err = cl.Provision(opCtx, 1, "tracked"); err == nil {
-				for _, a := range res.Nodes {
-					led.ackAssign(a.Node, a.Codes, res.Epoch)
-				}
-				led.ackSeq(res.Seq)
-			}
-		case 2:
-			var res authd.JoinResponse
-			if res, err = cl.Join(opCtx, "tracked"); err == nil {
-				led.ackAssign(res.Node, res.Codes, res.Epoch)
-				led.ackSeq(res.Seq)
-			}
-		default:
-			var res authd.RevokeResult
-			if res, err = cl.Revoke(opCtx, led.revCode); err == nil {
-				led.ackRevoke(res)
-				led.ackSeq(res.Seq)
-			}
-		}
+		err := trackedStep(opCtx, cl, led, i)
 		cancelOp()
 		if err != nil && !errors.Is(err, authd.ErrExhausted) {
-			if mustAck {
+			if n > 0 {
 				led.violate("tracked op against healthy server failed: %v", err)
-				return
 			}
-			// Racing a crash: the child is dead or dying. Stop hammering.
+			// Otherwise racing a crash: the child is dead or dying. Stop
+			// hammering.
 			return
 		}
 	}
 }
 
-// verifyLedger checks every recovery invariant against a freshly
-// recovered server.
-func verifyLedger(url string, led *harnessLedger) {
-	cl := &authd.Client{Base: url, ClientID: "crash-verify"}
+// trackedStep performs tracked op i — provision, provision, join, revoke
+// by i mod 4 — and records an acknowledged result in the ledger. Only
+// fully received responses enter it.
+func trackedStep(ctx context.Context, cl *authd.Client, led *harnessLedger, i int) error {
+	switch i % 4 {
+	case 0, 1:
+		res, err := cl.Provision(ctx, 1, "tracked")
+		if err != nil {
+			return err
+		}
+		for _, a := range res.Nodes {
+			led.ackAssign(a.Node, a.Codes, res.Epoch)
+		}
+		led.ackSeq(res.Seq)
+	case 2:
+		res, err := cl.Join(ctx, "tracked")
+		if err != nil {
+			return err
+		}
+		led.ackAssign(res.Node, res.Codes, res.Epoch)
+		led.ackSeq(res.Seq)
+	default:
+		res, err := cl.Revoke(ctx, led.revCode)
+		if err != nil {
+			return err
+		}
+		led.ackRevoke(res)
+		led.ackSeq(res.Seq)
+	}
+	return nil
+}
+
+// checkLedger is the read-only ledger check against one server: every
+// acked node present with exactly its acked codes, epoch monotonic, and
+// the acknowledged revocation still in force. Being read-only, it runs
+// against followers too. It reports false if the server did not answer.
+func checkLedger(url string, led *harnessLedger) bool {
+	cl := &authd.Client{Base: url, ClientID: "ledger-verify"}
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 
-	// Monotonic epoch: recovery must never report an epoch older than one
-	// a client saw acknowledged.
 	info, err := cl.Epoch(ctx)
 	if err != nil {
-		led.violate("epoch probe after recovery: %v", err)
-		return
+		led.violate("%s: epoch probe: %v", url, err)
+		return false
 	}
 	led.mu.Lock()
-	maxEpoch, nodes := led.maxEpoch, make(map[int][]codepool.CodeID, len(led.nodes))
+	maxEpoch := led.maxEpoch
+	nodes := make(map[int][]codepool.CodeID, len(led.nodes))
 	for n, c := range led.nodes {
 		nodes[n] = c
 	}
-	revAcks := led.revAcks
+	revokedNow := led.revokedNowAcks
 	led.mu.Unlock()
 	if info.Epoch < maxEpoch {
-		led.violate("epoch went backwards: recovered %d < acked %d", info.Epoch, maxEpoch)
+		led.violate("%s: epoch went backwards: %d < acked %d", url, info.Epoch, maxEpoch)
 	}
-
-	// No lost acknowledged mutation / no double assignment: every acked
-	// node must still exist with exactly its acked code set.
 	for node, codes := range nodes {
 		ni, err := cl.Node(ctx, node)
 		if err != nil {
-			led.violate("acked node %d lost after recovery: %v", node, err)
+			led.violate("%s: acked node %d lost: %v", url, node, err)
 			continue
 		}
 		if !slices.Equal(ni.Codes, codes) {
-			led.violate("acked node %d recovered with codes %v, acked %v", node, ni.Codes, codes)
+			led.violate("%s: node %d holds codes %v, acked %v", url, node, ni.Codes, codes)
 		}
 	}
+	if revokedNow > 0 && info.Revoked < 1 {
+		led.violate("%s: acknowledged revocation of code %d missing", url, led.revCode)
+	}
+	return true
+}
 
+// verifyLedger checks every recovery invariant against a freshly
+// recovered server: the read-only checkLedger, then a mutating probe.
+func verifyLedger(url string, led *harnessLedger) {
+	if !checkLedger(url, led) {
+		return
+	}
+	led.mu.Lock()
+	revAcks := led.revAcks
+	led.mu.Unlock()
 	// Revocation durability + exactly-once: past γ acknowledged reports
 	// the code must be revoked, and re-reporting a revoked code must not
 	// claim RevokedNow again. The probe report is itself acked, so it
 	// joins the ledger.
-	if revAcks > harnessGamma {
-		res, err := cl.Revoke(ctx, led.revCode)
-		if err != nil {
-			led.violate("revoke probe after recovery: %v", err)
-			return
-		}
-		led.ackRevoke(res)
-		if !res.Revoked {
-			led.violate("code %d had %d acked reports (γ=%d) but recovered unrevoked",
-				led.revCode, revAcks, harnessGamma)
-		}
+	if revAcks <= harnessGamma {
+		return
+	}
+	cl := &authd.Client{Base: url, ClientID: "crash-verify"}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	res, err := cl.Revoke(ctx, led.revCode)
+	if err != nil {
+		led.violate("revoke probe after recovery: %v", err)
+		return
+	}
+	led.ackRevoke(res)
+	if !res.Revoked {
+		led.violate("code %d had %d acked reports (γ=%d) but recovered unrevoked",
+			led.revCode, revAcks, harnessGamma)
 	}
 }
 

@@ -7,9 +7,10 @@
 // workload — against -target, or against a private in-process server on
 // a loopback ephemeral port — and prints throughput and p50/p99 latency.
 //
-// With -data-dir the authority is durable: every acknowledged mutation
-// hits a write-ahead log before the response, periodic snapshots bound
-// replay time, and a restart recovers the exact acknowledged state. The
+// With -data-dir the authority is durable: every mutation is written to a
+// write-ahead log and fsynced (concurrent mutations share one fsync)
+// before the response acknowledges it, periodic snapshots bound replay
+// time, and a restart recovers the exact acknowledged state. The
 // crash-fault flags exist for the harness: -crash-point kills the
 // process (exit 137) at a named durability step, and -crash-harness runs
 // the full kill-restart matrix against a real subprocess under load.
@@ -59,14 +60,12 @@ type options struct {
 	gamma int
 	seed  int64
 
-	shards int
-	rate   float64
-	burst  int
-	pprof  bool
+	rate  float64
+	burst int
+	pprof bool
 
-	dataDir    string
-	snapEvery  int
-	fsyncEvery int
+	dataDir   string
+	snapEvery int
 
 	follow     string
 	followerID string
@@ -98,13 +97,11 @@ func main() {
 	flag.IntVar(&opts.l, "l", 8, "nodes sharing each code l")
 	flag.IntVar(&opts.gamma, "gamma", 5, "revocation threshold γ")
 	flag.Int64Var(&opts.seed, "seed", 1, "pool seed")
-	flag.IntVar(&opts.shards, "shards", 0, "state shards (0 = derived from GOMAXPROCS)")
 	flag.Float64Var(&opts.rate, "rate", 0, "per-client req/s (0 = default 64, negative = unlimited)")
 	flag.IntVar(&opts.burst, "burst", 0, "per-client burst (0 = default)")
 	flag.BoolVar(&opts.pprof, "pprof", false, "mount /debug/pprof/ and fold Go runtime gauges into /metrics")
 	flag.StringVar(&opts.dataDir, "data-dir", "", "durable data directory (WAL + snapshots); empty = in-memory")
 	flag.IntVar(&opts.snapEvery, "snapshot-every", 0, "snapshot+truncate after this many mutations (0 = default 4096, negative = off)")
-	flag.IntVar(&opts.fsyncEvery, "fsync-every", 0, "WAL appends per fsync (0 or 1 = every append)")
 	flag.StringVar(&opts.follow, "follow", "", "comma-separated replica URLs: serve as a follower replicating from whichever is primary (requires -data-dir)")
 	flag.StringVar(&opts.followerID, "follower-id", "", "stable follower identity for replication acks (default follower-<pid>)")
 	flag.IntVar(&opts.minSync, "min-sync", 0, "followers that must hold a mutation before it is acknowledged (0 = async)")
@@ -190,14 +187,12 @@ func serverConfig(opts options) authd.Config {
 	return authd.Config{
 		Params:          p,
 		Seed:            opts.seed,
-		Shards:          opts.shards,
 		Rate:            opts.rate,
 		Burst:           opts.burst,
 		EnableProfiling: opts.pprof,
 		Durable: authd.Durability{
 			Dir:           opts.dataDir,
 			SnapshotEvery: opts.snapEvery,
-			FsyncEvery:    opts.fsyncEvery,
 		},
 		Replication: authd.ReplicationConfig{MinSync: opts.minSync},
 	}

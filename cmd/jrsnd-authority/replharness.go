@@ -8,13 +8,11 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
-	"slices"
 	"strings"
 	"sync"
 	"time"
 
 	"repro/internal/authd"
-	"repro/internal/codepool"
 	"repro/internal/metrics"
 	"repro/internal/subproc"
 )
@@ -220,29 +218,7 @@ func (g *replGroup) ack(led *harnessLedger, n int, tolerate bool) {
 	cl := &authd.Client{Endpoints: append([]string(nil), g.urls...), ClientID: "replica-harness"}
 	for i := 0; i < n; i++ {
 		opCtx, cancelOp := context.WithTimeout(context.Background(), 15*time.Second)
-		var err error
-		switch i % 4 {
-		case 0, 1:
-			var res authd.ProvisionResponse
-			if res, err = cl.Provision(opCtx, 1, "tracked"); err == nil {
-				for _, a := range res.Nodes {
-					led.ackAssign(a.Node, a.Codes, res.Epoch)
-				}
-				led.ackSeq(res.Seq)
-			}
-		case 2:
-			var res authd.JoinResponse
-			if res, err = cl.Join(opCtx, "tracked"); err == nil {
-				led.ackAssign(res.Node, res.Codes, res.Epoch)
-				led.ackSeq(res.Seq)
-			}
-		default:
-			var res authd.RevokeResult
-			if res, err = cl.Revoke(opCtx, led.revCode); err == nil {
-				led.ackRevoke(res)
-				led.ackSeq(res.Seq)
-			}
-		}
+		err := trackedStep(opCtx, cl, led, i)
 		cancelOp()
 		switch {
 		case err == nil, errors.Is(err, authd.ErrExhausted):
@@ -332,48 +308,7 @@ func (g *replGroup) verifyAll(led *harnessLedger) {
 		if g.kids[i] == nil {
 			continue
 		}
-		g.verifyReplica(url, led)
-	}
-}
-
-// verifyReplica is the read-only ledger check against one replica:
-// every acked node present with exactly its acked codes, epoch
-// monotonic, and the acknowledged revocation still in force. It is
-// read-only (unlike the crash harness's verifyLedger, whose probe
-// revoke is a mutation) so it can run against followers directly.
-func (g *replGroup) verifyReplica(url string, led *harnessLedger) {
-	cl := &authd.Client{Base: url, ClientID: "replica-verify"}
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-
-	info, err := cl.Epoch(ctx)
-	if err != nil {
-		led.violate("%s: epoch probe: %v", url, err)
-		return
-	}
-	led.mu.Lock()
-	maxEpoch := led.maxEpoch
-	nodes := make(map[int][]codepool.CodeID, len(led.nodes))
-	for n, c := range led.nodes {
-		nodes[n] = c
-	}
-	revokedNow := led.revokedNowAcks
-	led.mu.Unlock()
-	if info.Epoch < maxEpoch {
-		led.violate("%s: epoch went backwards: %d < acked %d", url, info.Epoch, maxEpoch)
-	}
-	for node, codes := range nodes {
-		ni, err := cl.Node(ctx, node)
-		if err != nil {
-			led.violate("%s: acked node %d lost: %v", url, node, err)
-			continue
-		}
-		if !slices.Equal(ni.Codes, codes) {
-			led.violate("%s: node %d holds codes %v, acked %v", url, node, ni.Codes, codes)
-		}
-	}
-	if revokedNow > 0 && info.Revoked < 1 {
-		led.violate("%s: acknowledged revocation of code %d missing", url, led.revCode)
+		checkLedger(url, led)
 	}
 }
 

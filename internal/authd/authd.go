@@ -69,9 +69,6 @@ type Config struct {
 	// Seed drives the deterministic pool construction and the join-time
 	// batch expansions.
 	Seed int64
-	// Shards is the shard count for the assignment registry and the
-	// rate limiter. 0 means 2×GOMAXPROCS rounded up to a power of two.
-	Shards int
 	// Rate and Burst configure the per-client token bucket (requests per
 	// second of sustained rate, bucket depth). Rate 0 selects the
 	// default (64 req/s, burst 128); a negative Rate disables limiting.
@@ -183,12 +180,6 @@ func New(cfg Config) (*Server, error) {
 	if err := cfg.Limits.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.Shards == 0 {
-		cfg.Shards = nextPow2(2 * runtime.GOMAXPROCS(0))
-	}
-	if cfg.Shards < 1 {
-		return nil, fmt.Errorf("authd: Shards %d must be >= 1", cfg.Shards)
-	}
 	if cfg.Rate == 0 {
 		cfg.Rate, cfg.Burst = 64, 128
 	}
@@ -217,13 +208,15 @@ func New(cfg Config) (*Server, error) {
 		return nil, fmt.Errorf("authd: %w", err)
 	}
 
+	// Shard count for the assignment registry and the rate limiter.
+	shards := nextPow2(2 * runtime.GOMAXPROCS(0))
 	s := &Server{
 		cfg:     cfg,
 		lim:     cfg.Limits,
 		pool:    pool,
 		joinRng: rand.New(rand.NewSource(cfg.Seed + 1)),
 		rev:     rev,
-		reg:     newRegistry(cfg.Shards),
+		reg:     newRegistry(shards),
 		m:       newServerMetrics(cfg.Metrics),
 		tracer:  trace.NewTracer(cfg.Trace),
 		start:   cfg.now(),
@@ -232,7 +225,7 @@ func New(cfg Config) (*Server, error) {
 		s.rc = metrics.NewRuntimeCollector(cfg.Metrics)
 	}
 	if cfg.Rate > 0 {
-		s.rl = newLimiter(cfg.Shards, cfg.Rate, cfg.Burst, cfg.now)
+		s.rl = newLimiter(shards, cfg.Rate, cfg.Burst, cfg.now)
 	}
 	if cfg.Follower && cfg.Durable.Dir == "" {
 		return nil, fmt.Errorf("authd: the follower role requires a durable data directory")

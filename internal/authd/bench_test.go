@@ -82,12 +82,12 @@ func BenchmarkRevoke(b *testing.B) {
 }
 
 // BenchmarkWALAppend measures the durability hot path: encode one
-// mutation record, write it, fsync (the default every-append policy, so
-// the number is the real cost an acknowledged mutation pays). Gated by
+// mutation record, write it, fsync (every append is durable before it
+// returns, so the number is the real cost an acknowledged mutation pays). Gated by
 // jrsnd-benchgate against BENCH_authd_go.json.
 func BenchmarkWALAppend(b *testing.B) {
 	reg := metrics.New()
-	w, err := openWAL(filepath.Join(b.TempDir(), "wal.log"), 0, 1, nil, nil,
+	w, err := openWAL(filepath.Join(b.TempDir(), "wal.log"), 0, nil, nil,
 		reg.Counter("bench_appends", "b"), reg.Counter("bench_fsyncs", "b"))
 	if err != nil {
 		b.Fatal(err)
@@ -104,13 +104,12 @@ func BenchmarkWALAppend(b *testing.B) {
 }
 
 // BenchmarkWALAppendGroupCommit measures the same hot path under
-// concurrent appenders, where the group-commit path lets one fsync cover
-// every record written while the previous fsync was in flight — the
-// mutation-throughput win of this PR's WAL change. Gated by
+// concurrent appenders, where group commit lets one fsync cover every
+// record written while the previous fsync was in flight. Gated by
 // jrsnd-benchgate against BENCH_authd_go.json.
 func BenchmarkWALAppendGroupCommit(b *testing.B) {
 	reg := metrics.New()
-	w, err := openWAL(filepath.Join(b.TempDir(), "wal.log"), 0, 1, nil, nil,
+	w, err := openWAL(filepath.Join(b.TempDir(), "wal.log"), 0, nil, nil,
 		reg.Counter("bench_gc_appends", "b"), reg.Counter("bench_gc_fsyncs", "b"))
 	if err != nil {
 		b.Fatal(err)

@@ -65,6 +65,13 @@ var CrashPoints = []CrashPoint{
 // continue.
 type CrashHook func(CrashPoint)
 
+// fire passes point p to the hook; a nil hook (production) does nothing.
+func (h CrashHook) fire(p CrashPoint) {
+	if h != nil {
+		h(p)
+	}
+}
+
 // crashSignal is the sentinel the in-process matrix panics with; the
 // cycle driver recovers it and abandons the server instance, exactly as
 // if the process had died there.
@@ -201,7 +208,6 @@ func runCrashCycle(point CrashPoint, dir string, cfg CrashConfig, rng *rand.Rand
 		Durable: Durability{
 			Dir:           dir,
 			SnapshotEvery: -1, // the driver snapshots explicitly
-			FsyncEvery:    1,
 			CrashHook:     hook,
 		},
 	})
@@ -352,7 +358,7 @@ func crashFingerprint(dir string, cfg CrashConfig) (string, error) {
 		Params:  cfg.Params,
 		Seed:    cfg.Seed,
 		Rate:    -1,
-		Durable: Durability{Dir: dir, SnapshotEvery: -1, FsyncEvery: 1},
+		Durable: Durability{Dir: dir, SnapshotEvery: -1},
 	})
 	if err != nil {
 		return "", err

@@ -55,13 +55,15 @@ type FollowerConfig struct {
 	PollInterval time.Duration
 	// WaitMS is the server-side long-poll window per fetch; 0 means 400.
 	WaitMS int
-	// BatchMax is the record cap per fetch; 0 means 512.
-	BatchMax int
 	// HTTP overrides the transport; nil uses the shared pooled client.
 	HTTP *http.Client
 	// Logf receives diagnostic lines; nil discards them.
 	Logf func(format string, args ...any)
 }
+
+// followerBatchMax is the record cap a follower asks for per fetch, well
+// under the primary's replMaxBatch.
+const followerBatchMax = 512
 
 // Follower is the running manager. Obtain with StartFollower.
 type Follower struct {
@@ -106,9 +108,6 @@ func StartFollower(cfg FollowerConfig) (*Follower, error) {
 	}
 	if cfg.WaitMS <= 0 {
 		cfg.WaitMS = 400
-	}
-	if cfg.BatchMax <= 0 || cfg.BatchMax > replMaxBatch {
-		cfg.BatchMax = 512
 	}
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
@@ -335,7 +334,7 @@ func (f *Follower) loop() {
 // fetch issues one replication poll against base.
 func (f *Follower) fetch(base string, after, fp uint64) (replBatch, error) {
 	url := fmt.Sprintf("%s/v1/replicate?after=%d&fp=%016x&max=%d&wait_ms=%d",
-		base, after, fp, f.cfg.BatchMax, f.cfg.WaitMS)
+		base, after, fp, followerBatchMax, f.cfg.WaitMS)
 	req, err := http.NewRequest(http.MethodGet, url, nil)
 	if err != nil {
 		return replBatch{}, err

@@ -23,7 +23,7 @@ func TestConcurrentProvisionJoinRevoke(t *testing.T) {
 		revokers     = 8
 		perWorker    = 12
 	)
-	srv, err := New(Config{Params: testParams(200, 4, 8), Seed: 11, Rate: -1, Shards: 4})
+	srv, err := New(Config{Params: testParams(200, 4, 8), Seed: 11, Rate: -1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -38,7 +38,7 @@ type limiter struct {
 
 func newLimiter(shards int, rate float64, burst int, now func() time.Time) *limiter {
 	l := &limiter{
-		shards: make([]limShard, shards), //jrsnd:allow boundedalloc shards is operator config validated by New (Shards >= 1), never a wire-decoded count
+		shards: make([]limShard, shards), //jrsnd:allow boundedalloc shards is derived by New from GOMAXPROCS, never operator input or a wire-decoded count
 		rate:   rate,
 		burst:  float64(burst),
 		now:    now,

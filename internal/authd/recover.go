@@ -35,11 +35,6 @@ type Durability struct {
 	// mutations. 0 selects the default (4096); negative disables
 	// automatic snapshots (explicit Snapshot() still works).
 	SnapshotEvery int
-	// FsyncEvery batches WAL fsyncs: 0 or 1 syncs every append (the
-	// durable default — an acknowledgment implies the record is on disk);
-	// N>1 groups appends per fsync, trading the last <N acknowledged
-	// mutations on power loss for throughput.
-	FsyncEvery int
 	// CrashHook is the crash-fault injection hook (crash harness only);
 	// nil in production.
 	CrashHook CrashHook
@@ -103,7 +98,7 @@ func (s *Server) openDurable(d Durability) error {
 	if s.lastSnapAt.Load() == 0 {
 		s.lastSnapAt.Store(s.cfg.now().UnixNano())
 	}
-	s.wal, err = openWAL(walPath, lastSeq, d.FsyncEvery, s.repl, d.CrashHook, s.m.walAppends, s.m.walFsyncs)
+	s.wal, err = openWAL(walPath, lastSeq, s.repl, d.CrashHook, s.m.walAppends, s.m.walFsyncs)
 	return err
 }
 

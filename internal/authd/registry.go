@@ -12,8 +12,8 @@ import (
 // Sharded assignment registry: mutable per-node state lives in S shards,
 // each behind its own mutex, so concurrent provisions and joins on
 // different nodes never contend. Node IDs are dense integers, so the
-// shard function is a simple mask (Shards is rounded to a power of two
-// by New when defaulted).
+// shard function is node modulo the shard count, which New derives from
+// GOMAXPROCS.
 
 // record is one node's assignment as the authority remembers it.
 type record struct {
@@ -33,7 +33,7 @@ type registry struct {
 }
 
 func newRegistry(shards int) *registry {
-	r := &registry{shards: make([]regShard, shards)} //jrsnd:allow boundedalloc shards is operator config validated by New (Shards >= 1), never a wire-decoded count
+	r := &registry{shards: make([]regShard, shards)} //jrsnd:allow boundedalloc shards is derived by New from GOMAXPROCS, never operator input or a wire-decoded count
 	for i := range r.shards {
 		r.shards[i].nodes = make(map[int]record)
 	}

@@ -424,46 +424,33 @@ type replBatch struct {
 	entries []replEntry // frames reference the response buffer
 }
 
+var errReplResponse = errors.New("authd: replication response")
+
 // decodeReplResponse parses a fetch response with the usual discipline:
 // counts and lengths are checked against the remaining bytes before any
 // use, frames are sub-slices of data (no copy), trailing bytes are an
 // error.
 func decodeReplResponse(data []byte) (replBatch, error) {
 	var b replBatch
-	if len(data) < replRespHeaderLen {
-		return b, fmt.Errorf("authd: replication response %d bytes is too short", len(data))
+	c := &cursor{data: data, base: errReplResponse}
+	b.status = int(c.u8())
+	if c.err == nil && b.status != replOK && b.status != replSnapshotNeeded && b.status != replDivergent {
+		c.failf("status %d", b.status)
 	}
-	b.status = int(data[0])
-	if b.status != replOK && b.status != replSnapshotNeeded && b.status != replDivergent {
-		return b, fmt.Errorf("authd: replication response status %d", b.status)
+	b.lastSeq, b.snapSeq = c.u64(), c.u64()
+	// A record is at least 12 bytes: fingerprint and frame length.
+	n := c.count(12, "records")
+	if n > replMaxBatch {
+		c.failf("declares %d records > %d", n, replMaxBatch)
 	}
-	b.lastSeq = binary.BigEndian.Uint64(data[1:9])
-	b.snapSeq = binary.BigEndian.Uint64(data[9:17])
-	count := int(binary.BigEndian.Uint32(data[17:21]))
-	if count > replMaxBatch {
-		return b, fmt.Errorf("authd: replication response declares %d records > %d", count, replMaxBatch)
-	}
-	off := replRespHeaderLen
-	if count > (len(data)-off)/12 {
-		return b, fmt.Errorf("authd: replication response declares %d records in %d bytes", count, len(data)-off)
-	}
-	for i := 0; i < count; i++ {
-		if off+12 > len(data) {
-			return b, fmt.Errorf("authd: replication response truncated at record %d", i)
+	for i := 0; i < n && c.err == nil; i++ {
+		fp, frameLen := c.u64(), int(c.u32())
+		if frameLen > replMaxFrame {
+			c.failf("record %d declares %d frame bytes > %d", i, frameLen, replMaxFrame)
 		}
-		fp := binary.BigEndian.Uint64(data[off : off+8])
-		frameLen := int(binary.BigEndian.Uint32(data[off+8 : off+12]))
-		off += 12
-		if frameLen > replMaxFrame || off+frameLen > len(data) {
-			return b, fmt.Errorf("authd: replication record %d declares %d frame bytes", i, frameLen)
-		}
-		b.entries = append(b.entries, replEntry{fp: fp, frame: data[off : off+frameLen]})
-		off += frameLen
+		b.entries = append(b.entries, replEntry{fp: fp, frame: c.take(frameLen)})
 	}
-	if off != len(data) {
-		return b, fmt.Errorf("authd: replication response has %d trailing bytes", len(data)-off)
-	}
-	return b, nil
+	return b, c.done()
 }
 
 // ReplicationStatus answers GET /v1/replication — the role, stream

@@ -2,6 +2,7 @@ package authd
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"os"
@@ -134,188 +135,150 @@ func encodeSnapshot(st snapshotState) ([]byte, error) {
 	return out, nil
 }
 
-// snapCursor walks the payload with bounds checks on every read.
-type snapCursor struct {
+// cursor walks a byte slice with bounds checks on every read, in the
+// style of internal/wire's reader: the first error sticks and every
+// accessor after it returns zero, so a decoder reads its layout straight
+// through and checks the error once, at done. The snapshot, WAL-body and
+// replication-response decoders all read through it.
+type cursor struct {
 	data []byte
 	off  int
+	base error // every error wraps this (e.g. ErrWALCorrupt)
+	err  error
 }
 
-func (c *snapCursor) need(n int) ([]byte, error) {
-	if c.off+n > len(c.data) {
-		return nil, fmt.Errorf("authd: snapshot payload truncated at offset %d (need %d of %d)", c.off, n, len(c.data))
+// failf records the first error; later ones are dropped.
+func (c *cursor) failf(format string, args ...any) {
+	if c.err == nil {
+		c.err = fmt.Errorf("%w: "+format, append([]any{c.base}, args...)...)
+	}
+}
+
+func (c *cursor) take(n int) []byte {
+	if c.err != nil {
+		return nil
+	}
+	if n > len(c.data)-c.off {
+		c.failf("truncated at offset %d (need %d of %d bytes)", c.off, n, len(c.data))
+		return nil
 	}
 	b := c.data[c.off : c.off+n]
 	c.off += n
-	return b, nil
+	return b
 }
 
-func (c *snapCursor) u32() (uint32, error) {
-	b, err := c.need(4)
-	if err != nil {
-		return 0, err
+func (c *cursor) u8() uint8 {
+	if b := c.take(1); b != nil {
+		return b[0]
 	}
-	return binary.BigEndian.Uint32(b), nil
+	return 0
 }
 
-func (c *snapCursor) u64() (uint64, error) {
-	b, err := c.need(8)
-	if err != nil {
-		return 0, err
+func (c *cursor) u16() uint16 {
+	if b := c.take(2); b != nil {
+		return binary.BigEndian.Uint16(b)
 	}
-	return binary.BigEndian.Uint64(b), nil
+	return 0
 }
+
+func (c *cursor) u32() uint32 {
+	if b := c.take(4); b != nil {
+		return binary.BigEndian.Uint32(b)
+	}
+	return 0
+}
+
+func (c *cursor) u64() uint64 {
+	if b := c.take(8); b != nil {
+		return binary.BigEndian.Uint64(b)
+	}
+	return 0
+}
+
+// count reads a u32 element count and checks it against the bytes left
+// at minEntryBytes per element, so a hostile count fails here, before
+// the caller loops or allocates.
+func (c *cursor) count(minEntryBytes int, what string) int {
+	n := int(c.u32())
+	if c.err == nil && n > (len(c.data)-c.off)/minEntryBytes {
+		c.failf("declares %d %s in %d bytes", n, what, len(c.data)-c.off)
+		return 0
+	}
+	return n
+}
+
+// tag reads a u16-length-prefixed client tag, capped at walMaxTag.
+func (c *cursor) tag() string {
+	n := int(c.u16())
+	if c.err == nil && n > walMaxTag {
+		c.failf("tag %d bytes > %d", n, walMaxTag)
+		return ""
+	}
+	return string(c.take(n))
+}
+
+// done rejects trailing bytes — every layout read here is canonical, so
+// slack is corruption — and returns the first error.
+func (c *cursor) done() error {
+	if c.err == nil && c.off != len(c.data) {
+		c.failf("%d trailing bytes", len(c.data)-c.off)
+	}
+	return c.err
+}
+
+var errSnapshot = errors.New("authd: snapshot")
 
 // decodeSnapshot verifies the checksum and parses the payload. Counts are
 // cross-checked against the remaining byte budget before any loop, so a
 // hostile length can never drive allocation.
 func decodeSnapshot(data []byte) (snapshotState, error) {
 	var st snapshotState
-	if len(data) < len(snapMagic)+8 {
-		return st, fmt.Errorf("authd: snapshot file %d bytes is too short", len(data))
+	h := &cursor{data: data, base: errSnapshot}
+	if magic := h.take(len(snapMagic)); h.err == nil && string(magic) != snapMagic {
+		h.failf("magic mismatch")
 	}
-	if string(data[:len(snapMagic)]) != snapMagic {
-		return st, fmt.Errorf("authd: snapshot magic mismatch")
+	plen, wantCRC := h.u32(), h.u32()
+	if h.err == nil && plen > snapMaxPayload {
+		h.failf("payload %d bytes > %d", plen, snapMaxPayload)
 	}
-	plen := int(binary.BigEndian.Uint32(data[len(snapMagic) : len(snapMagic)+4]))
-	if plen > snapMaxPayload {
-		return st, fmt.Errorf("authd: snapshot payload %d bytes > %d", plen, snapMaxPayload)
-	}
-	wantCRC := binary.BigEndian.Uint32(data[len(snapMagic)+4 : len(snapMagic)+8])
-	payload := data[len(snapMagic)+8:]
-	if len(payload) != plen {
-		return st, fmt.Errorf("authd: snapshot payload %d bytes, header declares %d", len(payload), plen)
+	payload := h.take(int(plen))
+	if err := h.done(); err != nil {
+		return st, err
 	}
 	if crc := crc32.Checksum(payload, crcTable); crc != wantCRC {
-		return st, fmt.Errorf("authd: snapshot checksum %08x != %08x", crc, wantCRC)
+		return st, fmt.Errorf("%w: checksum %08x != %08x", errSnapshot, crc, wantCRC)
 	}
 
-	c := &snapCursor{data: payload}
-	var err error
-	var v uint32
-	if v, err = c.u32(); err != nil {
-		return st, err
-	}
-	st.N = int(v)
-	if v, err = c.u32(); err != nil {
-		return st, err
-	}
-	st.M = int(v)
-	if v, err = c.u32(); err != nil {
-		return st, err
-	}
-	st.L = int(v)
-	if v, err = c.u32(); err != nil {
-		return st, err
-	}
-	st.Gamma = int(v)
-	var w uint64
-	if w, err = c.u64(); err != nil {
-		return st, err
-	}
-	st.Seed = int64(w)
-	if st.Seq, err = c.u64(); err != nil {
-		return st, err
-	}
-	if st.FP, err = c.u64(); err != nil {
-		return st, err
-	}
-	if st.Cursor, err = c.u64(); err != nil {
-		return st, err
-	}
-	if w, err = c.u64(); err != nil {
-		return st, err
-	}
-	st.TakenAt = int64(w)
-	if v, err = c.u32(); err != nil {
-		return st, err
-	}
-	st.JoinCount = int(v)
-
-	regCount, err := c.u32()
-	if err != nil {
-		return st, err
-	}
-	// Each registry entry is at least 15 bytes; a count the remaining
-	// bytes cannot hold is corruption, caught before the loop allocates.
-	if int(regCount) > (len(payload)-c.off)/15 {
-		return st, fmt.Errorf("authd: snapshot declares %d registry entries in %d bytes", regCount, len(payload)-c.off)
-	}
-	for i := 0; i < int(regCount); i++ {
-		var e snapRegEntry
-		if v, err = c.u32(); err != nil {
-			return st, err
-		}
-		e.Node = int(v)
-		via, err := c.need(1)
-		if err != nil {
-			return st, err
-		}
-		e.Via = via[0]
+	c := &cursor{data: payload, base: errSnapshot}
+	st.N, st.M, st.L, st.Gamma = int(c.u32()), int(c.u32()), int(c.u32()), int(c.u32())
+	st.Seed = int64(c.u64())
+	st.Seq, st.FP, st.Cursor = c.u64(), c.u64(), c.u64()
+	st.TakenAt = int64(c.u64())
+	st.JoinCount = int(c.u32())
+	// A registry entry is at least 15 bytes: node, via, at, tag length.
+	for i, n := 0, c.count(15, "registry entries"); i < n && c.err == nil; i++ {
+		e := snapRegEntry{Node: int(c.u32()), Via: c.u8(), At: int64(c.u64())}
 		if e.Via != snapViaProvision && e.Via != snapViaJoin {
-			return st, fmt.Errorf("authd: snapshot node %d via byte %d", e.Node, e.Via)
+			c.failf("node %d via byte %d", e.Node, e.Via)
 		}
-		if w, err = c.u64(); err != nil {
-			return st, err
-		}
-		e.At = int64(w)
-		tl, err := c.need(2)
-		if err != nil {
-			return st, err
-		}
-		tagLen := int(binary.BigEndian.Uint16(tl))
-		if tagLen > walMaxTag {
-			return st, fmt.Errorf("authd: snapshot node %d tag %d bytes > %d", e.Node, tagLen, walMaxTag)
-		}
-		tag, err := c.need(tagLen)
-		if err != nil {
-			return st, err
-		}
-		e.Tag = string(tag)
+		e.Tag = c.tag()
 		st.Reg = append(st.Reg, e)
 	}
-
-	counterCount, err := c.u32()
-	if err != nil {
-		return st, err
-	}
-	if int(counterCount) > (len(payload)-c.off)/8 {
-		return st, fmt.Errorf("authd: snapshot declares %d counters in %d bytes", counterCount, len(payload)-c.off)
-	}
-	for i := 0; i < int(counterCount); i++ {
-		var code, cnt uint32
-		if code, err = c.u32(); err != nil {
-			return st, err
-		}
-		if cnt, err = c.u32(); err != nil {
-			return st, err
-		}
+	for i, n := 0, c.count(8, "counters"); i < n && c.err == nil; i++ {
+		code, cnt := c.u32(), c.u32()
 		if code > 1<<30 || cnt > 1<<30 {
-			return st, fmt.Errorf("authd: snapshot counter code=%d count=%d out of range", code, cnt)
+			c.failf("counter code=%d count=%d out of range", code, cnt)
 		}
 		st.Counters = append(st.Counters, snapCounter{Code: int32(code), Count: int32(cnt)})
 	}
-
-	revokedCount, err := c.u32()
-	if err != nil {
-		return st, err
-	}
-	if int(revokedCount) > (len(payload)-c.off)/4 {
-		return st, fmt.Errorf("authd: snapshot declares %d revoked codes in %d bytes", revokedCount, len(payload)-c.off)
-	}
-	for i := 0; i < int(revokedCount); i++ {
-		var code uint32
-		if code, err = c.u32(); err != nil {
-			return st, err
-		}
+	for i, n := 0, c.count(4, "revoked codes"); i < n && c.err == nil; i++ {
+		code := c.u32()
 		if code > 1<<30 {
-			return st, fmt.Errorf("authd: snapshot revoked code %d out of range", code)
+			c.failf("revoked code %d out of range", code)
 		}
 		st.Revoked = append(st.Revoked, int32(code))
 	}
-	if c.off != len(payload) {
-		return st, fmt.Errorf("authd: snapshot has %d trailing payload bytes", len(payload)-c.off)
-	}
-	return st, nil
+	return st, c.done()
 }
 
 // Snapshot durably captures the server's current state and truncates the
@@ -384,7 +347,7 @@ func (s *Server) snapshotLocked() (err error) {
 	if err := s.writeSnapshotFile(data); err != nil {
 		return err
 	}
-	s.fireCrash(CrashMidTruncate)
+	s.crashHook.fire(CrashMidTruncate)
 	if err := s.wal.truncate(); err != nil {
 		return err
 	}
@@ -413,7 +376,7 @@ func (s *Server) writeSnapshotFile(data []byte) error {
 	if _, err := f.Write(data[:half]); err != nil {
 		return fmt.Errorf("authd: snapshot write: %w", err)
 	}
-	s.fireCrash(CrashMidSnapshot)
+	s.crashHook.fire(CrashMidSnapshot)
 	if _, err := f.Write(data[half:]); err != nil {
 		return fmt.Errorf("authd: snapshot write: %w", err)
 	}
@@ -440,13 +403,6 @@ func syncDir(dir string) error {
 		return fmt.Errorf("authd: sync data dir: %w", err)
 	}
 	return nil
-}
-
-// fireCrash invokes the injection hook at a snapshot-path point.
-func (s *Server) fireCrash(p CrashPoint) {
-	if s.crashHook != nil {
-		s.crashHook(p)
-	}
 }
 
 // noteMutation ticks the auto-snapshot counter after an acknowledged

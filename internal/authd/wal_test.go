@@ -2,8 +2,10 @@ package authd
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 
 	"repro/internal/metrics"
@@ -18,10 +20,10 @@ func walCounters(t testing.TB) (*metrics.Counter, *metrics.Counter) {
 	return reg.Counter("test_appends", "t"), reg.Counter("test_fsyncs", "t")
 }
 
-func testWAL(t testing.TB, syncEvery int) *wal {
+func testWAL(t testing.TB) *wal {
 	t.Helper()
 	appends, fsyncs := walCounters(t)
-	w, err := openWAL(filepath.Join(t.TempDir(), walFileName), 0, syncEvery, nil, nil, appends, fsyncs)
+	w, err := openWAL(filepath.Join(t.TempDir(), walFileName), 0, nil, nil, appends, fsyncs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +42,7 @@ func sampleRecords() []walRecord {
 }
 
 func TestWALRoundTrip(t *testing.T) {
-	w := testWAL(t, 1)
+	w := testWAL(t)
 	want := sampleRecords()
 	for _, rec := range want {
 		if _, err := w.append(rec, 0); err != nil {
@@ -77,7 +79,7 @@ func TestWALRoundTrip(t *testing.T) {
 }
 
 func TestWALTornTailTruncates(t *testing.T) {
-	w := testWAL(t, 1)
+	w := testWAL(t)
 	for _, rec := range sampleRecords() {
 		if _, err := w.append(rec, 0); err != nil {
 			t.Fatal(err)
@@ -116,7 +118,7 @@ func TestWALTornTailTruncates(t *testing.T) {
 }
 
 func TestWALMiddleCorruptionRefused(t *testing.T) {
-	w := testWAL(t, 1)
+	w := testWAL(t)
 	for _, rec := range sampleRecords() {
 		if _, err := w.append(rec, 0); err != nil {
 			t.Fatal(err)
@@ -158,7 +160,7 @@ func TestWALSequenceGapRefused(t *testing.T) {
 }
 
 func TestWALStickyFailureAfterClose(t *testing.T) {
-	w := testWAL(t, 1)
+	w := testWAL(t)
 	if _, err := w.append(walRecord{Kind: walRevoke, Code: 1, At: 1}, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +173,7 @@ func TestWALStickyFailureAfterClose(t *testing.T) {
 }
 
 func TestWALRejectsOversizedTag(t *testing.T) {
-	w := testWAL(t, 1)
+	w := testWAL(t)
 	big := make([]byte, walMaxTag+1)
 	for i := range big {
 		big[i] = 'x'
@@ -185,22 +187,66 @@ func TestWALRejectsOversizedTag(t *testing.T) {
 	}
 }
 
+// TestWALGroupFsync drives concurrent appenders through the one commit
+// path: every append returns only once its record is under the synced
+// watermark, fsyncs never outnumber appends, and the log reads back as
+// one gapless sequence.
 func TestWALGroupFsync(t *testing.T) {
+	const writers, perWriter = 8, 64
 	appends, fsyncs := walCounters(t)
-	w, err := openWAL(filepath.Join(t.TempDir(), walFileName), 0, 8, nil, nil, appends, fsyncs)
+	w, err := openWAL(filepath.Join(t.TempDir(), walFileName), 0, nil, nil, appends, fsyncs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 16; i++ {
-		if _, err := w.append(walRecord{Kind: walRevoke, Code: int32(i), At: int64(i)}, 0); err != nil {
-			t.Fatal(err)
+	var wg sync.WaitGroup
+	errs := make(chan error, writers)
+	for g := 0; g < writers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < perWriter; i++ {
+				seq, err := w.append(walRecord{Kind: walRevoke, Code: int32(g*perWriter + i), At: int64(i)}, 0)
+				if err != nil {
+					errs <- err
+					return
+				}
+				w.syncMu.Lock()
+				synced := w.synced
+				w.syncMu.Unlock()
+				if seq > synced {
+					errs <- fmt.Errorf("append returned seq %d above the synced watermark %d", seq, synced)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	const total = writers * perWriter
+	if got := appends.Value(); got != total {
+		t.Fatalf("appends %d, want %d", got, total)
+	}
+	if got := fsyncs.Value(); got > total {
+		t.Fatalf("fsyncs %d for %d appends", got, total)
+	}
+	data, err := os.ReadFile(w.path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, goodLen, err := scanWAL(data)
+	if err != nil || goodLen != len(data) {
+		t.Fatalf("scan: %v (goodLen %d of %d)", err, goodLen, len(data))
+	}
+	if len(recs) != total {
+		t.Fatalf("%d records read back, want %d", len(recs), total)
+	}
+	for i, rec := range recs {
+		if rec.Seq != uint64(i+1) {
+			t.Fatalf("record %d: seq %d", i, rec.Seq)
 		}
-	}
-	if got := fsyncs.Value(); got != 2 {
-		t.Fatalf("fsyncs %d after 16 appends at syncEvery=8, want 2", got)
-	}
-	if got := appends.Value(); got != 16 {
-		t.Fatalf("appends %d, want 16", got)
 	}
 	if err := w.close(); err != nil {
 		t.Fatal(err)
