@@ -27,11 +27,12 @@ const (
 	// victims commit to a code, then reactively jam the follow-ups.
 	JamIntelligent
 	// JamPulse is a duty-cycled (partial-time) reactive jammer: it only
-	// destroys a known-code transmission while its pulse is on
-	// (NetworkConfig.PulseDuty fraction of the time).
+	// destroys a known-code transmission while its pulse is on (half of
+	// the time).
 	JamPulse
 	// JamSweep rotates a window of jamming emitters across the compromised
-	// codes once per epoch (NetworkConfig.SweepWindow/SweepEpoch).
+	// codes once per epoch: a window of q·m/4 codes (at least 1), rotated
+	// every 0.1 virtual seconds.
 	JamSweep
 )
 
@@ -109,14 +110,6 @@ type NetworkConfig struct {
 	// rate limiter. Nil keeps the seed engine's behavior; see
 	// DefaultDefenseConfig.
 	Defense *DefenseConfig
-	// PulseDuty is the JamPulse on-fraction in (0, 1]; 0 defaults to 0.5.
-	PulseDuty float64
-	// SweepWindow is the number of codes JamSweep targets at once;
-	// 0 defaults to 1/4 of the compromised set (at least 1).
-	SweepWindow int
-	// SweepEpoch is the JamSweep rotation period in virtual seconds;
-	// 0 defaults to 0.1 s.
-	SweepEpoch float64
 	// ClockSkewSpread gives each node a local-clock skew multiplier drawn
 	// uniformly from [1-spread, 1+spread], applied to its processing
 	// delays (visible when ModelProcessingDelays is on). Must be in [0, 1).
@@ -233,24 +226,13 @@ func NewNetwork(cfg NetworkConfig) (*Network, error) {
 	case JamIntelligent:
 		jammer = radio.NewIntelligentJammer(compromised, []int{kindHello})
 	case JamPulse:
-		duty := cfg.PulseDuty
-		if duty == 0 {
-			duty = 0.5
-		}
-		jammer, err = radio.NewPulseJammer(radio.NewReactiveJammer(compromised), duty, streams.Get("jammer"))
+		jammer, err = radio.NewPulseJammer(radio.NewReactiveJammer(compromised), 0.5, streams.Get("jammer"))
 		if err != nil {
 			return nil, fmt.Errorf("core: %w", err)
 		}
 	case JamSweep:
-		window := cfg.SweepWindow
-		if window == 0 {
-			window = max(1, p.Q*p.M/4) // ~1/4 of the worst-case compromised set
-		}
-		epoch := cfg.SweepEpoch
-		if epoch == 0 {
-			epoch = 0.1
-		}
-		jammer, err = radio.NewSweepJammer(compromised, window, sim.Time(epoch), engine.Now)
+		window := max(1, p.Q*p.M/4) // ~1/4 of the worst-case compromised set
+		jammer, err = radio.NewSweepJammer(compromised, window, sim.Time(0.1), engine.Now)
 		if err != nil {
 			return nil, fmt.Errorf("core: %w", err)
 		}

@@ -2,7 +2,6 @@ package dsss
 
 import (
 	"fmt"
-	"math/rand"
 
 	"repro/internal/chips"
 )
@@ -61,21 +60,6 @@ func (c *Channel) add(signal chips.Sequence, off int, neg bool) {
 		return
 	}
 	signal.AddSigns(c.buf[off+lo:off+hi], lo, neg)
-}
-
-// AddNoise adds independent ±amplitude noise chips over [off, off+length).
-func (c *Channel) AddNoise(rng *rand.Rand, off, length int, amplitude int32) {
-	for i := 0; i < length; i++ {
-		pos := off + i
-		if pos < 0 || pos >= len(c.buf) {
-			continue
-		}
-		if rng.Intn(2) == 0 {
-			c.buf[pos] += amplitude
-		} else {
-			c.buf[pos] -= amplitude
-		}
-	}
 }
 
 // Samples returns the receiver's view of the channel (the live buffer; the

@@ -22,26 +22,6 @@ type Conduit struct {
 
 var _ radio.Conduit = (*Conduit)(nil)
 
-// ListenConduit binds an Endpoint (see Listen) and wraps it as a
-// radio.Conduit. Frames from authenticated peers are delivered to the
-// attached handler; cfg.OnFrame, if also set, still fires.
-func ListenConduit(addr string, cfg Config) (*Conduit, error) {
-	c := &Conduit{}
-	inner := cfg.OnFrame
-	cfg.OnFrame = func(from int, frame []byte) {
-		c.deliver(from, frame)
-		if inner != nil {
-			inner(from, frame)
-		}
-	}
-	e, err := Listen(addr, cfg)
-	if err != nil {
-		return nil, err
-	}
-	c.e = e
-	return c, nil
-}
-
 // Endpoint returns the underlying endpoint (for Dial, Bye, Close, and
 // the peer table).
 func (c *Conduit) Endpoint() *Endpoint { return c.e }

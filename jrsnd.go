@@ -25,7 +25,8 @@
 //   - Chip level: a real DSSS PHY (±1 chip sequences, correlation
 //     de-spreading, sliding-window synchronization, Reed–Solomon erasure
 //     coding) validating the message-level jamming model; see the
-//     internal/dsss and internal/rs packages and the jamming-sweep example.
+//     internal/dsss and internal/rs packages, and `jrsnd-sim -exp dsss`
+//     and `-exp fig4b` for the jamming sweeps.
 //   - Experiments: Monte-Carlo campaigns that reproduce every figure of
 //     the paper's evaluation; see RunExperiment, ExperimentIDs and
 //     MeasurePoint.
@@ -45,8 +46,9 @@
 //	if err := net.RunMNDP(1); err != nil { ... }   // M-NDP round
 //	for _, d := range net.Discoveries() { ... }
 //
-// See the examples directory for complete runnable programs and
-// EXPERIMENTS.md for the paper-versus-measured record.
+// The Example_* functions in example_test.go (quickstart, battlefield,
+// convoy, dosAttack, metricsDump) are complete, output-checked programs;
+// EXPERIMENTS.md has the paper-versus-measured record.
 package jrsnd
 
 import (
