@@ -172,9 +172,13 @@ func (nd *Node) IsLogicalNeighbor(peer ibc.NodeID) bool {
 }
 
 // neighborIDs returns the sorted logical-neighbor ID list ℒ.
-func (nd *Node) neighborIDs() []ibc.NodeID {
-	out := make([]ibc.NodeID, 0, len(nd.neighbors))
-	for id := range nd.neighbors {
+func (nd *Node) neighborIDs() []ibc.NodeID { return sortedPeers(nd.neighbors) }
+
+// sortedPeers returns the keys of a per-peer state map in ascending ID
+// order, so loops that emit events over that state replay identically.
+func sortedPeers[V any](m map[ibc.NodeID]V) []ibc.NodeID {
+	out := make([]ibc.NodeID, 0, len(m))
+	for id := range m {
 		out = append(out, id)
 	}
 	sortNodeIDs(out)

@@ -97,14 +97,16 @@ func (n *Network) endNodeSpans(nd *Node, detail string) {
 		return
 	}
 	if st := nd.initiator; st != nil {
-		for peer, ip := range st.peers {
+		for _, peer := range sortedPeers(st.peers) {
+			ip := st.peers[peer]
 			n.spanEnd(ip.prepSpan, nd.index, int(peer), detail)
 			ip.prepSpan = 0
 		}
 		n.spanEnd(st.attemptSpan, nd.index, -1, detail)
 		st.attemptSpan = 0
 	}
-	for peer, rs := range nd.responders {
+	for _, peer := range sortedPeers(nd.responders) {
+		rs := nd.responders[peer]
 		n.spanEnd(rs.bufferSpan, nd.index, int(peer), detail)
 		rs.bufferSpan = 0
 		n.spanEnd(rs.confirmSpan, nd.index, int(peer), detail)
