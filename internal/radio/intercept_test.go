@@ -14,14 +14,14 @@ func TestMediumInterceptorReplacesDeliveredMessage(t *testing.T) {
 		Jammer:   NoJammer{},
 		Adjacent: func(n int) []int { return adj[n] },
 		ChipLen:  512, ChipRate: 22e6, Mu: 1,
-		Intercept: InterceptorFunc(func(from, to int, msg Message) Message {
-			msg.Payload = []byte{0xBA, 0xD0}
-			return msg
-		}),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	m.SetInterceptor(InterceptorFunc(func(from, to int, msg Message) Message {
+		msg.Payload = []byte{0xBA, 0xD0}
+		return msg
+	}))
 	var got []byte
 	m.Attach(1, func(_ int, msg Message) { got = msg.Payload.([]byte) })
 	if err := m.Broadcast(0, Message{Code: 1, PayloadBits: 10, Payload: []byte{1, 2, 3}}); err != nil {
@@ -44,14 +44,14 @@ func TestMediumInterceptorSkippedWhenJammed(t *testing.T) {
 		Jammer:   NewReactiveJammer(compromisedSet(5)),
 		Adjacent: func(n int) []int { return adj[n] },
 		ChipLen:  512, ChipRate: 22e6, Mu: 1,
-		Intercept: InterceptorFunc(func(from, to int, msg Message) Message {
-			calls++
-			return msg
-		}),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	m.SetInterceptor(InterceptorFunc(func(from, to int, msg Message) Message {
+		calls++
+		return msg
+	}))
 	m.Attach(1, func(int, Message) {})
 	if err := m.Broadcast(0, Message{Code: 5, PayloadBits: 10}); err != nil {
 		t.Fatal(err)

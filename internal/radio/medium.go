@@ -109,10 +109,6 @@ type MediumConfig struct {
 	// Faults, when set, injects channel faults (loss, duplication, bounded
 	// reorder) into every transmission that survived jamming.
 	Faults FaultInjector
-	// Intercept, when set, is consulted once per transmission that survived
-	// jamming, before the fault injector, and may replace the delivered
-	// message (Byzantine on-air adversaries).
-	Intercept Interceptor
 }
 
 // NewMedium creates a medium.
@@ -132,22 +128,20 @@ func NewMedium(cfg MediumConfig) (*Medium, error) {
 		return nil, fmt.Errorf("radio: Mu %v must be positive", cfg.Mu)
 	}
 	return &Medium{
-		engine:    cfg.Engine,
-		jammer:    cfg.Jammer,
-		adjacent:  cfg.Adjacent,
-		chipLen:   cfg.ChipLen,
-		chipRate:  cfg.ChipRate,
-		mu:        cfg.Mu,
-		observer:  cfg.Observer,
-		faults:    cfg.Faults,
-		intercept: cfg.Intercept,
-		handlers:  map[int]Handler{},
+		engine:   cfg.Engine,
+		jammer:   cfg.Jammer,
+		adjacent: cfg.Adjacent,
+		chipLen:  cfg.ChipLen,
+		chipRate: cfg.ChipRate,
+		mu:       cfg.Mu,
+		observer: cfg.Observer,
+		faults:   cfg.Faults,
+		handlers: map[int]Handler{},
 	}, nil
 }
 
-// SetInterceptor arms (or, with nil, disarms) the on-air interceptor after
-// construction, so an adversary can be plugged into an already-built
-// network.
+// SetInterceptor arms (or, with nil, disarms) the on-air interceptor; it
+// is how an adversary is plugged into an already-built network.
 func (m *Medium) SetInterceptor(i Interceptor) { m.intercept = i }
 
 // Attach registers node's receive handler.

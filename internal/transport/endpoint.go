@@ -198,9 +198,6 @@ func Listen(addr string, cfg Config) (*Endpoint, error) {
 // Addr returns the bound UDP address.
 func (e *Endpoint) Addr() string { return e.conn.LocalAddr().String() }
 
-// Node returns the local node ID.
-func (e *Endpoint) Node() int { return e.cfg.Node }
-
 // TxDatagrams and RxDatagrams return the datagram counters (also exposed
 // as jrsnd_node_tx/rx_datagrams_total when a registry is configured).
 func (e *Endpoint) TxDatagrams() uint64 { return e.txCount.Load() }

@@ -1,9 +1,7 @@
-// Package transport binds the JR-SND protocol engine to actual sockets:
-// canonical internal/wire frames ride UDP datagrams between authenticated
-// peers, so the D-NDP/M-NDP byte formats that previously existed only
-// inside the in-memory radio now cross real network interfaces — loopback
-// for the multi-process e2e harness, a LAN segment for cluster
-// experiments.
+// Package transport carries JR-SND's canonical internal/wire frames over
+// UDP datagrams between authenticated peers, so the D-NDP/M-NDP byte
+// formats cross real network interfaces — loopback for the multi-process
+// e2e harness, a LAN segment for cluster experiments.
 //
 // The pieces:
 //
@@ -17,9 +15,9 @@
 //     identity: the key is derived from the code set the jrsnd-authority
 //     provisioned for that node ID, so two daemons provisioned by the
 //     same authority admit each other and everything else is dropped.
-//   - Conduit (conduit.go) adapts an Endpoint to the radio.Conduit
-//     delivery interface the protocol engine sends through, making the
-//     socket path a drop-in substrate next to the simulated medium.
+//
+// The cmd/jrsnd-node daemon drives an Endpoint directly; the protocol
+// engine (internal/core) runs only on the simulated radio.Medium.
 //
 // Datagram layout (all integers big-endian):
 //
