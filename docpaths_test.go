@@ -1,8 +1,11 @@
 package jrsnd_test
 
 import (
+	"io/fs"
 	"os"
+	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -10,7 +13,10 @@ import (
 // TestDocPathsExist keeps the docs from pointing at code that is gone:
 // every `go run ./<dir>` and `go test -run Example_<name>` in README.md,
 // and every internal/ or cmd/ entry of DESIGN.md §5, must name a
-// directory or example that exists.
+// directory or example that exists, and every test, fuzz target,
+// benchmark or example that README.md, DESIGN.md, EXPERIMENTS.md or
+// docs/*.md cites must be a prefix of a function some _test.go defines
+// (so BenchmarkAblationRedundancy{On,Off} still counts).
 func TestDocPathsExist(t *testing.T) {
 	readme := readDoc(t, "README.md")
 	runs := regexp.MustCompile(`go run \./([^\s]+)`).FindAllStringSubmatch(readme, -1)
@@ -43,6 +49,46 @@ func TestDocPathsExist(t *testing.T) {
 	for _, m := range entries {
 		requireDir(t, "DESIGN.md §5", m[1])
 	}
+
+	defined := testFuncs(t)
+	docs, err := filepath.Glob(filepath.Join("docs", "*.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cited := regexp.MustCompile(`\b(?:Test|Fuzz|Benchmark|Example)[A-Z_]\w*`)
+	for _, doc := range append([]string{"README.md", "DESIGN.md", "EXPERIMENTS.md"}, docs...) {
+		for _, name := range cited.FindAllString(readDoc(t, doc), -1) {
+			if !slices.ContainsFunc(defined, func(fn string) bool { return strings.HasPrefix(fn, name) }) {
+				t.Errorf("%s cites %s, which no _test.go function is named after", doc, name)
+			}
+		}
+	}
+}
+
+// testFuncs lists the top-level functions of every _test.go file in the
+// repository.
+func testFuncs(t *testing.T) []string {
+	t.Helper()
+	decl := regexp.MustCompile(`(?m)^func (\w+)\(`)
+	var names []string
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		switch {
+		case err != nil:
+			return err
+		case d.IsDir() && path != "." && strings.HasPrefix(d.Name(), "."):
+			return filepath.SkipDir
+		case d.IsDir() || !strings.HasSuffix(path, "_test.go"):
+			return nil
+		}
+		for _, m := range decl.FindAllStringSubmatch(readDoc(t, path), -1) {
+			names = append(names, m[1])
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return names
 }
 
 func readDoc(t *testing.T, name string) string {
