@@ -117,14 +117,18 @@ prof:
 
 # fuzz runs every native fuzz target (wire decoder, handshake transcript,
 # DSSS sync window, chip-channel superposition against its per-chip
-# reference, authd request decoder, WAL replay/boot path, snapshot
-# decoder, transport datagram dispatch) for FUZZTIME each. Out of tier1: run it before releases or after touching a
-# codec, receive path, or the durability layer.
+# reference, Reed-Solomon decoder and round trip, authd request decoder,
+# WAL replay/boot path, snapshot decoder, transport datagram dispatch) for
+# FUZZTIME each; TestMakeFuzzCoversEveryTarget fails when a Fuzz function
+# is missing here. Out of tier1: run it before releases or after touching
+# a codec, receive path, or the durability layer.
 fuzz:
 	$(GO) test -run xxx -fuzz FuzzDecodeFrame -fuzztime $(FUZZTIME) ./internal/wire
 	$(GO) test -run xxx -fuzz FuzzHandshakeTranscript -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run xxx -fuzz FuzzSyncWindow -fuzztime $(FUZZTIME) ./internal/dsss
 	$(GO) test -run xxx -fuzz FuzzChannelAdd -fuzztime $(FUZZTIME) ./internal/dsss
+	$(GO) test -run xxx -fuzz FuzzDecodeNeverPanics -fuzztime $(FUZZTIME) ./internal/rs
+	$(GO) test -run xxx -fuzz FuzzCodecRoundTrip -fuzztime $(FUZZTIME) ./internal/rs
 	$(GO) test -run xxx -fuzz FuzzDecodeRequest -fuzztime $(FUZZTIME) ./internal/authd
 	$(GO) test -run xxx -fuzz FuzzReplayWAL -fuzztime $(FUZZTIME) ./internal/authd
 	$(GO) test -run xxx -fuzz FuzzDecodeSnapshot -fuzztime $(FUZZTIME) ./internal/authd

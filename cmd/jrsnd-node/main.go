@@ -123,7 +123,6 @@ type daemon struct {
 	node     int
 	endpoint *transport.Endpoint
 	reg      *metrics.Registry
-	limits   wire.Limits
 	peers    []string // configured peer addresses
 	helloTx  *metrics.Counter
 	helloRx  *metrics.Counter
@@ -146,7 +145,6 @@ func startDaemon(opts options, sink trace.Sink) (*daemon, error) {
 	d := &daemon{
 		node:       opts.nodeID,
 		reg:        metrics.New(),
-		limits:     wire.DefaultLimits(),
 		peers:      parsePeers(opts.peers),
 		discovered: map[int]bool{},
 	}
@@ -173,7 +171,7 @@ func startDaemon(opts options, sink trace.Sink) (*daemon, error) {
 // operation every frame decodes and names its own sender; anything else
 // is an invariant violation the e2e harness fails on.
 func (d *daemon) onFrame(from int, frame []byte) {
-	kind, payload, err := wire.Decode(frame, d.limits)
+	kind, payload, err := wire.Decode(frame, wire.DefaultLimits())
 	if err != nil {
 		d.violate("frame from authenticated peer %d rejected by decoder: %v", from, err)
 		return
@@ -205,7 +203,7 @@ func (d *daemon) beat() {
 	for _, addr := range d.peers {
 		_ = d.endpoint.Dial(addr)
 	}
-	frame, err := wire.Encode(wire.KindHello, wire.Hello{Initiator: ibc.NodeID(d.node)}, d.limits)
+	frame, err := wire.Encode(wire.KindHello, wire.Hello{Initiator: ibc.NodeID(d.node)}, wire.DefaultLimits())
 	if err != nil {
 		d.violate("encoding own HELLO: %v", err)
 		return

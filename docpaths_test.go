@@ -50,7 +50,10 @@ func TestDocPathsExist(t *testing.T) {
 		requireDir(t, "DESIGN.md §5", m[1])
 	}
 
-	defined := testFuncs(t)
+	var defined []string
+	for _, fn := range testFuncs(t) {
+		defined = append(defined, fn.name)
+	}
 	docs, err := filepath.Glob(filepath.Join("docs", "*.md"))
 	if err != nil {
 		t.Fatal(err)
@@ -65,12 +68,53 @@ func TestDocPathsExist(t *testing.T) {
 	}
 }
 
+// TestMakeFuzzCoversEveryTarget keeps `make fuzz` complete: every
+// `func Fuzz*` in the repository must have a `-fuzz <name> ... ./<dir>`
+// line in the Makefile's fuzz recipe, and every such line must name a
+// target that exists in that directory.
+func TestMakeFuzzCoversEveryTarget(t *testing.T) {
+	makefile := readDoc(t, "Makefile")
+	start := strings.Index(makefile, "\nfuzz:\n")
+	if start < 0 {
+		t.Fatal("Makefile has no fuzz target")
+	}
+	recipe := makefile[start+len("\nfuzz:\n"):]
+	if end := strings.Index(recipe, "\n\n"); end >= 0 {
+		recipe = recipe[:end]
+	}
+	run := map[testFunc]bool{}
+	for _, m := range regexp.MustCompile(`-fuzz (\w+) .*\./(\S+)`).FindAllStringSubmatch(recipe, -1) {
+		run[testFunc{name: m[1], dir: m[2]}] = true
+	}
+	defined := map[testFunc]bool{}
+	for _, fn := range testFuncs(t) {
+		if strings.HasPrefix(fn.name, "Fuzz") {
+			defined[fn] = true
+			if !run[fn] {
+				t.Errorf("make fuzz does not run %s in ./%s", fn.name, fn.dir)
+			}
+		}
+	}
+	if len(defined) == 0 {
+		t.Fatal("found no fuzz targets")
+	}
+	for fn := range run {
+		if !defined[fn] {
+			t.Errorf("make fuzz runs %s in ./%s, which no _test.go there defines", fn.name, fn.dir)
+		}
+	}
+}
+
+// testFunc is a top-level function of a _test.go file and the directory
+// (slash-separated, relative to the repository root) that holds it.
+type testFunc struct{ name, dir string }
+
 // testFuncs lists the top-level functions of every _test.go file in the
 // repository.
-func testFuncs(t *testing.T) []string {
+func testFuncs(t *testing.T) []testFunc {
 	t.Helper()
 	decl := regexp.MustCompile(`(?m)^func (\w+)\(`)
-	var names []string
+	var funcs []testFunc
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		switch {
 		case err != nil:
@@ -81,14 +125,14 @@ func testFuncs(t *testing.T) []string {
 			return nil
 		}
 		for _, m := range decl.FindAllStringSubmatch(readDoc(t, path), -1) {
-			names = append(names, m[1])
+			funcs = append(funcs, testFunc{name: m[1], dir: filepath.ToSlash(filepath.Dir(path))})
 		}
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return names
+	return funcs
 }
 
 func readDoc(t *testing.T, name string) string {

@@ -77,9 +77,6 @@ type Config struct {
 	// Metrics receives the service instruments; nil creates a private
 	// registry (GET /metrics always works).
 	Metrics *metrics.Registry
-	// Limits bounds request decoding; the zero value derives caps from
-	// Params via LimitsFromParams.
-	Limits Limits
 	// Trace, when set, receives one span per handled request
 	// ("authd.<route>", timestamped in seconds since server start), so the
 	// service's request handling joins the same causal-span model the
@@ -126,8 +123,9 @@ type Server struct {
 	reg *registry // sharded node-ID → assignment records
 	rl  *limiter  // sharded per-client token buckets
 
-	// nextSlot is the deployment-slot cursor: atomic claim, so two
-	// concurrent provisions can never hand out overlapping slot ranges.
+	// nextSlot is the deployment-slot cursor, in [0, N]: a
+	// compare-and-swap claim (claimSlots), so two concurrent provisions
+	// can never hand out overlapping slot ranges.
 	nextSlot atomic.Int64
 
 	m      *serverMetrics
@@ -174,10 +172,8 @@ func New(cfg Config) (*Server, error) {
 	if err := cfg.Params.Validate(); err != nil {
 		return nil, fmt.Errorf("authd: %w", err)
 	}
-	if cfg.Limits == (Limits{}) {
-		cfg.Limits = LimitsFromParams(cfg.Params)
-	}
-	if err := cfg.Limits.Validate(); err != nil {
+	lim := LimitsFromParams(cfg.Params)
+	if err := lim.Validate(); err != nil {
 		return nil, err
 	}
 	if cfg.Rate == 0 {
@@ -212,7 +208,7 @@ func New(cfg Config) (*Server, error) {
 	shards := nextPow2(2 * runtime.GOMAXPROCS(0))
 	s := &Server{
 		cfg:     cfg,
-		lim:     cfg.Limits,
+		lim:     lim,
 		pool:    pool,
 		joinRng: rand.New(rand.NewSource(cfg.Seed + 1)),
 		rev:     rev,
@@ -301,93 +297,74 @@ func (s *Server) Epoch() int {
 
 // provision claims up to count deployment slots and records their
 // assignments, returning the WAL sequence of the logged claim (0 when
-// in-memory). The slot cursor is an atomic add, so concurrent calls get
-// disjoint ranges without touching a lock; only the per-slot record
-// insert takes (sharded) locks. On a durable server the claimed range is
-// appended to the WAL before the call returns — the acknowledgment
-// implies the batch will survive a crash — still under poolMu's read
-// side, so a snapshot can never slice between the registry insert and the
-// log record.
+// in-memory). The slot cursor is a compare-and-swap claim, so concurrent
+// calls get disjoint ranges; only the per-slot record insert takes
+// (sharded) locks. Claim, apply and append all run under poolMu's read
+// side, so a snapshot's cut never separates a claimed cursor, its
+// registry records and its log record.
 func (s *Server) provision(count int, tag string) ([]Assignment, uint64, error) {
-	n := int64(s.cfg.Params.N)
-	start := s.nextSlot.Add(int64(count)) - int64(count)
-	if start >= n {
-		return nil, 0, ErrExhausted
-	}
-	end := start + int64(count)
-	if end > n {
-		end = n
-	}
-	out := make([]Assignment, 0, end-start)
 	now := s.cfg.now()
 	s.poolMu.RLock()
 	defer s.poolMu.RUnlock()
-	for node := start; node < end; node++ {
-		codes := s.pool.Codes(int(node))
-		if err := s.reg.insert(int(node), record{Codes: codes, Tag: tag, Via: "provision", At: now}); err != nil {
-			s.poison(err)
-			return nil, 0, err
-		}
-		out = append(out, Assignment{Node: int(node), Codes: codes})
-		s.m.provisionedNodes.Inc()
+	start, end, err := s.claimSlots(count)
+	if err != nil {
+		return nil, 0, err
 	}
-	var seq uint64
-	if s.wal != nil {
-		// The observation digest folds only this record's own facts
-		// (range + code sets): concurrent provisions land in the WAL in an
-		// order poolMu's read side does not fix, so the digest must not
-		// depend on its neighbors. The pool is immutable under RLock, so
-		// the codes are exactly what was acknowledged.
-		obs := obsProvision(int(start), int(end-start), s.pool.Codes)
-		var err error
-		seq, err = s.wal.append(walRecord{
-			Kind: walProvision, Start: int(start), Count: int(end - start),
-			Tag: tag, At: now.UnixNano(),
-		}, obs)
-		if err != nil {
-			return nil, 0, err
-		}
+	out, obs, err := s.applyProvision(start, end-start, tag, now)
+	if err != nil {
+		return nil, 0, err
 	}
+	seq, err := s.commit(walRecord{
+		Kind: walProvision, Start: start, Count: end - start, Tag: tag, At: now.UnixNano(),
+	}, obs)
+	if err != nil {
+		return nil, 0, err
+	}
+	s.m.provisionedNodes.Add(uint64(len(out)))
 	return out, seq, nil
 }
 
+// claimSlots reserves the deployment slots [start, end), end - start =
+// min(count, slots left). The compare-and-swap never moves the cursor past
+// N, so a refused or clamped claim leaves it exactly where replaying the
+// log would.
+func (s *Server) claimSlots(count int) (int, int, error) {
+	n := int64(s.cfg.Params.N)
+	for {
+		start := s.nextSlot.Load()
+		if start >= n {
+			return 0, 0, ErrExhausted
+		}
+		end := min(start+int64(count), n)
+		if s.nextSlot.CompareAndSwap(start, end) {
+			return int(start), int(end), nil
+		}
+	}
+}
+
 // join admits one late node per §V-A, reporting whether the admission
-// forced a batch expansion (and therefore advanced the epoch). Pool
-// mutation, registry insert, and WAL append all happen under the write
-// lock: the logged join order IS the joinRng consumption order, which is
-// what makes replay reconstruct the pool bit for bit.
+// forced a batch expansion (and therefore advanced the epoch). Apply and
+// WAL append both happen under the write lock, so the logged join order
+// is the joinRng consumption order.
 func (s *Server) join(tag string) (Assignment, bool, uint64, error) {
 	now := s.cfg.now()
 	s.poolMu.Lock()
 	defer s.poolMu.Unlock()
-	before := s.pool.Expansions()
-	node, err := s.pool.Join(s.joinRng)
+	a, expanded, obs, err := s.applyJoin(tag, now)
 	if err != nil {
-		return Assignment{}, false, 0, fmt.Errorf("authd: %w", err)
-	}
-	expanded := s.pool.Expansions() > before
-	codes := s.pool.Codes(node)
-	if err := s.reg.insert(node, record{Codes: codes, Tag: tag, Via: "join", At: now}); err != nil {
-		s.poison(err)
 		return Assignment{}, false, 0, err
 	}
-	var seq uint64
-	if s.wal != nil {
-		// Joins hold the write lock, so their digest may fold the epoch
-		// they produced — no other mutation can interleave.
-		obs := obsJoin(node, expanded, s.pool.Expansions(), codes)
-		seq, err = s.wal.append(walRecord{
-			Kind: walJoin, Node: node, Expanded: expanded, Tag: tag, At: now.UnixNano(),
-		}, obs)
-		if err != nil {
-			return Assignment{}, false, 0, err
-		}
+	seq, err := s.commit(walRecord{
+		Kind: walJoin, Node: a.Node, Expanded: expanded, Tag: tag, At: now.UnixNano(),
+	}, obs)
+	if err != nil {
+		return Assignment{}, false, 0, err
 	}
 	s.m.joins.Inc()
 	if expanded {
 		s.m.expansions.Inc()
 	}
-	return Assignment{Node: node, Codes: codes}, expanded, seq, nil
+	return a, expanded, seq, nil
 }
 
 // revoke routes one invalid-code report through the Revoker. The
@@ -404,17 +381,10 @@ func (s *Server) revoke(code codepool.CodeID) (RevokeResult, error) {
 	if int(code) < 0 || int(code) >= poolSize {
 		return RevokeResult{}, fmt.Errorf("%w: code %d outside pool [0, %d)", ErrField, code, poolSize)
 	}
-	now := s.rev.ReportInvalid(code)
-	var seq uint64
-	if s.wal != nil {
-		// The digest folds only the reported code: report counters are
-		// commutative, and concurrent revokes under the read lock may log
-		// in either order while producing the same final state.
-		var err error
-		seq, err = s.wal.append(walRecord{Kind: walRevoke, Code: int32(code), At: s.cfg.now().UnixNano()}, obsRevoke(int32(code)))
-		if err != nil {
-			return RevokeResult{}, err
-		}
+	now, obs := s.applyRevoke(code)
+	seq, err := s.commit(walRecord{Kind: walRevoke, Code: int32(code), At: s.cfg.now().UnixNano()}, obs)
+	if err != nil {
+		return RevokeResult{}, err
 	}
 	s.m.revokeReports.Inc()
 	if now {
@@ -443,15 +413,11 @@ func (s *Server) poison(err error) {
 func (s *Server) epochInfo() EpochInfo {
 	s.poolMu.RLock()
 	defer s.poolMu.RUnlock()
-	provisioned := s.nextSlot.Load()
-	if n := int64(s.cfg.Params.N); provisioned > n {
-		provisioned = n
-	}
 	return EpochInfo{
 		Epoch:       s.pool.Expansions(),
 		VacantSlots: s.pool.VacantSlots(),
 		PoolSize:    s.pool.S(),
-		Provisioned: int(provisioned),
+		Provisioned: int(s.nextSlot.Load()),
 		Joined:      s.pool.N() - s.cfg.Params.N,
 		Revoked:     s.rev.RevokedCodes(),
 	}

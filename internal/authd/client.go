@@ -41,9 +41,6 @@ type Client struct {
 	// fails over across them; reads are served by whichever endpoint
 	// answers, mutations follow 421 redirects to the primary.
 	Endpoints []string
-	// HTTP is the underlying transport; nil uses a client with a 10 s
-	// request timeout.
-	HTTP *http.Client
 	// ClientID is sent as X-Client-ID so the server's rate limiter keys
 	// on a stable identity rather than the ephemeral remote port.
 	ClientID string
@@ -66,11 +63,11 @@ type Client struct {
 }
 
 // sharedTransport is the package-wide keep-alive transport every Client
-// without an explicit HTTP client rides on. One transport means one
-// connection pool: sequential requests to the same authority reuse a warm
-// TCP connection instead of re-dialing per call (the stdlib default of 2
-// idle conns per host collapses under the loadgen's 8 workers and
-// understates service throughput).
+// and Follower rides on. One transport means one connection pool:
+// sequential requests to the same authority reuse a warm TCP connection
+// instead of re-dialing per call (the stdlib default of 2 idle conns per
+// host collapses under the loadgen's 8 workers and understates service
+// throughput).
 var sharedTransport = &http.Transport{
 	Proxy:               http.ProxyFromEnvironment,
 	MaxIdleConns:        256,
@@ -84,13 +81,6 @@ var sharedTransport = &http.Transport{
 var sharedHTTPClient = &http.Client{
 	Timeout:   10 * time.Second,
 	Transport: sharedTransport,
-}
-
-func (c *Client) httpClient() *http.Client {
-	if c.HTTP != nil {
-		return c.HTTP
-	}
-	return sharedHTTPClient
 }
 
 func (c *Client) attempts() int {
@@ -245,7 +235,7 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any) error
 		if c.ClientID != "" {
 			req.Header.Set("X-Client-ID", c.ClientID)
 		}
-		resp, err := c.httpClient().Do(req)
+		resp, err := sharedHTTPClient.Do(req)
 		if err != nil {
 			if ctx.Err() != nil {
 				return ctx.Err()

@@ -10,10 +10,10 @@ import (
 )
 
 // TestClientReusesConnections is the keep-alive regression test: a Client
-// without an explicit HTTP client rides the shared package transport and
-// must reuse its TCP connection across sequential requests instead of
-// re-dialing per call (the failure mode of building a transport per
-// request, which understated every loadgen number).
+// rides the shared package transport and must reuse its TCP connection
+// across sequential requests instead of re-dialing per call (the failure
+// mode of building a transport per request, which understated every
+// loadgen number).
 func TestClientReusesConnections(t *testing.T) {
 	srv, err := New(Config{Params: testParams(64, 4, 4), Seed: 5, Rate: -1})
 	if err != nil {

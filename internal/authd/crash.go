@@ -5,7 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"path/filepath"
-	"sort"
+	"slices"
 
 	"repro/internal/analysis"
 	"repro/internal/codepool"
@@ -392,7 +392,7 @@ func (s *Server) stateFingerprint() string {
 	for c := range st.Counters {
 		codes = append(codes, c)
 	}
-	sort.Slice(codes, func(i, j int) bool { return codes[i] < codes[j] })
+	slices.Sort(codes)
 	for _, c := range codes {
 		b = fmt.Appendf(b, "code %d count %d\n", c, st.Counters[c])
 	}

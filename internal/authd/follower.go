@@ -55,8 +55,6 @@ type FollowerConfig struct {
 	PollInterval time.Duration
 	// WaitMS is the server-side long-poll window per fetch; 0 means 400.
 	WaitMS int
-	// HTTP overrides the transport; nil uses the shared pooled client.
-	HTTP *http.Client
 	// Logf receives diagnostic lines; nil discards them.
 	Logf func(format string, args ...any)
 }
@@ -67,8 +65,7 @@ const followerBatchMax = 512
 
 // Follower is the running manager. Obtain with StartFollower.
 type Follower struct {
-	cfg   FollowerConfig
-	httpc *http.Client
+	cfg FollowerConfig
 
 	srvMu sync.Mutex
 	srv   *Server
@@ -114,14 +111,10 @@ func StartFollower(cfg FollowerConfig) (*Follower, error) {
 	}
 	f := &Follower{
 		cfg:     cfg,
-		httpc:   cfg.HTTP,
 		stopCh:  make(chan struct{}),
 		done:    make(chan struct{}),
 		fatalCh: make(chan error, 1),
 		primary: cfg.Primaries[0],
-	}
-	if f.httpc == nil {
-		f.httpc = sharedHTTPClient
 	}
 	srv, err := New(cfg.Server)
 	if err != nil {
@@ -340,7 +333,7 @@ func (f *Follower) fetch(base string, after, fp uint64) (replBatch, error) {
 		return replBatch{}, err
 	}
 	req.Header.Set("X-JRSND-Follower", f.cfg.ID)
-	resp, err := f.httpc.Do(req)
+	resp, err := sharedHTTPClient.Do(req)
 	if err != nil {
 		return replBatch{}, err
 	}
@@ -361,7 +354,7 @@ func (f *Follower) fetch(base string, after, fp uint64) (replBatch, error) {
 // findPrimary probes every candidate for the primary role.
 func (f *Follower) findPrimary() string {
 	for _, cand := range f.cfg.Primaries {
-		st, err := FetchReplicationStatus(f.httpc, cand)
+		st, err := FetchReplicationStatus(sharedHTTPClient, cand)
 		if err == nil && st.Role == "primary" {
 			return cand
 		}
@@ -452,7 +445,7 @@ func (f *Follower) rebootstrap() error {
 
 // fetchSnapshot pulls the primary's snapshot image.
 func (f *Follower) fetchSnapshot(base string) ([]byte, error) {
-	resp, err := f.httpc.Get(base + "/v1/replicate/snapshot")
+	resp, err := sharedHTTPClient.Get(base + "/v1/replicate/snapshot")
 	if err != nil {
 		return nil, err
 	}

@@ -110,6 +110,16 @@ func TestConcurrentProvisionJoinRevoke(t *testing.T) {
 		}
 		seen[n] = true
 	}
+	// The provisioners asked for more than N slots: the cursor stops at N,
+	// and every deployment slot went to some client.
+	if got := srv.nextSlot.Load(); got != 200 {
+		t.Fatalf("slot cursor = %d after exhaustion, want N = 200", got)
+	}
+	for slot := 0; slot < 200; slot++ {
+		if !seen[slot] {
+			t.Fatalf("deployment slot %d was never handed out", slot)
+		}
+	}
 	// Every provisioned and joined node has a consistent record.
 	for _, n := range nodes {
 		rec, ok := srv.reg.get(n)

@@ -11,12 +11,12 @@ import (
 
 // Startup recovery: load the latest durable snapshot (if any), replay the
 // WAL suffix it does not cover, and leave the log open for appending.
-// Replay is deterministic and self-checking — it drives the *same* code
-// paths that served the live traffic (pool.Join with the same RNG,
-// registry.insert with its double-assignment check) and every logged join
-// carries the node index the live system acknowledged, so a replay that
-// diverges by even one slot fails loudly instead of resurrecting a
-// different history.
+// Replay is deterministic and self-checking — every record runs through
+// the same per-kind apply function that served the live request
+// (apply.go: pool.Join with the same RNG, the registry insert with its
+// double-assignment check) and every logged join carries the node index
+// the live system acknowledged, so a replay that diverges by even one slot
+// fails loudly instead of resurrecting a different history.
 //
 // Torn-tail rule: a record the crash tore mid-write is truncated away and
 // recovery proceeds — those bytes were never acknowledged. A damaged
@@ -151,8 +151,7 @@ func (s *Server) restoreSnapshot(st snapshotState) error {
 		if e.Via == snapViaJoin {
 			via = "join"
 		}
-		rec := record{Codes: s.pool.Codes(e.Node), Tag: e.Tag, Via: via, At: time.Unix(0, e.At)}
-		if err := s.reg.insert(e.Node, rec); err != nil {
+		if _, err := s.insertAssignment(e.Node, e.Tag, via, time.Unix(0, e.At)); err != nil {
 			return fmt.Errorf("authd: snapshot registry: %w", err)
 		}
 	}
@@ -235,51 +234,42 @@ func (s *Server) replayWAL(path string, snapSeq uint64) (uint64, error) {
 	return last, nil
 }
 
-// applyRecord applies one logged mutation through the live code paths,
-// returning the same observation digest the live mutation computed —
+// applyRecord applies one logged mutation through the apply function
+// the live mutation ran (apply.go): validate the record, apply it, then
+// check what the transition produced against what the log acknowledged.
+// It returns the same observation digest the live mutation computed, so
 // replay and replication chain the same fingerprints as the original
-// execution, which is what makes cross-replica divergence detectable.
+// execution — which is what makes cross-replica divergence detectable.
 func (s *Server) applyRecord(rec walRecord) (uint64, error) {
+	at := time.Unix(0, rec.At)
 	switch rec.Kind {
 	case walProvision:
-		end := rec.Start + rec.Count
-		if rec.Start < 0 || end > s.cfg.Params.N {
+		if end := rec.Start + rec.Count; rec.Start < 0 || end > s.cfg.Params.N {
 			return 0, fmt.Errorf("%w: seq %d provisions [%d, %d) outside n=%d", ErrWALCorrupt, rec.Seq, rec.Start, end, s.cfg.Params.N)
 		}
-		at := time.Unix(0, rec.At)
-		for node := rec.Start; node < end; node++ {
-			r := record{Codes: s.pool.Codes(node), Tag: rec.Tag, Via: "provision", At: at}
-			if err := s.reg.insert(node, r); err != nil {
-				return 0, fmt.Errorf("%w: seq %d: %v", ErrWALCorrupt, rec.Seq, err)
-			}
+		_, obs, err := s.applyProvision(rec.Start, rec.Count, rec.Tag, at)
+		if err != nil {
+			return 0, fmt.Errorf("%w: seq %d: %v", ErrWALCorrupt, rec.Seq, err)
 		}
-		if cur := int64(end); cur > s.nextSlot.Load() {
-			s.nextSlot.Store(cur)
-		}
-		return obsProvision(rec.Start, rec.Count, s.pool.Codes), nil
+		return obs, nil
 	case walJoin:
-		before := s.pool.Expansions()
-		node, err := s.pool.Join(s.joinRng)
+		a, expanded, obs, err := s.applyJoin(rec.Tag, at)
 		if err != nil {
 			return 0, fmt.Errorf("%w: seq %d join replay: %v", ErrWALCorrupt, rec.Seq, err)
 		}
-		if node != rec.Node {
-			return 0, fmt.Errorf("%w: seq %d join replay diverged: produced node %d, log acknowledged %d", ErrWALCorrupt, rec.Seq, node, rec.Node)
+		if a.Node != rec.Node {
+			return 0, fmt.Errorf("%w: seq %d join replay diverged: produced node %d, log acknowledged %d", ErrWALCorrupt, rec.Seq, a.Node, rec.Node)
 		}
-		if expanded := s.pool.Expansions() > before; expanded != rec.Expanded {
+		if expanded != rec.Expanded {
 			return 0, fmt.Errorf("%w: seq %d join replay diverged: expansion %v, log says %v", ErrWALCorrupt, rec.Seq, expanded, rec.Expanded)
 		}
-		r := record{Codes: s.pool.Codes(node), Tag: rec.Tag, Via: "join", At: time.Unix(0, rec.At)}
-		if err := s.reg.insert(node, r); err != nil {
-			return 0, fmt.Errorf("%w: seq %d: %v", ErrWALCorrupt, rec.Seq, err)
-		}
-		return obsJoin(node, rec.Expanded, s.pool.Expansions(), s.pool.Codes(node)), nil
+		return obs, nil
 	case walRevoke:
 		if int(rec.Code) < 0 || int(rec.Code) >= s.pool.S() {
 			return 0, fmt.Errorf("%w: seq %d revokes code %d outside pool of %d", ErrWALCorrupt, rec.Seq, rec.Code, s.pool.S())
 		}
-		s.rev.ReportInvalid(codepool.CodeID(rec.Code))
-		return obsRevoke(rec.Code), nil
+		_, obs := s.applyRevoke(codepool.CodeID(rec.Code))
+		return obs, nil
 	default:
 		return 0, fmt.Errorf("%w: seq %d kind %d", ErrWALCorrupt, rec.Seq, rec.Kind)
 	}

@@ -78,6 +78,26 @@ func TestDurableRestartRoundTrip(t *testing.T) {
 	}
 }
 
+// TestProvisionCursorMatchesRecovery drives provisions past exhaustion:
+// refused and clamped claims must leave the live slot cursor where
+// replaying the log puts it, or a restart would change /v1/epoch's
+// provisioned count.
+func TestProvisionCursorMatchesRecovery(t *testing.T) {
+	dir := t.TempDir()
+	s := durableServer(t, dir, Durability{SnapshotEvery: -1})
+	mutate(t, s, 40, 0, 0) // 40 × 2 slots against N = 64
+	want := s.stateFingerprint()
+	if err := s.wal.close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s2 := durableServer(t, dir, Durability{SnapshotEvery: -1})
+	defer func() { _ = s2.wal.close() }()
+	if got := s2.stateFingerprint(); got != want {
+		t.Fatalf("recovered state differs from the live server:\n--- live\n%s--- recovered\n%s", want, got)
+	}
+}
+
 func TestDurableRestartAfterSnapshot(t *testing.T) {
 	dir := t.TempDir()
 	s := durableServer(t, dir, Durability{SnapshotEvery: -1})

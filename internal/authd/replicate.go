@@ -111,12 +111,12 @@ func fpFold(h, v uint64) uint64 {
 // per-record observation must not depend on its neighbors. Joins run
 // under the pool write lock and may fold the epoch they produced.
 
-func obsProvision(start, count int, codes func(node int) []codepool.CodeID) uint64 {
+func obsProvision(start int, assigned []Assignment) uint64 {
 	h := fpFold(uint64(fpBasis), uint64(walProvision))
 	h = fpFold(h, uint64(start))
-	h = fpFold(h, uint64(count))
-	for node := start; node < start+count; node++ {
-		for _, c := range codes(node) {
+	h = fpFold(h, uint64(len(assigned)))
+	for _, a := range assigned {
+		for _, c := range a.Codes {
 			h = fpFold(h, uint64(uint32(c)))
 		}
 	}

@@ -7,7 +7,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 
 	"repro/internal/codepool"
 )
@@ -332,7 +332,7 @@ func (s *Server) snapshotLocked() (err error) {
 	for c := range rev.Counters {
 		codes = append(codes, c)
 	}
-	sortCodeIDs(codes)
+	slices.Sort(codes)
 	for _, c := range codes {
 		st.Counters = append(st.Counters, snapCounter{Code: int32(c), Count: int32(rev.Counters[c])})
 	}
@@ -420,8 +420,4 @@ func (s *Server) noteMutation() {
 	}
 	defer s.snapMu.Unlock()
 	_ = s.snapshotLocked() // failure is counted in snapshot_errors; the WAL keeps the state safe
-}
-
-func sortCodeIDs(codes []codepool.CodeID) {
-	sort.Slice(codes, func(i, j int) bool { return codes[i] < codes[j] })
 }

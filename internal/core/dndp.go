@@ -6,6 +6,7 @@ import (
 	"repro/internal/radio"
 	"repro/internal/sim"
 	"repro/internal/trace"
+	"repro/internal/wire"
 )
 
 // D-NDP — the direct neighbor-discovery protocol of §V-B.
@@ -96,10 +97,10 @@ func (nd *Node) initiateDNDP() {
 				return
 			}
 			_ = nd.net.send(nd.index, -1, radio.Message{
-				Kind:        kindHello,
+				Kind:        wire.KindHello,
 				Code:        c,
 				PayloadBits: helloBits,
-				Payload:     helloPayload{Initiator: nd.id},
+				Payload:     wire.Hello{Initiator: nd.id},
 			})
 		})
 	}
@@ -108,7 +109,7 @@ func (nd *Node) initiateDNDP() {
 // onHello is the responder path: collect HELLO copies per initiator, then
 // CONFIRM on every shared code after the processing delay.
 func (nd *Node) onHello(from int, msg radio.Message) {
-	p, ok := msg.Payload.(helloPayload)
+	p, ok := msg.Payload.(wire.Hello)
 	if !ok || p.Initiator == nd.id {
 		return
 	}
@@ -198,10 +199,10 @@ func (nd *Node) sendConfirm(initiator ibc.NodeID) {
 			continue
 		}
 		_ = nd.net.send(nd.index, -1, radio.Message{
-			Kind:        kindConfirm,
+			Kind:        wire.KindConfirm,
 			Code:        c,
 			PayloadBits: p.LenType + p.LenID,
-			Payload:     confirmPayload{Responder: nd.id, Initiator: initiator},
+			Payload:     wire.Confirm{Responder: nd.id, Initiator: initiator},
 		})
 	}
 }
@@ -210,7 +211,7 @@ func (nd *Node) sendConfirm(initiator ibc.NodeID) {
 // then compute the pairwise key and send the first authentication message
 // on every confirmed code.
 func (nd *Node) onConfirm(msg radio.Message) {
-	p, ok := msg.Payload.(confirmPayload)
+	p, ok := msg.Payload.(wire.Confirm)
 	if !ok || p.Initiator != nd.id || p.Responder == nd.id {
 		return
 	}
@@ -281,10 +282,10 @@ func (nd *Node) sendAuth1(responder ibc.NodeID) {
 	bits := p.LenID + p.LenNonce + p.LenMAC
 	for _, c := range peer.confirmCodes {
 		_ = nd.net.send(nd.index, -1, radio.Message{
-			Kind:        kindAuth1,
+			Kind:        wire.KindAuth1,
 			Code:        c,
 			PayloadBits: bits,
-			Payload: authPayload{
+			Payload: wire.Auth{
 				Sender: nd.id,
 				Peer:   responder,
 				Nonce:  append([]byte(nil), st.nonce...),
@@ -300,7 +301,7 @@ func (nd *Node) sendAuth1(responder ibc.NodeID) {
 // §V-D revocation counters — this is the DoS-attack work the adversary can
 // force with compromised codes.
 func (nd *Node) onAuth1(from int, msg radio.Message) {
-	p, ok := msg.Payload.(authPayload)
+	p, ok := msg.Payload.(wire.Auth)
 	if !ok || p.Peer != nd.id || p.Sender == nd.id {
 		return
 	}
@@ -342,7 +343,7 @@ func (nd *Node) onAuth1(from int, msg radio.Message) {
 	nd.net.engine.MustSchedule(delay, func() { nd.verifyAuth1(sender, payload, code, sp) })
 }
 
-func (nd *Node) verifyAuth1(sender ibc.NodeID, p authPayload, code codepool.CodeID, sp trace.SpanID) {
+func (nd *Node) verifyAuth1(sender ibc.NodeID, p wire.Auth, code codepool.CodeID, sp trace.SpanID) {
 	if nd.down {
 		nd.net.spanEnd(sp, nd.index, int(sender), "down")
 		return
@@ -389,10 +390,10 @@ func (nd *Node) verifyAuth1(sender ibc.NodeID, p authPayload, code codepool.Code
 	params := nd.net.params
 	mac := ibc.MAC(rs.key, params.LenMAC/8, idBytes(nd.id), rs.nonce)
 	_ = nd.net.send(nd.index, -1, radio.Message{
-		Kind:        kindAuth2,
+		Kind:        wire.KindAuth2,
 		Code:        code,
 		PayloadBits: params.LenID + params.LenNonce + params.LenMAC,
-		Payload: authPayload{
+		Payload: wire.Auth{
 			Sender: nd.id,
 			Peer:   sender,
 			Nonce:  append([]byte(nil), rs.nonce...),
@@ -404,7 +405,7 @@ func (nd *Node) verifyAuth1(sender ibc.NodeID, p authPayload, code codepool.Code
 // onAuth2 is the initiator's final step: verify the responder's MAC and
 // accept it as an authenticated logical neighbor.
 func (nd *Node) onAuth2(msg radio.Message) {
-	p, ok := msg.Payload.(authPayload)
+	p, ok := msg.Payload.(wire.Auth)
 	if !ok || p.Peer != nd.id || p.Sender == nd.id {
 		return
 	}

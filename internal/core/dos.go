@@ -6,6 +6,7 @@ import (
 	"repro/internal/ibc"
 	"repro/internal/radio"
 	"repro/internal/sim"
+	"repro/internal/wire"
 )
 
 // DoS attack of §V-D: an adversary holding compromised spread codes injects
@@ -75,10 +76,10 @@ func (n *Network) RunDoSAttack(attacker int, rounds int) (DoSReport, error) {
 					}
 					injected++
 					_ = n.send(attacker, victim, radio.Message{
-						Kind:        kindAuth1,
+						Kind:        wire.KindAuth1,
 						Code:        c,
 						PayloadBits: bits,
-						Payload: authPayload{
+						Payload: wire.Auth{
 							Sender: sender,
 							Peer:   ibc.NodeID(victim),
 							Nonce:  nonce,

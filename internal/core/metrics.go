@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/metrics"
+	"repro/internal/wire"
 )
 
 // coreMetrics is the protocol engine's telemetry handle set, resolved once
@@ -44,8 +45,8 @@ type coreMetrics struct {
 
 // messageKinds lists every protocol message kind, for per-kind counters.
 var messageKinds = []int{
-	kindHello, kindConfirm, kindAuth1, kindAuth2,
-	kindMNDPRequest, kindMNDPResponse, kindSessionHello, kindSessionConfirm,
+	wire.KindHello, wire.KindConfirm, wire.KindAuth1, wire.KindAuth2,
+	wire.KindMNDPRequest, wire.KindMNDPResponse, wire.KindSessionHello, wire.KindSessionConfirm,
 }
 
 // discoveryLatencyBounds is parameter-independent (exponential from 1 ms to
@@ -103,7 +104,7 @@ func newCoreMetrics(reg *metrics.Registry) *coreMetrics {
 			"handshake-record creations refused by the per-transmitter half-open budget"),
 	}
 	for _, k := range messageKinds {
-		label := fmt.Sprintf("{kind=%q}", messageKindName(k))
+		label := fmt.Sprintf("{kind=%q}", wire.KindName(k))
 		m.tx[k] = reg.Counter("jrsnd_core_tx_total"+label, "protocol transmissions by message kind")
 		m.jammed[k] = reg.Counter("jrsnd_core_jammed_total"+label, "jammed transmissions by message kind")
 	}

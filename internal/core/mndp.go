@@ -3,10 +3,12 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
+	"slices"
 
 	"repro/internal/ibc"
 	"repro/internal/radio"
 	"repro/internal/sim"
+	"repro/internal/wire"
 )
 
 // M-NDP — the multi-hop neighbor-discovery protocol of §V-C.
@@ -30,10 +32,10 @@ func (nd *Node) initiateMNDP() {
 	nd.net.initTime[nd.id] = now
 	nonce := nd.newNonce()
 	p := nd.net.params
-	req := mndpRequest{
+	req := wire.MNDPRequest{
 		Nonce: nonce,
 		Nu:    p.Nu,
-		Hops:  []mndpHop{{ID: nd.id, Neighbors: nd.neighborIDs()}},
+		Hops:  []wire.Hop{{ID: nd.id, Neighbors: nd.neighborIDs()}},
 	}
 	pos := nd.net.positions[nd.index]
 	req.OriginPosX, req.OriginPosY = pos.X, pos.Y
@@ -64,13 +66,13 @@ func (nd *Node) verDelay(k int) sim.Time {
 }
 
 // signRequest signs the request contents up to and including hop i.
-func (nd *Node) signRequest(req mndpRequest, uptoHop int) ibc.Signature {
+func (nd *Node) signRequest(req wire.MNDPRequest, uptoHop int) ibc.Signature {
 	return nd.priv.Sign(encodeRequest(req, uptoHop))
 }
 
 // encodeRequest canonically encodes the request fields covered by hop i's
 // signature: nonce, ν, and every hop's ID and neighbor list up to i.
-func encodeRequest(req mndpRequest, uptoHop int) []byte {
+func encodeRequest(req wire.MNDPRequest, uptoHop int) []byte {
 	var buf bytes.Buffer
 	buf.WriteString("mndp-req")
 	buf.Write(req.Nonce)
@@ -91,7 +93,7 @@ func encodeRequest(req mndpRequest, uptoHop int) []byte {
 // responder; later entries are relays, each signing the response so far —
 // "each node verifies the previous signatures and adds its own ID, logical
 // neighbor list and signature", §V-C).
-func encodeResponse(resp mndpResponse, uptoHop int) []byte {
+func encodeResponse(resp wire.MNDPResponse, uptoHop int) []byte {
 	var buf bytes.Buffer
 	buf.WriteString("mndp-resp")
 	_ = binary.Write(&buf, binary.BigEndian, uint16(resp.Origin))
@@ -114,27 +116,27 @@ func requestKey(origin ibc.NodeID, nonce []byte) string {
 }
 
 // requestBits is the airtime size of a request in bits.
-func (nd *Node) requestBits(req mndpRequest) int {
+func (nd *Node) requestBits(req wire.MNDPRequest) int {
 	p := nd.net.params
 	bits := p.LenNonce + p.LenNu
 	for _, h := range req.Hops {
-		bits += p.LenID + bitsOfNeighborList(len(h.Neighbors), p.LenID) + p.LenSig
+		bits += p.LenID + len(h.Neighbors)*p.LenID + p.LenSig
 	}
 	return bits
 }
 
-func (nd *Node) responseBits(resp mndpResponse) int {
+func (nd *Node) responseBits(resp wire.MNDPResponse) int {
 	p := nd.net.params
 	bits := 2*p.LenNonce + p.LenNu + p.LenID
 	for _, h := range resp.Path {
-		bits += p.LenID + bitsOfNeighborList(len(h.Neighbors), p.LenID) + p.LenSig
+		bits += p.LenID + len(h.Neighbors)*p.LenID + p.LenSig
 	}
 	return bits
 }
 
 // forwardRequest unicasts req to every logical neighbor not already
 // covered by the hop records.
-func (nd *Node) forwardRequest(req mndpRequest) {
+func (nd *Node) forwardRequest(req wire.MNDPRequest) {
 	// Targets are our logical neighbors minus everything already covered
 	// by earlier hops (ℒ_B − ℒ_A ∪ ℒ_C in the paper's notation). Our own
 	// hop record — the last one — lists our neighbors and must not count
@@ -165,7 +167,7 @@ func (nd *Node) forwardRequest(req mndpRequest) {
 		}
 		targets++
 		_ = nd.net.send(nd.index, int(id), radio.Message{
-			Kind:        kindMNDPRequest,
+			Kind:        wire.KindMNDPRequest,
 			Code:        radio.SessionCode,
 			PayloadBits: bits,
 			Payload:     req,
@@ -177,7 +179,7 @@ func (nd *Node) forwardRequest(req mndpRequest) {
 // onMNDPRequest verifies and processes a request relayed by a logical
 // neighbor.
 func (nd *Node) onMNDPRequest(from int, msg radio.Message) {
-	req, ok := msg.Payload.(mndpRequest)
+	req, ok := msg.Payload.(wire.MNDPRequest)
 	if !ok || len(req.Hops) == 0 {
 		return
 	}
@@ -203,7 +205,7 @@ func (nd *Node) onMNDPRequest(from int, msg radio.Message) {
 	})
 }
 
-func (nd *Node) processRequest(req mndpRequest) {
+func (nd *Node) processRequest(req wire.MNDPRequest) {
 	// 1. Signatures of the origin and every forwarder.
 	for i, h := range req.Hops {
 		nd.stats.SigVerifications++
@@ -216,7 +218,7 @@ func (nd *Node) processRequest(req mndpRequest) {
 	// 2. Path validity: each forwarder must be a declared neighbor of the
 	// previous hop, and the last hop a logical neighbor of ours.
 	for i := 1; i < len(req.Hops); i++ {
-		if !containsID(req.Hops[i-1].Neighbors, req.Hops[i].ID) {
+		if !slices.Contains(req.Hops[i-1].Neighbors, req.Hops[i].ID) {
 			return
 		}
 	}
@@ -240,7 +242,7 @@ func (nd *Node) processRequest(req mndpRequest) {
 	// 3. Forward while the hop budget allows.
 	if len(req.Hops) < req.Nu {
 		fwd := req
-		fwd.Hops = append(append([]mndpHop(nil), req.Hops...), mndpHop{
+		fwd.Hops = append(append([]wire.Hop(nil), req.Hops...), wire.Hop{
 			ID:        nd.id,
 			Neighbors: nd.neighborIDs(),
 		})
@@ -257,13 +259,13 @@ func (nd *Node) processRequest(req mndpRequest) {
 // respondToRequest derives the pairwise key and session code with the
 // origin, returns the signed response along the reverse path, and beacons
 // the session HELLO.
-func (nd *Node) respondToRequest(req mndpRequest) {
+func (nd *Node) respondToRequest(req wire.MNDPRequest) {
 	origin := req.Hops[0].ID
 	if _, pending := nd.mndpIn[origin]; pending {
 		return
 	}
 	nonce := nd.newNonce()
-	resp := mndpResponse{
+	resp := wire.MNDPResponse{
 		Origin:      origin,
 		Nonce:       nonce,
 		OriginNonce: append([]byte(nil), req.Nonce...),
@@ -286,7 +288,7 @@ func (nd *Node) respondToRequest(req mndpRequest) {
 		pending := &mndpPending{peer: origin, key: key, initiatedAt: nd.net.engine.Now()}
 		nd.mndpIn[origin] = pending
 		nd.scheduleMNDPReap(nd.mndpIn, origin, pending)
-		resp.Path = []mndpHop{{ID: nd.id, Neighbors: nd.neighborIDs()}}
+		resp.Path = []wire.Hop{{ID: nd.id, Neighbors: nd.neighborIDs()}}
 		resp.Path[0].Sig = nd.priv.Sign(encodeResponse(resp, 0))
 		next := int(origin)
 		if len(resp.ReturnRoute) > 0 {
@@ -294,7 +296,7 @@ func (nd *Node) respondToRequest(req mndpRequest) {
 			resp.ReturnRoute = resp.ReturnRoute[1:]
 		}
 		_ = nd.net.send(nd.index, next, radio.Message{
-			Kind:        kindMNDPResponse,
+			Kind:        wire.KindMNDPResponse,
 			Code:        radio.SessionCode,
 			PayloadBits: nd.responseBits(resp),
 			Payload:     resp,
@@ -329,10 +331,10 @@ func (nd *Node) beaconSessionHello(origin ibc.NodeID) {
 				return // already confirmed (or reaped by the session timeout)
 			}
 			_ = nd.net.send(nd.index, -1, radio.Message{
-				Kind:        kindSessionHello,
+				Kind:        wire.KindSessionHello,
 				Code:        radio.SessionCode,
 				PayloadBits: p.LenType + p.LenID,
-				Payload:     sessionPayload{Sender: nd.id, Peer: origin},
+				Payload:     wire.Session{Sender: nd.id, Peer: origin},
 			})
 		})
 	}
@@ -341,7 +343,7 @@ func (nd *Node) beaconSessionHello(origin ibc.NodeID) {
 // onMNDPResponse relays a response toward the origin, or completes the
 // exchange at the origin.
 func (nd *Node) onMNDPResponse(from int, msg radio.Message) {
-	resp, ok := msg.Payload.(mndpResponse)
+	resp, ok := msg.Payload.(wire.MNDPResponse)
 	if !ok || len(resp.Path) == 0 {
 		return
 	}
@@ -352,7 +354,7 @@ func (nd *Node) onMNDPResponse(from int, msg radio.Message) {
 	nd.net.engine.MustSchedule(nd.verDelay(k), func() { nd.processResponse(resp) })
 }
 
-func (nd *Node) processResponse(resp mndpResponse) {
+func (nd *Node) processResponse(resp wire.MNDPResponse) {
 	// Verify the whole signature chain: the responder's plus every
 	// relay's.
 	responder := resp.Path[0].ID
@@ -367,7 +369,7 @@ func (nd *Node) processResponse(resp mndpResponse) {
 	// Path validity: every relay must be a declared logical neighbor of
 	// the previous path entry (origin's final check "whether C ∈ ℒ_B").
 	for i := 1; i < len(resp.Path); i++ {
-		if !containsID(resp.Path[i-1].Neighbors, resp.Path[i].ID) {
+		if !slices.Contains(resp.Path[i-1].Neighbors, resp.Path[i].ID) {
 			return
 		}
 	}
@@ -379,7 +381,7 @@ func (nd *Node) processResponse(resp mndpResponse) {
 			next = int(resp.ReturnRoute[0])
 			fwd.ReturnRoute = resp.ReturnRoute[1:]
 		}
-		fwd.Path = append(append([]mndpHop(nil), resp.Path...), mndpHop{
+		fwd.Path = append(append([]wire.Hop(nil), resp.Path...), wire.Hop{
 			ID:        nd.id,
 			Neighbors: nd.neighborIDs(),
 		})
@@ -389,7 +391,7 @@ func (nd *Node) processResponse(resp mndpResponse) {
 			}
 			fwd.Path[len(fwd.Path)-1].Sig = nd.priv.Sign(encodeResponse(fwd, len(fwd.Path)-1))
 			_ = nd.net.send(nd.index, next, radio.Message{
-				Kind:        kindMNDPResponse,
+				Kind:        wire.KindMNDPResponse,
 				Code:        radio.SessionCode,
 				PayloadBits: nd.responseBits(fwd),
 				Payload:     fwd,
@@ -425,7 +427,7 @@ func (nd *Node) processResponse(resp mndpResponse) {
 // onSessionHello completes M-NDP at the origin: the beacon proves the
 // responder is physically in range.
 func (nd *Node) onSessionHello(from int, msg radio.Message) {
-	p, ok := msg.Payload.(sessionPayload)
+	p, ok := msg.Payload.(wire.Session)
 	if !ok || p.Peer != nd.id {
 		return
 	}
@@ -446,16 +448,16 @@ func (nd *Node) onSessionHello(from int, msg radio.Message) {
 	}
 	params := nd.net.params
 	_ = nd.net.send(nd.index, from, radio.Message{
-		Kind:        kindSessionConfirm,
+		Kind:        wire.KindSessionConfirm,
 		Code:        radio.SessionCode,
 		PayloadBits: params.LenType + params.LenID,
-		Payload:     sessionPayload{Sender: nd.id, Peer: p.Sender},
+		Payload:     wire.Session{Sender: nd.id, Peer: p.Sender},
 	})
 }
 
 // onSessionConfirm completes M-NDP at the responder.
 func (nd *Node) onSessionConfirm(from int, msg radio.Message) {
-	p, ok := msg.Payload.(sessionPayload)
+	p, ok := msg.Payload.(wire.Session)
 	if !ok || p.Peer != nd.id {
 		return
 	}
@@ -465,13 +467,4 @@ func (nd *Node) onSessionConfirm(from int, msg radio.Message) {
 	}
 	nd.acceptNeighbor(p.Sender, ViaMNDP, pending.key)
 	delete(nd.mndpIn, p.Sender)
-}
-
-func containsID(ids []ibc.NodeID, id ibc.NodeID) bool {
-	for _, v := range ids {
-		if v == id {
-			return true
-		}
-	}
-	return false
 }

@@ -1,3 +1,12 @@
+// Package core implements the JR-SND protocols of §V: D-NDP (direct
+// neighbor discovery over pre-distributed spread codes, §V-B) and M-NDP
+// (multi-hop neighbor discovery over established session codes, §V-C),
+// together with the DoS-resilience defence of §V-D, as an event-driven
+// protocol engine over the message-level radio medium. The protocol
+// payloads are internal/wire's canonical message types: every delivery
+// is encoded to a bounded binary frame and decoded at the receiver, so
+// the structs handlers see are exactly what survives a round trip
+// through hostile bytes.
 package core
 
 import (
@@ -215,7 +224,7 @@ func NewNetwork(cfg NetworkConfig) (*Network, error) {
 			return nil, fmt.Errorf("core: %w", err)
 		}
 	case JamIntelligent:
-		jammer = radio.NewIntelligentJammer(compromised, []int{kindHello})
+		jammer = radio.NewIntelligentJammer(compromised, []int{wire.KindHello})
 	case JamPulse:
 		jammer, err = radio.NewPulseJammer(radio.NewReactiveJammer(compromised), 0.5, streams.Get("jammer"))
 		if err != nil {
@@ -273,7 +282,7 @@ func NewNetwork(cfg NetworkConfig) (*Network, error) {
 				Kind:   kind,
 				Node:   from,
 				Peer:   to,
-				Detail: fmt.Sprintf("%s code=%d bits=%d", messageKindName(msg.Kind), msg.Code, msg.PayloadBits),
+				Detail: fmt.Sprintf("%s code=%d bits=%d", wire.KindName(msg.Kind), msg.Code, msg.PayloadBits),
 			})
 		}
 	}
@@ -797,7 +806,7 @@ func (n *Network) runRound(stream string, window sim.Time, start func(*Node)) er
 func (n *Network) send(from, to int, msg radio.Message) error {
 	frame, err := wire.Encode(msg.Kind, msg.Payload, n.limits)
 	if err != nil {
-		return fmt.Errorf("core: encode %s: %w", messageKindName(msg.Kind), err)
+		return fmt.Errorf("core: encode %s: %w", wire.KindName(msg.Kind), err)
 	}
 	msg.Payload = frame
 	if to < 0 {
@@ -832,21 +841,21 @@ func (nd *Node) handle(from int, msg radio.Message) {
 	}
 	msg.Payload = payload
 	switch kind {
-	case kindHello:
+	case wire.KindHello:
 		nd.onHello(from, msg)
-	case kindConfirm:
+	case wire.KindConfirm:
 		nd.onConfirm(msg)
-	case kindAuth1:
+	case wire.KindAuth1:
 		nd.onAuth1(from, msg)
-	case kindAuth2:
+	case wire.KindAuth2:
 		nd.onAuth2(msg)
-	case kindMNDPRequest:
+	case wire.KindMNDPRequest:
 		nd.onMNDPRequest(from, msg)
-	case kindMNDPResponse:
+	case wire.KindMNDPResponse:
 		nd.onMNDPResponse(from, msg)
-	case kindSessionHello:
+	case wire.KindSessionHello:
 		nd.onSessionHello(from, msg)
-	case kindSessionConfirm:
+	case wire.KindSessionConfirm:
 		nd.onSessionConfirm(from, msg)
 	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"repro/internal/codepool"
 	"repro/internal/ibc"
@@ -181,16 +182,8 @@ func sortedPeers[V any](m map[ibc.NodeID]V) []ibc.NodeID {
 	for id := range m {
 		out = append(out, id)
 	}
-	sortNodeIDs(out)
+	slices.Sort(out)
 	return out
-}
-
-func sortNodeIDs(ids []ibc.NodeID) {
-	for i := 1; i < len(ids); i++ {
-		for j := i; j > 0 && ids[j] < ids[j-1]; j-- {
-			ids[j], ids[j-1] = ids[j-1], ids[j]
-		}
-	}
 }
 
 // acceptNeighbor installs peer as an authenticated logical neighbor,

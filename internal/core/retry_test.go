@@ -9,6 +9,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/radio"
 	"repro/internal/sim"
+	"repro/internal/wire"
 )
 
 // allPoolCodes lists every code in the network's pool.
@@ -132,7 +133,7 @@ func TestHalfOpenLeakReapedByGC(t *testing.T) {
 // to M-NDP through node 2, and the pair completes discovery.
 func TestRetryFallbackRecoversDiscovery(t *testing.T) {
 	dropConfirms := radio.InjectorFunc(func(from, to int, msg radio.Message) radio.FaultDecision {
-		if msg.Kind == KindConfirm && from <= 1 {
+		if msg.Kind == wire.KindConfirm && from <= 1 {
 			return radio.FaultDecision{Drop: true}
 		}
 		return radio.FaultDecision{}

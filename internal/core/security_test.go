@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/ibc"
 	"repro/internal/radio"
+	"repro/internal/wire"
 )
 
 // securityNet builds a 4-node cluster, completes D-NDP, and returns the
@@ -54,10 +55,10 @@ func TestMNDPRejectsForgedOriginSignature(t *testing.T) {
 
 	// A compromised relay (node 1) fabricates a request claiming origin 2
 	// with a garbage signature.
-	forged := mndpRequest{
+	forged := wire.MNDPRequest{
 		Nonce: []byte{9, 9, 9},
 		Nu:    2,
-		Hops: []mndpHop{
+		Hops: []wire.Hop{
 			{
 				ID:        2,
 				Neighbors: []ibc.NodeID{1},
@@ -72,7 +73,7 @@ func TestMNDPRejectsForgedOriginSignature(t *testing.T) {
 		},
 	}
 	inject(t, net, 1, 0, radio.Message{
-		Kind:        kindMNDPRequest,
+		Kind:        wire.KindMNDPRequest,
 		Code:        radio.SessionCode,
 		PayloadBits: victim.requestBits(forged),
 		Payload:     forged,
@@ -93,17 +94,17 @@ func TestMNDPRejectsTamperedNeighborList(t *testing.T) {
 
 	// Build a correctly signed request from node 2, then tamper with its
 	// neighbor list after signing.
-	req := mndpRequest{
+	req := wire.MNDPRequest{
 		Nonce: origin.newNonce(),
 		Nu:    2,
-		Hops:  []mndpHop{{ID: origin.id, Neighbors: origin.neighborIDs()}},
+		Hops:  []wire.Hop{{ID: origin.id, Neighbors: origin.neighborIDs()}},
 	}
 	req.Hops[0].Sig = origin.signRequest(req, 0)
 	req.Hops[0].Neighbors = append(req.Hops[0].Neighbors, 999) // tamper
 
 	before := victim.Stats()
 	inject(t, net, 2, 0, radio.Message{
-		Kind:        kindMNDPRequest,
+		Kind:        wire.KindMNDPRequest,
 		Code:        radio.SessionCode,
 		PayloadBits: victim.requestBits(req),
 		Payload:     req,
@@ -119,15 +120,15 @@ func TestMNDPDedupSuppressesReplay(t *testing.T) {
 	victim := net.Node(0)
 	origin := net.Node(2)
 
-	req := mndpRequest{
+	req := wire.MNDPRequest{
 		Nonce: []byte{1, 2, 3},
 		Nu:    2,
-		Hops:  []mndpHop{{ID: origin.id, Neighbors: origin.neighborIDs()}},
+		Hops:  []wire.Hop{{ID: origin.id, Neighbors: origin.neighborIDs()}},
 	}
 	req.Hops[0].Sig = origin.signRequest(req, 0)
 
 	msg := radio.Message{
-		Kind:        kindMNDPRequest,
+		Kind:        wire.KindMNDPRequest,
 		Code:        radio.SessionCode,
 		PayloadBits: victim.requestBits(req),
 		Payload:     req,
@@ -151,17 +152,17 @@ func TestMNDPRejectsInvalidPathChain(t *testing.T) {
 	// Origin's signed list deliberately excludes the relay; the relay
 	// appends itself anyway. Signatures all verify, but the path check
 	// hop[i-1].Neighbors ∋ hop[i].ID must fail.
-	req := mndpRequest{
+	req := wire.MNDPRequest{
 		Nonce: []byte{7, 7},
 		Nu:    3,
-		Hops:  []mndpHop{{ID: origin.id, Neighbors: []ibc.NodeID{3}}}, // no relay
+		Hops:  []wire.Hop{{ID: origin.id, Neighbors: []ibc.NodeID{3}}}, // no relay
 	}
 	req.Hops[0].Sig = origin.signRequest(req, 0)
-	req.Hops = append(req.Hops, mndpHop{ID: relay.id, Neighbors: relay.neighborIDs()})
+	req.Hops = append(req.Hops, wire.Hop{ID: relay.id, Neighbors: relay.neighborIDs()})
 	req.Hops[1].Sig = relay.signRequest(req, 1)
 
 	inject(t, net, 1, 0, radio.Message{
-		Kind:        kindMNDPRequest,
+		Kind:        wire.KindMNDPRequest,
 		Code:        radio.SessionCode,
 		PayloadBits: victim.requestBits(req),
 		Payload:     req,
@@ -179,12 +180,12 @@ func TestMNDPRejectsForgedResponse(t *testing.T) {
 	origin := net.Node(0)
 	before := origin.Stats()
 
-	forged := mndpResponse{
+	forged := wire.MNDPResponse{
 		Origin:      origin.id,
 		Nonce:       []byte{1},
 		OriginNonce: []byte{2},
 		Nu:          2,
-		Path: []mndpHop{{
+		Path: []wire.Hop{{
 			ID:        3,
 			Neighbors: []ibc.NodeID{0},
 			Sig: ibc.Signature{
@@ -196,7 +197,7 @@ func TestMNDPRejectsForgedResponse(t *testing.T) {
 		}},
 	}
 	inject(t, net, 1, 0, radio.Message{
-		Kind:        kindMNDPResponse,
+		Kind:        wire.KindMNDPResponse,
 		Code:        radio.SessionCode,
 		PayloadBits: origin.responseBits(forged),
 		Payload:     forged,
@@ -217,23 +218,23 @@ func TestMNDPRejectsTamperedResponseRelayHop(t *testing.T) {
 	relay := net.Node(1)
 
 	// A well-formed responder hop…
-	resp := mndpResponse{
+	resp := wire.MNDPResponse{
 		Origin:      origin.id,
 		Nonce:       responder.newNonce(),
 		OriginNonce: []byte{1, 2},
 		Nu:          2,
-		Path:        []mndpHop{{ID: responder.id, Neighbors: responder.neighborIDs()}},
+		Path:        []wire.Hop{{ID: responder.id, Neighbors: responder.neighborIDs()}},
 	}
 	resp.Path[0].Sig = responder.priv.Sign(encodeResponse(resp, 0))
 	// …relayed with a correctly signed relay hop…
-	resp.Path = append(resp.Path, mndpHop{ID: relay.id, Neighbors: relay.neighborIDs()})
+	resp.Path = append(resp.Path, wire.Hop{ID: relay.id, Neighbors: relay.neighborIDs()})
 	resp.Path[1].Sig = relay.priv.Sign(encodeResponse(resp, 1))
 	// …then the relay's neighbor list is tampered after signing.
 	resp.Path[1].Neighbors = append(resp.Path[1].Neighbors, 777)
 
 	before := origin.Stats()
 	inject(t, net, 1, 0, radio.Message{
-		Kind:        kindMNDPResponse,
+		Kind:        wire.KindMNDPResponse,
 		Code:        radio.SessionCode,
 		PayloadBits: origin.responseBits(resp),
 		Payload:     resp,
@@ -256,19 +257,19 @@ func TestMNDPResponsePathChainChecked(t *testing.T) {
 	// The responder's signed list deliberately excludes the relay; the
 	// relay still appends itself with a valid signature. All signatures
 	// verify, but the origin's C ∈ ℒ_B check must fail.
-	resp := mndpResponse{
+	resp := wire.MNDPResponse{
 		Origin:      origin.id,
 		Nonce:       responder.newNonce(),
 		OriginNonce: []byte{3, 4},
 		Nu:          2,
-		Path:        []mndpHop{{ID: responder.id, Neighbors: []ibc.NodeID{2}}}, // no relay
+		Path:        []wire.Hop{{ID: responder.id, Neighbors: []ibc.NodeID{2}}}, // no relay
 	}
 	resp.Path[0].Sig = responder.priv.Sign(encodeResponse(resp, 0))
-	resp.Path = append(resp.Path, mndpHop{ID: relay.id, Neighbors: relay.neighborIDs()})
+	resp.Path = append(resp.Path, wire.Hop{ID: relay.id, Neighbors: relay.neighborIDs()})
 	resp.Path[1].Sig = relay.priv.Sign(encodeResponse(resp, 1))
 
 	inject(t, net, 1, 0, radio.Message{
-		Kind:        kindMNDPResponse,
+		Kind:        wire.KindMNDPResponse,
 		Code:        radio.SessionCode,
 		PayloadBits: origin.responseBits(resp),
 		Payload:     resp,
@@ -295,15 +296,15 @@ func TestMNDPIgnoresRequestsFromStrangers(t *testing.T) {
 	}
 	// No D-NDP ran: nobody is anyone's logical neighbor.
 	origin := net.Node(2)
-	req := mndpRequest{
+	req := wire.MNDPRequest{
 		Nonce: []byte{5},
 		Nu:    2,
-		Hops:  []mndpHop{{ID: origin.id, Neighbors: nil}},
+		Hops:  []wire.Hop{{ID: origin.id, Neighbors: nil}},
 	}
 	req.Hops[0].Sig = origin.signRequest(req, 0)
 	victim := net.Node(0)
 	inject(t, net, 2, 0, radio.Message{
-		Kind:        kindMNDPRequest,
+		Kind:        wire.KindMNDPRequest,
 		Code:        radio.SessionCode,
 		PayloadBits: victim.requestBits(req),
 		Payload:     req,

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 
 	"repro/internal/analysis"
@@ -288,7 +289,7 @@ func measureOnce(cfg PointConfig, seed int64, tdHist *stats.Histogram) (PointMea
 	either := d.dSucc
 	newEdges := 0
 	for _, e := range edges {
-		direct := containsInt(logical.Adj[e.u], e.v)
+		direct := slices.Contains(logical.Adj[e.u], e.v)
 		if _, ok := logical.HopDistance(e.u, e.v, p.Nu, true); ok {
 			mSucc++
 			if !direct {
@@ -302,7 +303,7 @@ func measureOnce(cfg PointConfig, seed int64, tdHist *stats.Histogram) (PointMea
 		for {
 			added := 0
 			for _, e := range edges {
-				if containsInt(logical.Adj[e.u], e.v) {
+				if slices.Contains(logical.Adj[e.u], e.v) {
 					continue
 				}
 				if _, ok := logical.HopDistance(e.u, e.v, p.Nu, true); ok {
@@ -318,7 +319,7 @@ func measureOnce(cfg PointConfig, seed int64, tdHist *stats.Histogram) (PointMea
 		either = 0
 		mSucc = 0
 		for _, e := range edges {
-			if containsInt(logical.Adj[e.u], e.v) {
+			if slices.Contains(logical.Adj[e.u], e.v) {
 				either++
 			}
 			if _, ok := logical.HopDistance(e.u, e.v, p.Nu, true); ok {
@@ -403,13 +404,4 @@ func sampleDNDPLatency(p analysis.Params, rng *rand.Rand) float64 {
 	delays := rng.Float64()*tp + rng.Float64()*tp + rng.Float64()*tp + rng.Float64()*scan
 	authTx := 2 * float64(p.ChipLen) * p.AuthBits() / p.ChipRate
 	return delays + authTx + 2*p.TKey
-}
-
-func containsInt(xs []int, x int) bool {
-	for _, v := range xs {
-		if v == x {
-			return true
-		}
-	}
-	return false
 }

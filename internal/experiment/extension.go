@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/analysis"
 )
@@ -136,7 +137,7 @@ func nuProfileOnce(cfg PointConfig, seed int64, maxNu int) (NuProfile, error) {
 			mAt[dist]++
 		}
 		switch {
-		case containsInt(d.logical.Adj[e.u], e.v):
+		case slices.Contains(d.logical.Adj[e.u], e.v):
 			eitherAt[1]++
 		case ok:
 			eitherAt[dist]++

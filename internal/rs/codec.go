@@ -162,10 +162,3 @@ func (c *Codec) Decode(encoded []byte, msgLen int, erasures []int) ([]byte, erro
 	}
 	return msg[:msgLen], nil
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -12,7 +12,7 @@ import (
 // recorded for a deployment slot, and NodeKey compresses it to the
 // handshake key. Resolutions are cached forever — an assignment is
 // immutable for the life of an epoch, and the daemons of one deployment
-// share one epoch (Invalidate exists for the revocation path).
+// share one epoch.
 type AuthorityDirectory struct {
 	client *authd.Client
 
@@ -46,12 +46,4 @@ func (d *AuthorityDirectory) NodeKey(ctx context.Context, node int) ([]byte, err
 	d.cache[node] = key
 	d.mu.Unlock()
 	return key, nil
-}
-
-// Invalidate drops a cached key so the next lookup re-consults the
-// authority (e.g. after a revocation changed the node's assignment).
-func (d *AuthorityDirectory) Invalidate(node int) {
-	d.mu.Lock()
-	delete(d.cache, node)
-	d.mu.Unlock()
 }

@@ -27,6 +27,20 @@ var (
 	ErrNoPeer = errors.New("transport: no such peer")
 )
 
+// Fixed endpoint policy.
+const (
+	// queueLen is the per-peer outbound queue depth; a full queue drops
+	// (and counts) instead of blocking.
+	queueLen = 128
+	// handshakeTimeout bounds a directory lookup and garbage-collects
+	// pending dials.
+	handshakeTimeout = 5 * time.Second
+	// maxInflightVerify bounds concurrent handshake verifications (each
+	// may hit the directory over the network); excess handshakes are
+	// dropped and counted under the ratelimit reason.
+	maxInflightVerify = 32
+)
+
 // Config configures an Endpoint. Node, Key, and Directory are required;
 // everything else has a deployable default.
 type Config struct {
@@ -37,27 +51,14 @@ type Config struct {
 	// Directory resolves peer IDs to handshake keys (the authority's
 	// assignment registry, or a StaticDirectory in tests).
 	Directory Directory
-	// Limits bounds frame sizes, as on the simulated path; the zero value
-	// selects wire.DefaultLimits.
-	Limits wire.Limits
 	// MaxPeers caps the peer table; registrations past it are refused and
 	// counted. 0 means 64.
 	MaxPeers int
-	// QueueLen is the per-peer outbound queue depth; a full queue drops
-	// (and counts) instead of blocking. 0 means 128.
-	QueueLen int
 	// IdleAfter reaps a peer silent this long. 0 means 30 s.
 	IdleAfter time.Duration
 	// PingEvery probes a quiet peer to keep live links from being reaped.
 	// 0 means IdleAfter/3.
 	PingEvery time.Duration
-	// HandshakeTimeout bounds a directory lookup and garbage-collects
-	// pending dials. 0 means 5 s.
-	HandshakeTimeout time.Duration
-	// MaxInflightVerify bounds concurrent handshake verifications (each
-	// may hit the directory over the network); excess handshakes are
-	// dropped and counted under the ratelimit reason. 0 means 32.
-	MaxInflightVerify int
 	// OnFrame, when set, receives every frame delivered by an
 	// authenticated peer. The frame is the receiver's copy. Called from
 	// the read loop: keep it fast, hand off anything slow.
@@ -86,14 +87,11 @@ type pendingDial struct {
 // pooled read loop, authenticated peer registration capped at MaxPeers,
 // per-peer send loops, broadcast fan-out, and idle-peer reaping.
 type Endpoint struct {
-	cfg    Config
-	limits wire.Limits
+	cfg Config
 
 	maxPeers  int
-	queueLen  int
 	idleAfter time.Duration
 	pingEvery time.Duration
-	hsTimeout time.Duration
 	maxDgram  int
 
 	conn  *net.UDPConn
@@ -131,22 +129,12 @@ func Listen(addr string, cfg Config) (*Endpoint, error) {
 	if cfg.Node < 0 {
 		return nil, fmt.Errorf("transport: Node %d must be >= 0", cfg.Node)
 	}
-	limits := cfg.Limits
-	if limits == (wire.Limits{}) {
-		limits = wire.DefaultLimits()
-	}
-	if err := limits.Validate(); err != nil {
-		return nil, err
-	}
 	e := &Endpoint{
 		cfg:       cfg,
-		limits:    limits,
 		maxPeers:  cfg.MaxPeers,
-		queueLen:  cfg.QueueLen,
 		idleAfter: cfg.IdleAfter,
 		pingEvery: cfg.PingEvery,
-		hsTimeout: cfg.HandshakeTimeout,
-		maxDgram:  maxDatagram(limits),
+		maxDgram:  maxDatagram(wire.DefaultLimits()),
 		now:       cfg.now,
 		sink:      trace.Multi(cfg.Trace),
 		m:         newTransportMetrics(cfg.Metrics),
@@ -158,23 +146,13 @@ func Listen(addr string, cfg Config) (*Endpoint, error) {
 	if e.maxPeers <= 0 {
 		e.maxPeers = 64
 	}
-	if e.queueLen <= 0 {
-		e.queueLen = 128
-	}
 	if e.idleAfter <= 0 {
 		e.idleAfter = 30 * time.Second
 	}
 	if e.pingEvery <= 0 {
 		e.pingEvery = e.idleAfter / 3
 	}
-	if e.hsTimeout <= 0 {
-		e.hsTimeout = 5 * time.Second
-	}
-	inflight := cfg.MaxInflightVerify
-	if inflight <= 0 {
-		inflight = 32
-	}
-	e.verifySem = make(chan struct{}, inflight)
+	e.verifySem = make(chan struct{}, maxInflightVerify)
 	if e.now == nil {
 		e.now = time.Now //jrsnd:allow wallclock the transport is the real path: peer liveness and handshake expiry follow the machine clock by design (injectable in tests)
 	}
@@ -557,7 +535,7 @@ func (e *Endpoint) verify(node int, fn func(key []byte)) {
 	e.wg.Add(1)
 	go func() {
 		defer func() { <-e.verifySem; e.wg.Done() }()
-		ctx, cancel := context.WithTimeout(e.ctx, e.hsTimeout)
+		ctx, cancel := context.WithTimeout(e.ctx, handshakeTimeout)
 		defer cancel()
 		key, err := e.cfg.Directory.NodeKey(ctx, node)
 		if err != nil {
@@ -598,7 +576,7 @@ func (e *Endpoint) register(id int, addr *net.UDPAddr) (*peer, error) {
 		id:   id,
 		addr: addr,
 		key:  key,
-		out:  make(chan []byte, e.queueLen),
+		out:  make(chan []byte, queueLen),
 		done: make(chan struct{}),
 	}
 	p.touch(nowNanos)
@@ -694,7 +672,7 @@ func (e *Endpoint) reap() {
 		}
 	}
 	for key, pd := range e.dials {
-		if now.Sub(pd.at) > e.hsTimeout {
+		if now.Sub(pd.at) > handshakeTimeout {
 			delete(e.dials, key)
 		}
 	}

@@ -28,8 +28,9 @@
 //	byte 8..    per-kind body
 //
 // dgFrame bodies are wire frames verbatim — the transport does not parse
-// them beyond bounding their length at the wire Limits cap; the consumer's
-// wire.Decode is the only parser, exactly as on the simulated path.
+// them beyond bounding their length at the wire.DefaultLimits frame cap;
+// the consumer's wire.Decode is the only parser, exactly as on the
+// simulated path.
 // Handshake bodies are uint16-length-prefixed byte fields, each capped
 // before allocation, in the bounded-decode discipline of internal/wire.
 package transport
@@ -85,7 +86,7 @@ var (
 	// ErrTruncated: the datagram ends before a declared field does.
 	ErrTruncated = errors.New("transport: truncated datagram")
 	// ErrOverflow: a declared length exceeds its cap, or the datagram
-	// exceeds the maximum size for the configured wire limits.
+	// exceeds the maximum size for the wire limits.
 	ErrOverflow = errors.New("transport: field exceeds limit")
 	// ErrBadKind: wrong magic, unsupported version, or unknown kind.
 	ErrBadKind = errors.New("transport: bad magic, version, or kind")

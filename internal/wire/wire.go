@@ -145,12 +145,14 @@ func LimitsFromParams(p analysis.Params) Limits {
 	return l
 }
 
-// Hello is the D-NDP HELLO: {HELLO, ID_A}.
+// Hello is the D-NDP HELLO: {HELLO, ID_A}, spread with one of A's pool
+// codes.
 type Hello struct {
 	Initiator ibc.NodeID
 }
 
-// Confirm is the D-NDP CONFIRM: {CONFIRM, ID_B} addressed to the initiator.
+// Confirm is the D-NDP CONFIRM: {CONFIRM, ID_B} addressed to the
+// initiator, spread with a code shared with it.
 type Confirm struct {
 	Responder ibc.NodeID
 	Initiator ibc.NodeID
@@ -164,14 +166,17 @@ type Auth struct {
 	MAC    []byte
 }
 
-// Hop is one signed hop record in an M-NDP request or response.
+// Hop is one signed hop record in an M-NDP request or response: the node's
+// ID, its logical-neighbor list, and its signature over the message so far.
 type Hop struct {
 	ID        ibc.NodeID
 	Neighbors []ibc.NodeID
 	Sig       ibc.Signature
 }
 
-// MNDPRequest is the M-NDP request of §V-C.
+// MNDPRequest is the M-NDP request of §V-C. Hops[0] is the origin; each
+// forwarder appends itself. Nu bounds the total hops the request may
+// traverse.
 type MNDPRequest struct {
 	Nonce []byte
 	Nu    int
@@ -183,6 +188,9 @@ type MNDPRequest struct {
 }
 
 // MNDPResponse travels back along the request path to the origin.
+// Path[0] is the responder; intermediate nodes append themselves.
+// ReturnRoute holds the remaining relay IDs toward the origin, innermost
+// next hop last.
 type MNDPResponse struct {
 	Origin      ibc.NodeID
 	Nonce       []byte // responder's nonce n_B
