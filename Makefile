@@ -11,9 +11,12 @@ test: build
 
 # tier1 is the full quality gate: vet plus the whole suite under the race
 # detector (the trace sinks and metric registry are exercised concurrently),
-# then the chaos fault matrix.
+# then the chaos fault matrix. perfbench is its own module, so the root
+# ./... never compiles it; building and vetting it here catches a library
+# API change that would break the benchmark harness.
 tier1: build
 	$(GO) vet ./...
+	cd perfbench && $(GO) build -o /dev/null ./... && $(GO) vet ./...
 	$(MAKE) lint
 	$(MAKE) lint-fixtures
 	$(GO) test -race ./...

@@ -55,7 +55,7 @@ func ablationPoint(b *testing.B, disableRedundancy bool) float64 {
 	p.FieldWidth, p.FieldHeight = 2250, 2250
 	m, err := experiment.MeasurePoint(experiment.PointConfig{
 		Params:            p,
-		Jammer:            experiment.JamRandom,
+		Jammer:            core.JamRandom,
 		Runs:              3,
 		Seed:              1,
 		DisableRedundancy: disableRedundancy,
@@ -324,7 +324,7 @@ func BenchmarkCampaignSingleRun2000(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		m, err := experiment.MeasurePoint(experiment.PointConfig{
 			Params: p,
-			Jammer: experiment.JamReactive,
+			Jammer: core.JamReactive,
 			Runs:   1,
 			Seed:   int64(i),
 		})

@@ -189,7 +189,7 @@ func (g *replGroup) roles() (int, []int, error) {
 		if g.kids[i] == nil {
 			continue
 		}
-		st, err := authd.FetchReplicationStatus(nil, url)
+		st, err := authd.FetchReplicationStatus(url)
 		if err != nil {
 			return 0, nil, fmt.Errorf("role probe %s: %w", url, err)
 		}
@@ -261,7 +261,7 @@ func (g *replGroup) waitConverged(timeout time.Duration) error {
 			if g.kids[i] == nil {
 				continue
 			}
-			st, err := authd.FetchReplicationStatus(nil, url)
+			st, err := authd.FetchReplicationStatus(url)
 			if err != nil {
 				ok = false
 				last = fmt.Sprintf("%s unreachable: %v", url, err)
@@ -441,14 +441,14 @@ func (g *replGroup) promotionCycle(led *harnessLedger) error {
 	// No lost acknowledged mutation across the replica set: min-sync 1
 	// means every acked record was fetched durably by at least one
 	// follower before the client saw it.
-	stUp, err := authd.FetchReplicationStatus(nil, g.urls[up])
+	stUp, err := authd.FetchReplicationStatus(g.urls[up])
 	if err != nil {
 		return fmt.Errorf("status of %s after primary kill: %w", g.urls[up], err)
 	}
 	if stUp.LastSeq < minSeq {
 		return fmt.Errorf("%s holds seq %d < max acked %d: an acknowledged mutation exists on no surviving replica", g.urls[up], stUp.LastSeq, minSeq)
 	}
-	stLag, err := authd.FetchReplicationStatus(nil, g.urls[lag])
+	stLag, err := authd.FetchReplicationStatus(g.urls[lag])
 	if err != nil {
 		return fmt.Errorf("status of %s after primary kill: %w", g.urls[lag], err)
 	}

@@ -39,7 +39,7 @@ func mainRun() int {
 		exp     = flag.String("exp", "all", "experiment id, or all (-list prints the ids)")
 		runs    = flag.Int("runs", 100, "Monte-Carlo runs per parameter point")
 		seed    = flag.Int64("seed", 1, "base random seed")
-		jammer  = flag.String("jammer", "reactive", "jammer model: none, random, reactive")
+		jammer  = flag.String("jammer", "reactive", "jammer model: reactive, none, random, intelligent, pulse, or sweep (sweep only with -metrics or -trace-jsonl)")
 		iterate = flag.Bool("iterate-mndp", false, "close the logical graph under repeated M-NDP rounds")
 		n       = flag.Int("n", 0, "override node count (0 = Table I default)")
 		csvDir  = flag.String("csv", "", "also write each figure as <dir>/<id>.csv")
@@ -159,7 +159,7 @@ func run(exp string, runs int, seed int64, jammer string, iterate bool, n int, c
 			return err
 		}
 	}
-	jm, _, err := parseJammer(jammer)
+	jk, err := core.ParseJammerKind(jammer)
 	if err != nil {
 		return err
 	}
@@ -171,7 +171,7 @@ func run(exp string, runs int, seed int64, jammer string, iterate bool, n int, c
 		Base:        base,
 		Runs:        runs,
 		Seed:        seed,
-		Jammer:      jm,
+		Jammer:      jk,
 		IterateMNDP: iterate,
 	}
 
@@ -210,26 +210,11 @@ func run(exp string, runs int, seed int64, jammer string, iterate bool, n int, c
 	return nil
 }
 
-// parseJammer maps the -jammer name to the campaign's jammer model and the
-// protocol engine's adversary kind.
-func parseJammer(name string) (experiment.JammerModel, core.JammerKind, error) {
-	switch name {
-	case "none":
-		return experiment.JamNone, core.JamNone, nil
-	case "random":
-		return experiment.JamRandom, core.JamRandom, nil
-	case "reactive":
-		return experiment.JamReactive, core.JamReactive, nil
-	default:
-		return 0, 0, fmt.Errorf("unknown jammer %q", name)
-	}
-}
-
 // runInstrumented runs one fully instrumented protocol-engine deployment
 // (D-NDP followed by M-NDP) and writes the metric snapshot and, optionally,
 // the streaming trace. Default deployment: 50 nodes under Table I density.
 func runInstrumented(metricsPath, jsonlPath string, seed int64, jammer string, n, q int) error {
-	_, jk, err := parseJammer(jammer)
+	jk, err := core.ParseJammerKind(jammer)
 	if err != nil {
 		return err
 	}
@@ -330,7 +315,7 @@ func runInstrumented(metricsPath, jsonlPath string, seed int64, jammer string, n
 }
 
 func runPoint(runs int, seed int64, jammer string, n, q int) error {
-	jm, _, err := parseJammer(jammer)
+	jk, err := core.ParseJammerKind(jammer)
 	if err != nil {
 		return err
 	}
@@ -343,7 +328,7 @@ func runPoint(runs int, seed int64, jammer string, n, q int) error {
 	}
 	m, err := experiment.MeasurePoint(experiment.PointConfig{
 		Params: p,
-		Jammer: jm,
+		Jammer: jk,
 		Runs:   runs,
 		Seed:   seed,
 	})
@@ -352,7 +337,7 @@ func runPoint(runs int, seed int64, jammer string, n, q int) error {
 	}
 	lower, upper := analysis.DNDPBounds(p)
 	fmt.Printf("point measurement: n=%d m=%d l=%d q=%d ν=%d, %s jamming, %d runs\n\n",
-		p.N, p.M, p.L, p.Q, p.Nu, jm, runs)
+		p.N, p.M, p.L, p.Q, p.Nu, jk, runs)
 	fmt.Printf("  P̂_D    = %.4f ± %.4f   (Theorem 1: [%.4f, %.4f])\n", m.PD, m.PDCI, lower, upper)
 	fmt.Printf("  P̂_M    = %.4f ± %.4f\n", m.PM, m.PMCI)
 	fmt.Printf("  P̂      = %.4f ± %.4f\n", m.PHat, m.PHatCI)

@@ -93,17 +93,8 @@ type Byzantine interface {
 	// Launch schedules the behavior's active transmissions (flood waves);
 	// passive behaviors no-op. Call once, before running the engine.
 	Launch() error
-	// Kind identifies the behavior.
-	Kind() Kind
 	// Counts returns the activity counters so far.
 	Counts() Counts
-}
-
-// Transmitter is the medium surface an adversary injects through;
-// *radio.Medium satisfies it.
-type Transmitter interface {
-	Broadcast(from int, msg radio.Message) error
-	Unicast(from, to int, msg radio.Message) error
 }
 
 // FloodTarget is one (victim, compromised code) pair a Flood adversary
@@ -113,71 +104,43 @@ type FloodTarget struct {
 	Code   codepool.CodeID
 }
 
-// Profile configures a Byzantine behavior. Node, Rng, Engine, Tx, and
-// Limits are required; the per-behavior knobs default sensibly when zero.
-type Profile struct {
-	Node   int         // the adversary's (compromised) node index
-	Rng    *rand.Rand  // seed-derived stream; owned by the adversary
-	Engine *sim.Engine // event engine for scheduling injections
-	Tx     Transmitter // the medium to inject through
-	Limits wire.Limits // codec caps for decoding/forging frames
+// Fixed behavior knobs.
+const (
+	// maxInjections caps scheduled reinjections/forgeries (Replay, Forge)
+	// so a long run cannot exhaust the forged-ID space.
+	maxInjections = 64
+	// flipProb is the per-frame corruption probability (BitFlip).
+	flipProb = 0.3
+	// flipBytes is how many random bytes are XORed per corrupted frame
+	// (BitFlip).
+	flipBytes = 3
+	// floodWaves is how many waves a Flood injects.
+	floodWaves = 3
+)
 
-	// MaxInjections caps scheduled reinjections/forgeries (Replay, Forge)
-	// so a long run cannot exhaust the forged-ID space. Default 64.
-	MaxInjections int
+// Profile configures a Byzantine behavior. core.ArmAdversary derives
+// every field from the network and its validated parameters; only Flood
+// reads FloodTargets.
+type Profile struct {
+	Node   int           // the adversary's (compromised) node index
+	Rng    *rand.Rand    // seed-derived stream; owned by the adversary
+	Engine *sim.Engine   // event engine for scheduling injections
+	Tx     *radio.Medium // the medium to inject through
+	Limits wire.Limits   // codec caps for decoding/forging frames
+
 	// ReplayDelay is how long after capture a recorded frame is
 	// reinjected (Replay). Should exceed the victims' session timeout so
-	// the replay lands on reaped handshake state. Default 1.0 s.
+	// the replay lands on reaped handshake state.
 	ReplayDelay sim.Time
 
-	// FlipProb is the per-frame corruption probability (BitFlip).
-	// Default 0.3.
-	FlipProb float64
-	// FlipBytes is how many random bytes are XORed per corrupted frame
-	// (BitFlip). Default 3.
-	FlipBytes int
-
 	// NonceBytes and MACBytes size the forged AUTH fields (Forge, Flood).
-	// Defaults 3 and 20 (Table I widths).
 	NonceBytes, MACBytes int
-	// AuthBits is the airtime size of a forged AUTH1 (Flood). Default 196.
+	// AuthBits is the airtime size of a forged AUTH1 (Flood).
 	AuthBits int
 	// FloodTargets are the (victim, code) pairs to hammer (Flood).
 	FloodTargets []FloodTarget
-	// FloodWaves is how many waves to inject (Flood). Default 3.
-	FloodWaves int
-	// FloodInterval paces the waves (Flood). Default 0.011 s (≈ t_key).
+	// FloodInterval paces the waves (Flood).
 	FloodInterval sim.Time
-}
-
-func (p *Profile) applyDefaults() {
-	if p.MaxInjections == 0 {
-		p.MaxInjections = 64
-	}
-	if p.ReplayDelay == 0 {
-		p.ReplayDelay = 1.0
-	}
-	if p.FlipProb == 0 {
-		p.FlipProb = 0.3
-	}
-	if p.FlipBytes == 0 {
-		p.FlipBytes = 3
-	}
-	if p.NonceBytes == 0 {
-		p.NonceBytes = 3
-	}
-	if p.MACBytes == 0 {
-		p.MACBytes = 20
-	}
-	if p.AuthBits == 0 {
-		p.AuthBits = 196
-	}
-	if p.FloodWaves == 0 {
-		p.FloodWaves = 3
-	}
-	if p.FloodInterval == 0 {
-		p.FloodInterval = 0.011
-	}
 }
 
 func (p *Profile) validate() error {
@@ -194,7 +157,6 @@ func (p *Profile) validate() error {
 
 // New builds an armed behavior of the given kind.
 func New(kind Kind, profile Profile) (Byzantine, error) {
-	profile.applyDefaults()
 	if err := profile.validate(); err != nil {
 		return nil, err
 	}

@@ -23,7 +23,6 @@ type replayer struct {
 	scheduled int
 }
 
-func (r *replayer) Kind() Kind     { return Replay }
 func (r *replayer) Counts() Counts { return r.counts }
 func (r *replayer) Launch() error  { return nil }
 
@@ -36,7 +35,7 @@ func (r *replayer) Intercept(from, to int, msg radio.Message) radio.Message {
 	if !ok || (msg.Kind != wire.KindAuth1 && msg.Kind != wire.KindAuth2) {
 		return msg
 	}
-	if r.scheduled >= r.p.MaxInjections {
+	if r.scheduled >= maxInjections {
 		return msg
 	}
 	r.scheduled++
@@ -59,7 +58,6 @@ type forger struct {
 	scheduled int
 }
 
-func (f *forger) Kind() Kind     { return Forge }
 func (f *forger) Counts() Counts { return f.counts }
 func (f *forger) Launch() error  { return nil }
 
@@ -69,7 +67,7 @@ func (f *forger) Intercept(from, to int, msg radio.Message) radio.Message {
 	}
 	f.counts.Observed++
 	frame, ok := msg.Payload.([]byte)
-	if !ok || msg.Kind != wire.KindAuth1 || f.scheduled >= f.p.MaxInjections {
+	if !ok || msg.Kind != wire.KindAuth1 || f.scheduled >= maxInjections {
 		return msg
 	}
 	kind, payload, err := wire.Decode(frame, f.p.Limits)
@@ -95,8 +93,8 @@ func (f *forger) Intercept(from, to int, msg radio.Message) radio.Message {
 	return msg
 }
 
-// bitFlipper XORs FlipBytes random bytes of a frame in flight with
-// probability FlipProb, modeling a Byzantine relay (or targeted
+// bitFlipper XORs flipBytes random bytes of a frame in flight with
+// probability flipProb, modeling a Byzantine relay (or targeted
 // interference) that mangles bytes the DSSS layer's ECC failed to fix.
 // The corruption happens on a copy: the transmitter's buffer is never
 // touched.
@@ -105,7 +103,6 @@ type bitFlipper struct {
 	counts Counts
 }
 
-func (b *bitFlipper) Kind() Kind     { return BitFlip }
 func (b *bitFlipper) Counts() Counts { return b.counts }
 func (b *bitFlipper) Launch() error  { return nil }
 
@@ -118,11 +115,11 @@ func (b *bitFlipper) Intercept(from, to int, msg radio.Message) radio.Message {
 	if !ok || len(frame) == 0 {
 		return msg
 	}
-	if b.p.Rng.Float64() >= b.p.FlipProb {
+	if b.p.Rng.Float64() >= flipProb {
 		return msg
 	}
 	cp := append([]byte(nil), frame...)
-	for i := 0; i < b.p.FlipBytes; i++ {
+	for i := 0; i < flipBytes; i++ {
 		pos := b.p.Rng.Intn(len(cp))
 		cp[pos] ^= byte(1 + b.p.Rng.Intn(255)) // nonzero mask: always flips
 	}
@@ -140,7 +137,6 @@ type flooder struct {
 	counts Counts
 }
 
-func (f *flooder) Kind() Kind     { return Flood }
 func (f *flooder) Counts() Counts { return f.counts }
 
 func (f *flooder) Intercept(from, to int, msg radio.Message) radio.Message {
@@ -152,7 +148,7 @@ func (f *flooder) Intercept(from, to int, msg radio.Message) radio.Message {
 
 func (f *flooder) Launch() error {
 	fake := forgedIDBase
-	for wave := 0; wave < f.p.FloodWaves; wave++ {
+	for wave := 0; wave < floodWaves; wave++ {
 		at := f.p.FloodInterval * sim.Time(wave)
 		for _, tgt := range f.p.FloodTargets {
 			nonce := f.randBytes(f.p.NonceBytes)

@@ -102,6 +102,8 @@ func (p Params) Validate() error {
 		return fmt.Errorf("analysis: z=%d must be >= 0", p.Z)
 	case p.LenType < 1 || p.LenID < 1 || p.LenNonce < 1 || p.LenMAC < 1 || p.LenSig < 1:
 		return fmt.Errorf("analysis: message field lengths must be >= 1")
+	case p.TKey <= 0 || p.TSig <= 0 || p.TVer <= 0:
+		return fmt.Errorf("analysis: computation times t_key, t_sig, t_ver must be positive")
 	case p.Range <= 0 || p.FieldWidth <= 0 || p.FieldHeight <= 0:
 		return fmt.Errorf("analysis: geometry must be positive")
 	}

@@ -57,6 +57,9 @@ var (
 	ErrRateLimited = errors.New("authd: rate limited")
 	// ErrNotFound: the requested node has no assignment record.
 	ErrNotFound = errors.New("authd: unknown node")
+
+	// errDraining: Shutdown has begun, so the request was not admitted.
+	errDraining = errors.New("authd: server shutting down")
 )
 
 // Config configures a Server. Params and Seed are required; everything
@@ -157,8 +160,13 @@ type Server struct {
 	promoteHook  func()       // set by Follower: stop the pull loop before promotion
 	pauseHook    func(bool)   // set by Follower: pause/resume the pull loop
 
-	httpSrv  *http.Server
+	httpSrv *http.Server
+	// inflight counts admitted requests. drainMu orders every admission
+	// (read side) before Shutdown's wait (write side, which sets
+	// draining), so no inflight.Add can run concurrently with its Wait.
 	inflight sync.WaitGroup
+	drainMu  sync.RWMutex
+	draining bool
 
 	// hookEntered, when set (tests only), is called after a mutating
 	// handler has been admitted but before it touches state — the drain
@@ -261,13 +269,17 @@ func (s *Server) Start(addr string) (string, error) {
 	return ln.Addr().String(), nil
 }
 
-// Shutdown drains the service gracefully: the listener closes, in-flight
-// requests run to completion (both the HTTP server's connection tracking
-// and the handler-level WaitGroup are awaited), the WAL is fsynced and
-// closed, and ctx bounds the wait. After Shutdown a durable server
-// refuses further mutations (ErrWALClosed) — reopen the directory with
-// New to resume.
+// Shutdown drains the service gracefully: from its start every new
+// request is refused with 503, the listener closes, in-flight requests
+// run to completion (both the HTTP server's connection tracking and the
+// handler-level WaitGroup are awaited), the WAL is fsynced and closed,
+// and ctx bounds the wait. After Shutdown a durable server refuses
+// further mutations (ErrWALClosed) — reopen the directory with New to
+// resume.
 func (s *Server) Shutdown(ctx context.Context) error {
+	s.drainMu.Lock()
+	s.draining = true
+	s.drainMu.Unlock()
 	var err error
 	if s.httpSrv != nil {
 		err = s.httpSrv.Shutdown(ctx)
@@ -285,6 +297,18 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		}
 	}
 	return err
+}
+
+// admit registers a request with inflight, or reports false once
+// Shutdown has begun draining.
+func (s *Server) admit() bool {
+	s.drainMu.RLock()
+	defer s.drainMu.RUnlock()
+	if s.draining {
+		return false
+	}
+	s.inflight.Add(1)
+	return true
 }
 
 // Epoch returns the current distribution epoch: the number of §V-A batch

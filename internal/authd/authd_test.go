@@ -7,6 +7,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -315,6 +317,56 @@ func TestShutdownDrainsInflight(t *testing.T) {
 	// After shutdown the listener is closed: a fresh request fails.
 	if err := cl.Healthz(context.Background()); err == nil {
 		t.Fatal("request succeeded after shutdown")
+	}
+}
+
+// TestShutdownRacesRequests fires requests at the handler from several
+// goroutines while Shutdown drains. Every request must be served or
+// refused with 503, a request after Shutdown returns must be refused,
+// and under -race no admission may run concurrently with the drain's
+// wait on the in-flight count.
+func TestShutdownRacesRequests(t *testing.T) {
+	for round := 0; round < 20; round++ {
+		srv, err := New(Config{Params: testParams(32, 3, 4), Seed: 1, Rate: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := srv.Handler()
+		get := func() int {
+			w := httptest.NewRecorder()
+			h.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/v1/epoch", nil))
+			return w.Code
+		}
+		var stop atomic.Bool
+		var wg sync.WaitGroup
+		served := make(chan struct{}, 4)
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; !stop.Load(); i++ {
+					code := get()
+					if i == 0 {
+						served <- struct{}{}
+					}
+					if code != http.StatusOK && code != http.StatusServiceUnavailable {
+						t.Errorf("status %d racing Shutdown, want 200 or 503", code)
+						return
+					}
+				}
+			}()
+		}
+		for g := 0; g < 4; g++ {
+			<-served
+		}
+		if err := srv.Shutdown(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		if code := get(); code != http.StatusServiceUnavailable {
+			t.Errorf("status %d after Shutdown, want 503", code)
+		}
+		stop.Store(true)
+		wg.Wait()
 	}
 }
 

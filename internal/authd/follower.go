@@ -354,7 +354,7 @@ func (f *Follower) fetch(base string, after, fp uint64) (replBatch, error) {
 // findPrimary probes every candidate for the primary role.
 func (f *Follower) findPrimary() string {
 	for _, cand := range f.cfg.Primaries {
-		st, err := FetchReplicationStatus(sharedHTTPClient, cand)
+		st, err := FetchReplicationStatus(cand)
 		if err == nil && st.Role == "primary" {
 			return cand
 		}
@@ -364,12 +364,9 @@ func (f *Follower) findPrimary() string {
 
 // FetchReplicationStatus probes GET /v1/replication on base — the probe
 // followers and harnesses use to locate the primary.
-func FetchReplicationStatus(httpc *http.Client, base string) (ReplicationStatus, error) {
+func FetchReplicationStatus(base string) (ReplicationStatus, error) {
 	var st ReplicationStatus
-	if httpc == nil {
-		httpc = sharedHTTPClient
-	}
-	resp, err := httpc.Get(base + "/v1/replication")
+	resp, err := sharedHTTPClient.Get(base + "/v1/replication")
 	if err != nil {
 		return st, err
 	}

@@ -138,7 +138,10 @@ func clientKey(r *http.Request) string {
 
 func (s *Server) handle(route, method string, limited bool, fn handlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		s.inflight.Add(1)
+		if !s.admit() {
+			s.fail(w, route, http.StatusServiceUnavailable, errDraining)
+			return
+		}
 		defer s.inflight.Done()
 		s.m.inflight.Add(1)
 		defer s.m.inflight.Add(-1)

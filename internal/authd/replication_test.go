@@ -349,7 +349,7 @@ func TestFollowerReplicatesEndToEnd(t *testing.T) {
 	}
 
 	// Replication status from both sides.
-	pst, err := FetchReplicationStatus(nil, primURL)
+	pst, err := FetchReplicationStatus(primURL)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,7 +359,7 @@ func TestFollowerReplicatesEndToEnd(t *testing.T) {
 	if n := len(pst.Followers); n != 1 {
 		t.Fatalf("primary reports %d follower acks, want 1 (%+v)", n, pst.Followers)
 	}
-	fst, err := FetchReplicationStatus(nil, folURL)
+	fst, err := FetchReplicationStatus(folURL)
 	if err != nil {
 		t.Fatal(err)
 	}

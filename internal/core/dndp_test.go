@@ -2,9 +2,11 @@ package core
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"repro/internal/analysis"
+	"repro/internal/codepool"
 	"repro/internal/field"
 	"repro/internal/ibc"
 	"repro/internal/sim"
@@ -388,15 +390,46 @@ func TestCompromiseValidation(t *testing.T) {
 func TestNetworkConfigValidation(t *testing.T) {
 	bad := smallParams(2, 3)
 	bad.M = 0
-	if _, err := NewNetwork(NetworkConfig{Params: bad, Seed: 1}); err == nil {
+	if _, err := NewNetwork(NetworkConfig{Params: bad, Seed: 1, Jammer: JamNone}); err == nil {
 		t.Fatal("accepted invalid params")
 	}
 	p := smallParams(2, 3)
-	if _, err := NewNetwork(NetworkConfig{Params: p, Seed: 1, Positions: clusterPositions(5)}); err == nil {
+	if _, err := NewNetwork(NetworkConfig{Params: p, Seed: 1, Jammer: JamNone, Positions: clusterPositions(5)}); err == nil {
 		t.Fatal("accepted position/count mismatch")
 	}
 	if _, err := NewNetwork(NetworkConfig{Params: p, Seed: 1, Jammer: JammerKind(99)}); err == nil {
 		t.Fatal("accepted unknown jammer kind")
+	}
+}
+
+func TestNewJammerEveryKind(t *testing.T) {
+	// One constructor serves both engines: the zero kind is reactive,
+	// every kind round-trips through its flag name, and every kind but
+	// the sweep (which reads the simulation clock) builds without a clock,
+	// as the campaign builds them.
+	if JammerKind(0) != JamReactive {
+		t.Fatalf("zero JammerKind is %v, want reactive", JammerKind(0))
+	}
+	p := smallParams(4, 5)
+	compromised := codepool.NewCodeSet(20)
+	clock := func() sim.Time { return 0 }
+	for k := JamReactive; k <= JamSweep; k++ {
+		if got, err := ParseJammerKind(k.String()); err != nil || got != k {
+			t.Errorf("ParseJammerKind(%q) = %v, %v", k.String(), got, err)
+		}
+		if _, err := NewJammer(k, p, compromised, rand.New(rand.NewSource(1)), clock); err != nil {
+			t.Errorf("%v with a clock: %v", k, err)
+		}
+		_, err := NewJammer(k, p, compromised, rand.New(rand.NewSource(1)), nil)
+		if (err != nil) != (k == JamSweep) {
+			t.Errorf("%v without a clock: err = %v", k, err)
+		}
+	}
+	if _, err := ParseJammerKind("unknown"); err == nil {
+		t.Error("ParseJammerKind accepted an unknown name")
+	}
+	if _, err := NewJammer(JammerKind(99), p, compromised, nil, clock); err == nil {
+		t.Error("NewJammer accepted an unknown kind")
 	}
 }
 

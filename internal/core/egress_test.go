@@ -22,7 +22,7 @@ func conduitTestParams() analysis.Params {
 // that the receiver's decoder accepts with the kind the medium was told,
 // and the interceptor sees exactly the transmissions the medium counts.
 func TestEveryTransmissionIsCanonicalWireFrame(t *testing.T) {
-	n, err := NewNetwork(NetworkConfig{Params: conduitTestParams(), Seed: 7})
+	n, err := NewNetwork(NetworkConfig{Params: conduitTestParams(), Seed: 7, Jammer: JamNone})
 	if err != nil {
 		t.Fatal(err)
 	}

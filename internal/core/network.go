@@ -24,14 +24,17 @@ import (
 	"repro/internal/wire"
 )
 
-// JammerKind selects the adversary model of §IV-B.
+// JammerKind selects the adversary model of §IV-B, shared by the
+// event-driven engine (NetworkConfig.Jammer) and the statistical campaign
+// (experiment.PointConfig.Jammer). The zero value is reactive jamming,
+// the worst case the paper's figures report.
 type JammerKind int
 
 // Jammer models.
 const (
-	JamNone JammerKind = iota
+	JamReactive JammerKind = iota
+	JamNone
 	JamRandom
-	JamReactive
 	// JamIntelligent is the §V-B "intelligent attack": let HELLOs pass so
 	// victims commit to a code, then reactively jam the follow-ups.
 	JamIntelligent
@@ -41,7 +44,7 @@ const (
 	JamPulse
 	// JamSweep rotates a window of jamming emitters across the compromised
 	// codes once per epoch: a window of q·m/4 codes (at least 1), rotated
-	// every 0.1 virtual seconds.
+	// every 0.1 virtual seconds. It needs a simulation clock.
 	JamSweep
 )
 
@@ -64,13 +67,57 @@ func (k JammerKind) String() string {
 	}
 }
 
+// ParseJammerKind maps a CLI flag value to a JammerKind.
+func ParseJammerKind(s string) (JammerKind, error) {
+	for k := JamReactive; k <= JamSweep; k++ {
+		if k.String() == s {
+			return k, nil
+		}
+	}
+	return JamReactive, fmt.Errorf("core: unknown jammer %q (want reactive, none, random, intelligent, pulse, or sweep)", s)
+}
+
+// NewJammer builds the jammer of the given kind over the compromised-code
+// set, the one constructor both engines use. rng is the jammer's own
+// stream (random and pulse draw from it); clock is the simulation clock,
+// which only the sweep jammer reads, so a clockless caller such as the
+// campaign can build every other kind with a nil clock.
+func NewJammer(kind JammerKind, p analysis.Params, compromised *codepool.CodeSet, rng *rand.Rand, clock func() sim.Time) (radio.Jammer, error) {
+	var (
+		jammer radio.Jammer
+		err    error
+	)
+	switch kind {
+	case JamNone:
+		jammer = radio.NoJammer{}
+	case JamReactive:
+		jammer = radio.NewReactiveJammer(compromised)
+	case JamRandom:
+		jammer, err = radio.NewRandomJammer(p.Z, p.Mu, compromised, rng)
+	case JamIntelligent:
+		jammer = radio.NewIntelligentJammer(compromised, []int{wire.KindHello})
+	case JamPulse:
+		jammer, err = radio.NewPulseJammer(radio.NewReactiveJammer(compromised), 0.5, rng)
+	case JamSweep:
+		window := max(1, p.Q*p.M/4) // ~1/4 of the worst-case compromised set
+		jammer, err = radio.NewSweepJammer(compromised, window, sim.Time(0.1), clock)
+	default:
+		return nil, fmt.Errorf("core: unknown jammer kind %d", kind)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("core: %s jammer: %w", kind, err)
+	}
+	return jammer, nil
+}
+
 // NetworkConfig configures a simulated JR-SND deployment.
 type NetworkConfig struct {
 	// Params holds the Table I parameter set.
 	Params analysis.Params
 	// Seed makes the whole run reproducible.
 	Seed int64
-	// Jammer selects the adversary model.
+	// Jammer selects the adversary model; the zero value is reactive
+	// jamming, so a benign run sets JamNone.
 	Jammer JammerKind
 	// Positions optionally fixes node placement; default is uniform.
 	Positions []field.Point
@@ -212,32 +259,9 @@ func NewNetwork(cfg NetworkConfig) (*Network, error) {
 	}
 
 	compromised := codepool.NewCodeSet(pool.S())
-	var jammer radio.Jammer
-	switch cfg.Jammer {
-	case JamNone:
-		jammer = radio.NoJammer{}
-	case JamReactive:
-		jammer = radio.NewReactiveJammer(compromised)
-	case JamRandom:
-		jammer, err = radio.NewRandomJammer(p.Z, p.Mu, compromised, streams.Get("jammer"))
-		if err != nil {
-			return nil, fmt.Errorf("core: %w", err)
-		}
-	case JamIntelligent:
-		jammer = radio.NewIntelligentJammer(compromised, []int{wire.KindHello})
-	case JamPulse:
-		jammer, err = radio.NewPulseJammer(radio.NewReactiveJammer(compromised), 0.5, streams.Get("jammer"))
-		if err != nil {
-			return nil, fmt.Errorf("core: %w", err)
-		}
-	case JamSweep:
-		window := max(1, p.Q*p.M/4) // ~1/4 of the worst-case compromised set
-		jammer, err = radio.NewSweepJammer(compromised, window, sim.Time(0.1), engine.Now)
-		if err != nil {
-			return nil, fmt.Errorf("core: %w", err)
-		}
-	default:
-		return nil, fmt.Errorf("core: unknown jammer kind %d", cfg.Jammer)
+	jammer, err := NewJammer(cfg.Jammer, p, compromised, streams.Get("jammer"), engine.Now)
+	if err != nil {
+		return nil, err
 	}
 
 	n := &Network{

@@ -32,6 +32,7 @@ func TestRetryConfigValidation(t *testing.T) {
 		_, err := NewNetwork(NetworkConfig{
 			Params:    smallParams(2, 5),
 			Seed:      1,
+			Jammer:    JamNone,
 			Positions: clusterPositions(2),
 			Retry:     &cfg,
 		})
@@ -48,6 +49,7 @@ func TestClockSkewSpreadValidationAndBounds(t *testing.T) {
 	if _, err := NewNetwork(NetworkConfig{
 		Params:          smallParams(2, 5),
 		Seed:            1,
+		Jammer:          JamNone,
 		Positions:       clusterPositions(2),
 		ClockSkewSpread: 1.0,
 	}); err == nil {
@@ -56,6 +58,7 @@ func TestClockSkewSpreadValidationAndBounds(t *testing.T) {
 	net, err := NewNetwork(NetworkConfig{
 		Params:          smallParams(4, 5),
 		Seed:            1,
+		Jammer:          JamNone,
 		Positions:       clusterPositions(4),
 		ClockSkewSpread: 0.2,
 	})
@@ -142,6 +145,7 @@ func TestRetryFallbackRecoversDiscovery(t *testing.T) {
 		net, err := NewNetwork(NetworkConfig{
 			Params:    smallParams(3, 5),
 			Seed:      11,
+			Jammer:    JamNone,
 			Positions: clusterPositions(3),
 			Faults:    dropConfirms,
 			Retry:     retry,
@@ -254,6 +258,7 @@ func TestChurnCrashRestartRediscovery(t *testing.T) {
 	net, err := NewNetwork(NetworkConfig{
 		Params:    smallParams(3, 5),
 		Seed:      5,
+		Jammer:    JamNone,
 		Positions: clusterPositions(3),
 		Retry:     DefaultRetryConfig(smallParams(3, 5)),
 	})
@@ -338,6 +343,7 @@ func TestExpireSilentSessions(t *testing.T) {
 	net, err := NewNetwork(NetworkConfig{
 		Params:    smallParams(3, 5),
 		Seed:      3,
+		Jammer:    JamNone,
 		Positions: clusterPositions(3),
 		Retry:     DefaultRetryConfig(smallParams(3, 5)),
 	})

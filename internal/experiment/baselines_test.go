@@ -5,13 +5,14 @@ import (
 	"testing"
 
 	"repro/internal/analysis"
+	"repro/internal/core"
 )
 
 func TestBaselineQ(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow")
 	}
-	cfg := SweepConfig{Base: testParams(), Runs: 2, Seed: 21, Jammer: JamReactive}
+	cfg := SweepConfig{Base: testParams(), Runs: 2, Seed: 21, Jammer: core.JamReactive}
 	fig, err := BaselineQ(cfg)
 	if err != nil {
 		t.Fatal(err)

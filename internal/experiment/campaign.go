@@ -18,40 +18,24 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/codepool"
+	"repro/internal/core"
 	"repro/internal/field"
 	"repro/internal/radio"
 	"repro/internal/sim"
 	"repro/internal/stats"
+	"repro/internal/wire"
 )
 
-// JammerModel selects the adversary for a campaign. The zero value is
-// reactive jamming, the worst case the paper's figures report.
-type JammerModel int
-
-// Jammer models.
-const (
-	JamReactive JammerModel = iota
-	JamNone
-	JamRandom
-)
-
-func (j JammerModel) String() string {
-	switch j {
-	case JamNone:
-		return "none"
-	case JamRandom:
-		return "random"
-	case JamReactive:
-		return "reactive"
-	default:
-		return "unknown"
-	}
-}
+// JamReactive is core.JamReactive, the zero PointConfig.Jammer; the
+// name stays here because the perfbench harness uses it.
+const JamReactive = core.JamReactive
 
 // PointConfig configures the measurement of one parameter point.
 type PointConfig struct {
 	Params analysis.Params
-	Jammer JammerModel
+	// Jammer selects the adversary; the campaign has no simulation clock,
+	// so core.JamSweep is refused.
+	Jammer core.JammerKind
 	// Runs is the number of independent seeded repetitions (the paper
 	// averages 100 runs per point).
 	Runs int
@@ -232,7 +216,7 @@ func deploy(cfg PointConfig, seed int64, tdHist *stats.Histogram) (deployment, e
 		isCompromised[i] = true
 	}
 
-	jammer, err := buildJammer(cfg, compromised, streams.Get("jammer"))
+	jammer, err := core.NewJammer(cfg.Jammer, p, compromised, streams.Get("jammer"), nil)
 	if err != nil {
 		return deployment{}, err
 	}
@@ -339,19 +323,6 @@ func measureOnce(cfg PointConfig, seed int64, tdHist *stats.Histogram) (PointMea
 	}, d.tdSum, d.dSucc, nil
 }
 
-func buildJammer(cfg PointConfig, compromised *codepool.CodeSet, rng *rand.Rand) (radio.Jammer, error) {
-	switch cfg.Jammer {
-	case JamNone:
-		return radio.NoJammer{}, nil
-	case JamReactive:
-		return radio.NewReactiveJammer(compromised), nil
-	case JamRandom:
-		return radio.NewRandomJammer(cfg.Params.Z, cfg.Params.Mu, compromised, rng)
-	default:
-		return nil, fmt.Errorf("experiment: unknown jammer model %d", cfg.Jammer)
-	}
-}
-
 // dndpSucceeds plays out the x sub-sessions of one D-NDP execution under
 // the message-level jamming model: a sub-session on code c survives when
 // the HELLO and all three follow-up messages escape jamming; the execution
@@ -365,7 +336,7 @@ func dndpSucceeds(shared, received []codepool.CodeID, jammer radio.Jammer, disab
 	// it actually decoded.
 	received = received[:0]
 	for _, c := range shared {
-		if !jammer.TryJam(radio.Transmission{Code: c, Kind: 1}) {
+		if !jammer.TryJam(radio.Transmission{Code: c, Kind: wire.KindHello}) {
 			received = append(received, c)
 		}
 	}
@@ -387,7 +358,7 @@ func dndpSucceeds(shared, received []codepool.CodeID, jammer radio.Jammer, disab
 // subSessionSurvives checks the three post-HELLO messages of one
 // sub-session.
 func subSessionSurvives(c codepool.CodeID, jammer radio.Jammer) bool {
-	for kind := 2; kind <= 4; kind++ {
+	for kind := wire.KindConfirm; kind <= wire.KindAuth2; kind++ {
 		if jammer.TryJam(radio.Transmission{Code: c, Kind: kind}) {
 			return false
 		}

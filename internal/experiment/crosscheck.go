@@ -27,47 +27,56 @@ type CrossCheckResult struct {
 // reactive jamming. The event engine is O(n·m) messages per run, so keep n
 // modest (a few hundred).
 func CrossCheck(p analysis.Params, runs int, seed int64) (CrossCheckResult, error) {
-	if err := p.Validate(); err != nil {
-		return CrossCheckResult{}, fmt.Errorf("experiment: %w", err)
-	}
-	if runs < 1 {
-		return CrossCheckResult{}, fmt.Errorf("experiment: runs=%d must be >= 1", runs)
-	}
-
-	campaign, err := MeasurePoint(PointConfig{
-		Params: p,
-		Jammer: JamReactive,
-		Runs:   runs,
-		Seed:   seed,
-	})
+	campaign, event, err := enginesPD(p, core.JamReactive, runs, seed)
 	if err != nil {
 		return CrossCheckResult{}, err
 	}
-
-	var event stats.Sample
-	for run := 0; run < runs; run++ {
-		pd, err := eventEnginePD(p, seed+int64(run)*104729)
-		if err != nil {
-			return CrossCheckResult{}, err
-		}
-		event.Add(pd)
-	}
-
 	return CrossCheckResult{
-		CampaignPD: campaign.PD,
-		EventPD:    event.Mean(),
+		CampaignPD: campaign,
+		EventPD:    event,
 		TheoryPD:   analysis.DNDPReactive(p),
 		Runs:       runs,
 	}, nil
 }
 
-// eventEnginePD runs one full protocol-engine deployment and returns the
-// fraction of honest physical links secured by D-NDP.
-func eventEnginePD(p analysis.Params, seed int64) (float64, error) {
+// enginesPD measures P̂_D under the given jammer with both engines: the
+// campaign over runs seeded runs, and the mean of as many event-engine
+// deployments.
+func enginesPD(p analysis.Params, jam core.JammerKind, runs int, seed int64) (campaign, event float64, err error) {
+	if err := p.Validate(); err != nil {
+		return 0, 0, fmt.Errorf("experiment: %w", err)
+	}
+	if runs < 1 {
+		return 0, 0, fmt.Errorf("experiment: runs=%d must be >= 1", runs)
+	}
+	m, err := MeasurePoint(PointConfig{
+		Params: p,
+		Jammer: jam,
+		Runs:   runs,
+		Seed:   seed,
+	})
+	if err != nil {
+		return 0, 0, err
+	}
+	var ev stats.Sample
+	for run := 0; run < runs; run++ {
+		pd, err := eventEnginePD(p, jam, seed+int64(run)*104729)
+		if err != nil {
+			return 0, 0, err
+		}
+		ev.Add(pd)
+	}
+	return m.PD, ev.Mean(), nil
+}
+
+// eventEnginePD runs one full protocol-engine deployment under the given
+// jammer and returns the fraction of honest physical links secured by
+// D-NDP.
+func eventEnginePD(p analysis.Params, jam core.JammerKind, seed int64) (float64, error) {
 	net, err := core.NewNetwork(core.NetworkConfig{
 		Params: p,
 		Seed:   seed,
-		Jammer: core.JamReactive,
+		Jammer: jam,
 	})
 	if err != nil {
 		return 0, err

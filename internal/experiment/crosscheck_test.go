@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/analysis"
+	"repro/internal/core"
 )
 
 func TestCrossCheckEnginesAgree(t *testing.T) {
@@ -13,31 +14,59 @@ func TestCrossCheckEnginesAgree(t *testing.T) {
 	// same quantity. A small seeded sweep over (m, l, q) at n = 200 and
 	// Table I density keeps the campaign from drifting off the protocol in
 	// any one corner. CrossCheck compares D-NDP only, so ν does not enter.
+	// Both engines build their jammer with core.NewJammer, so any
+	// disagreement is protocol logic, not two adversary models.
+	//
+	// lo and hi bound each engine's P̂_D minus Theorem 1's value for the
+	// row's jammer (P̂− reactive, P̂+ random). Two kinds of row have
+	// measured, one-sided bounds (EXPERIMENTS.md, "Cross-fidelity check"):
+	//   - heavy reactive compromise (q = 15, 20): P̂− sits below both
+	//     engines, by 0.076–0.107 on these seeds;
+	//   - random jamming: both engines sit above P̂+, by 0.012–0.039 on
+	//     these seeds, and the event engine above the campaign, by
+	//     0.007–0.027, because every node initiates D-NDP, so each pair
+	//     gets two executions with fresh jam draws where the campaign and
+	//     Theorem 1 model one.
 	for _, c := range []struct {
+		jam     core.JammerKind
 		m, l, q int
 		seed    int64
+		lo, hi  float64
 	}{
-		{m: 30, l: 20, q: 5, seed: 17},
-		{m: 20, l: 10, q: 10, seed: 5},
-		{m: 20, l: 20, q: 2, seed: 7},
-		{m: 50, l: 20, q: 5, seed: 13},
+		{jam: core.JamReactive, m: 30, l: 20, q: 5, seed: 17, lo: -0.05, hi: 0.05},
+		{jam: core.JamReactive, m: 20, l: 10, q: 10, seed: 5, lo: -0.05, hi: 0.05},
+		{jam: core.JamReactive, m: 20, l: 20, q: 2, seed: 7, lo: -0.05, hi: 0.05},
+		{jam: core.JamReactive, m: 50, l: 20, q: 5, seed: 13, lo: -0.05, hi: 0.05},
+		{jam: core.JamReactive, m: 50, l: 20, q: 15, seed: 13, lo: 0, hi: 0.12},
+		{jam: core.JamReactive, m: 50, l: 20, q: 20, seed: 13, lo: 0, hi: 0.12},
+		{jam: core.JamRandom, m: 20, l: 10, q: 5, seed: 7, lo: 0, hi: 0.05},
+		{jam: core.JamRandom, m: 20, l: 10, q: 10, seed: 5, lo: 0, hi: 0.05},
 	} {
 		p := analysis.Defaults()
 		p.N = 200
 		p.M, p.L, p.Q = c.m, c.l, c.q
 		p.FieldWidth, p.FieldHeight = 1580, 1580
-		res, err := CrossCheck(p, 4, c.seed)
+		campaign, event, err := enginesPD(p, c.jam, 4, c.seed)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if math.Abs(res.CampaignPD-res.TheoryPD) > 0.05 {
-			t.Errorf("m=%d l=%d q=%d: campaign %v vs theory %v", c.m, c.l, c.q, res.CampaignPD, res.TheoryPD)
+		theory, upper := analysis.DNDPBounds(p)
+		if c.jam == core.JamRandom {
+			theory = upper
+			if event < campaign {
+				t.Errorf("%v m=%d l=%d q=%d: event engine %v below campaign %v despite two executions per pair", c.jam, c.m, c.l, c.q, event, campaign)
+			}
 		}
-		if math.Abs(res.EventPD-res.TheoryPD) > 0.05 {
-			t.Errorf("m=%d l=%d q=%d: event engine %v vs theory %v", c.m, c.l, c.q, res.EventPD, res.TheoryPD)
+		for _, e := range []struct {
+			name string
+			pd   float64
+		}{{"campaign", campaign}, {"event engine", event}} {
+			if d := e.pd - theory; d < c.lo || d > c.hi {
+				t.Errorf("%v m=%d l=%d q=%d: %s %v minus theory %v = %v outside [%v, %v]", c.jam, c.m, c.l, c.q, e.name, e.pd, theory, d, c.lo, c.hi)
+			}
 		}
-		if math.Abs(res.EventPD-res.CampaignPD) > 0.05 {
-			t.Errorf("m=%d l=%d q=%d: event engine %v vs campaign %v", c.m, c.l, c.q, res.EventPD, res.CampaignPD)
+		if math.Abs(event-campaign) > 0.05 {
+			t.Errorf("%v m=%d l=%d q=%d: event engine %v vs campaign %v", c.jam, c.m, c.l, c.q, event, campaign)
 		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/analysis"
+	"repro/internal/core"
 )
 
 // testParams returns a scaled-down deployment (n=400) that keeps Monte
@@ -29,8 +30,11 @@ func TestMeasurePointValidation(t *testing.T) {
 	if _, err := MeasurePoint(PointConfig{Params: bad, Runs: 1}); err == nil {
 		t.Fatal("accepted invalid params")
 	}
-	if _, err := MeasurePoint(PointConfig{Params: p, Runs: 1, Jammer: JammerModel(99)}); err == nil {
+	if _, err := MeasurePoint(PointConfig{Params: p, Runs: 1, Jammer: core.JammerKind(99)}); err == nil {
 		t.Fatal("accepted unknown jammer")
+	}
+	if _, err := MeasurePoint(PointConfig{Params: p, Runs: 1, Jammer: core.JamSweep}); err == nil {
+		t.Fatal("accepted the sweep jammer, which needs a simulation clock")
 	}
 }
 
@@ -39,7 +43,7 @@ func TestMeasurePointNoJammerMatchesSharingProbability(t *testing.T) {
 	// least one code: 1 − (1 − (l−1)/(n−1))^m.
 	p := testParams()
 	p.Q = 0
-	m, err := MeasurePoint(PointConfig{Params: p, Jammer: JamNone, Runs: 5, Seed: 1})
+	m, err := MeasurePoint(PointConfig{Params: p, Jammer: core.JamNone, Runs: 5, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +60,7 @@ func TestMeasurePointNoJammerMatchesSharingProbability(t *testing.T) {
 func TestMeasurePointReactiveMatchesTheorem1(t *testing.T) {
 	p := testParams()
 	p.Q = 20
-	m, err := MeasurePoint(PointConfig{Params: p, Jammer: JamReactive, Runs: 8, Seed: 2})
+	m, err := MeasurePoint(PointConfig{Params: p, Jammer: core.JamReactive, Runs: 8, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +74,7 @@ func TestMeasurePointRandomJammerBetweenBounds(t *testing.T) {
 	p := testParams()
 	p.Q = 20
 	p.Z = 2 // weak jammer so the bounds separate
-	m, err := MeasurePoint(PointConfig{Params: p, Jammer: JamRandom, Runs: 8, Seed: 3})
+	m, err := MeasurePoint(PointConfig{Params: p, Jammer: core.JamRandom, Runs: 8, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +83,7 @@ func TestMeasurePointRandomJammerBetweenBounds(t *testing.T) {
 		t.Fatalf("random-jammer P̂_D = %v outside [%v, %v]", m.PD, lower, upper)
 	}
 	// Random jamming is weaker than reactive.
-	reactive, err := MeasurePoint(PointConfig{Params: p, Jammer: JamReactive, Runs: 8, Seed: 3})
+	reactive, err := MeasurePoint(PointConfig{Params: p, Jammer: core.JamReactive, Runs: 8, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,11 +94,11 @@ func TestMeasurePointRandomJammerBetweenBounds(t *testing.T) {
 
 func TestConfidenceIntervalsShrinkWithRuns(t *testing.T) {
 	p := testParams()
-	few, err := MeasurePoint(PointConfig{Params: p, Jammer: JamReactive, Runs: 3, Seed: 31})
+	few, err := MeasurePoint(PointConfig{Params: p, Jammer: core.JamReactive, Runs: 3, Seed: 31})
 	if err != nil {
 		t.Fatal(err)
 	}
-	many, err := MeasurePoint(PointConfig{Params: p, Jammer: JamReactive, Runs: 12, Seed: 31})
+	many, err := MeasurePoint(PointConfig{Params: p, Jammer: core.JamReactive, Runs: 12, Seed: 31})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +113,7 @@ func TestConfidenceIntervalsShrinkWithRuns(t *testing.T) {
 	if math.Abs(many.PD-want) > 4*many.PDCI+0.02 {
 		t.Fatalf("P̂_D = %v ± %v too far from theory %v", many.PD, many.PDCI, want)
 	}
-	single, err := MeasurePoint(PointConfig{Params: p, Jammer: JamReactive, Runs: 1, Seed: 31})
+	single, err := MeasurePoint(PointConfig{Params: p, Jammer: core.JamReactive, Runs: 1, Seed: 31})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +125,7 @@ func TestConfidenceIntervalsShrinkWithRuns(t *testing.T) {
 func TestMNDPImprovesOnDNDP(t *testing.T) {
 	p := testParams()
 	p.Q = 30 // substantial compromise so D-NDP suffers
-	m, err := MeasurePoint(PointConfig{Params: p, Jammer: JamReactive, Runs: 5, Seed: 4})
+	m, err := MeasurePoint(PointConfig{Params: p, Jammer: core.JamReactive, Runs: 5, Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,11 +145,11 @@ func TestMNDPImprovesOnDNDP(t *testing.T) {
 func TestIterateMNDPMonotone(t *testing.T) {
 	p := testParams()
 	p.Q = 30
-	single, err := MeasurePoint(PointConfig{Params: p, Jammer: JamReactive, Runs: 3, Seed: 5})
+	single, err := MeasurePoint(PointConfig{Params: p, Jammer: core.JamReactive, Runs: 3, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	iterated, err := MeasurePoint(PointConfig{Params: p, Jammer: JamReactive, Runs: 3, Seed: 5, IterateMNDP: true})
+	iterated, err := MeasurePoint(PointConfig{Params: p, Jammer: core.JamReactive, Runs: 3, Seed: 5, IterateMNDP: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,11 +162,11 @@ func TestRedundancyAblationHurtsUnderRandomJamming(t *testing.T) {
 	p := testParams()
 	p.Q = 60
 	p.Z = 30 // strong random jammer: sub-session survival matters
-	with, err := MeasurePoint(PointConfig{Params: p, Jammer: JamRandom, Runs: 6, Seed: 6})
+	with, err := MeasurePoint(PointConfig{Params: p, Jammer: core.JamRandom, Runs: 6, Seed: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
-	without, err := MeasurePoint(PointConfig{Params: p, Jammer: JamRandom, Runs: 6, Seed: 6, DisableRedundancy: true})
+	without, err := MeasurePoint(PointConfig{Params: p, Jammer: core.JamRandom, Runs: 6, Seed: 6, DisableRedundancy: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +177,7 @@ func TestRedundancyAblationHurtsUnderRandomJamming(t *testing.T) {
 
 func TestLatencyMeasuresMatchTheorems(t *testing.T) {
 	p := testParams()
-	m, err := MeasurePoint(PointConfig{Params: p, Jammer: JamNone, Runs: 3, Seed: 7})
+	m, err := MeasurePoint(PointConfig{Params: p, Jammer: core.JamNone, Runs: 3, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +212,7 @@ func TestFiguresSmoke(t *testing.T) {
 	// tests at cheaper arguments, fig3b (which sweeps n itself) by
 	// TestFig3bSweepsN.
 	pinnedElsewhere := map[string]bool{"dsss": true, "ext-noise": true, "ext-adaptive-nu": true, "fig3b": true}
-	cfg := SweepConfig{Base: testParams(), Runs: 2, Seed: 9, Jammer: JamReactive}
+	cfg := SweepConfig{Base: testParams(), Runs: 2, Seed: 9, Jammer: core.JamReactive}
 	for _, e := range Experiments {
 		if pinnedElsewhere[e.ID] {
 			continue
@@ -241,10 +245,10 @@ func TestFiguresSmoke(t *testing.T) {
 	}
 }
 
-// TestSweepHonoursJamNone guards the zero-value default: JamNone must
+// TestSweepHonoursJamNone guards the zero-value default: core.JamNone must
 // reach the sweep's points instead of being replaced by reactive jamming.
 func TestSweepHonoursJamNone(t *testing.T) {
-	fig, err := Fig4(SweepConfig{Base: testParams(), Runs: 1, Jammer: JamNone}, 40)
+	fig, err := Fig4(SweepConfig{Base: testParams(), Runs: 1, Jammer: core.JamNone}, 40)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,12 +258,12 @@ func TestSweepHonoursJamNone(t *testing.T) {
 	}
 	p := testParams()
 	p.L, p.Q = 40, 100
-	want, err := MeasurePoint(PointConfig{Params: p, Jammer: JamNone, Runs: 1, Seed: last * 104729})
+	want, err := MeasurePoint(PointConfig{Params: p, Jammer: core.JamNone, Runs: 1, Seed: last * 104729})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := fig.Series[0].Y[last]; got != want.PD {
-		t.Fatalf("Fig4 with JamNone reports P̂_D = %v at q=100, MeasurePoint with JamNone %v", got, want.PD)
+		t.Fatalf("Fig4 with core.JamNone reports P̂_D = %v at q=100, MeasurePoint with core.JamNone %v", got, want.PD)
 	}
 }
 
@@ -268,7 +272,7 @@ func TestFig3bSweepsN(t *testing.T) {
 		t.Skip("slow")
 	}
 	// Fig 3(b) varies n itself, so run it with the real base but tiny runs.
-	cfg := SweepConfig{Runs: 1, Seed: 10, Jammer: JamReactive}
+	cfg := SweepConfig{Runs: 1, Seed: 10, Jammer: core.JamReactive}
 	fig, err := Fig3b(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -5,6 +5,7 @@ import (
 	"slices"
 
 	"repro/internal/analysis"
+	"repro/internal/core"
 )
 
 // Extension experiments beyond the paper's figures: the multi-antenna
@@ -50,7 +51,7 @@ func ExtAntennas(base analysis.Params) (Figure, error) {
 // upper bound P̂+ and collapse toward the reactive floor as z grows.
 func ExtZ(cfg SweepConfig) (Figure, error) {
 	cfg = cfg.withDefaults()
-	cfg.Jammer = JamRandom
+	cfg.Jammer = core.JamRandom
 	xs := []float64{0, 5, 10, 20, 40, 80, 160}
 	ms, ps, err := sweep(cfg, xs, func(p *analysis.Params, x float64) { p.Z = int(x) })
 	if err != nil {

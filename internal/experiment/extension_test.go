@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/analysis"
+	"repro/internal/core"
 )
 
 func TestExtAntennas(t *testing.T) {
@@ -53,7 +54,7 @@ func TestMeasureNuProfileMonotoneAndConsistent(t *testing.T) {
 	p.Q = 30
 	profile, err := MeasureNuProfile(PointConfig{
 		Params: p,
-		Jammer: JamReactive,
+		Jammer: core.JamReactive,
 		Runs:   3,
 		Seed:   11,
 	}, 6)
@@ -87,7 +88,7 @@ func TestMeasureNuProfileMonotoneAndConsistent(t *testing.T) {
 	// seeds.
 	p2 := p
 	p2.Nu = 2
-	point, err := MeasurePoint(PointConfig{Params: p2, Jammer: JamReactive, Runs: 3, Seed: 11})
+	point, err := MeasurePoint(PointConfig{Params: p2, Jammer: core.JamReactive, Runs: 3, Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +202,7 @@ func TestExtAdaptiveNu(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow")
 	}
-	cfg := SweepConfig{Base: testParams(), Runs: 2, Seed: 13, Jammer: JamReactive}
+	cfg := SweepConfig{Base: testParams(), Runs: 2, Seed: 13, Jammer: core.JamReactive}
 	// testParams has n=400; q=100 stresses it hard but stays valid.
 	fig, err := ExtAdaptiveNu(cfg, []float64{0.3, 0.6, 0.9}, 6)
 	if err != nil {

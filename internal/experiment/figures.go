@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/analysis"
+	"repro/internal/core"
 )
 
 // Series is one plotted curve: Y[i] measured at X[i].
@@ -40,7 +41,7 @@ type SweepConfig struct {
 	Seed int64
 	// Jammer model; the zero value is reactive jamming, the worst case
 	// the paper's figures report.
-	Jammer JammerModel
+	Jammer core.JammerKind
 	// IterateMNDP closes the logical graph under repeated M-NDP rounds.
 	IterateMNDP bool
 }

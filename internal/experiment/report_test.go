@@ -3,6 +3,8 @@ package experiment
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/core"
 )
 
 func TestBuildReportScaledDown(t *testing.T) {
@@ -13,7 +15,7 @@ func TestBuildReportScaledDown(t *testing.T) {
 	// on absolute anchor values (q=100 at n=2000) are evaluated but not
 	// asserted here — this test checks the machinery, the bench/cmd pass
 	// checks the claims at full scale.
-	cfg := SweepConfig{Base: testParams(), Runs: 1, Seed: 5, Jammer: JamReactive}
+	cfg := SweepConfig{Base: testParams(), Runs: 1, Seed: 5, Jammer: core.JamReactive}
 	report, err := BuildReport(cfg)
 	if err != nil {
 		t.Fatal(err)

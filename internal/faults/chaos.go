@@ -165,15 +165,14 @@ func runCellOnce(cell Cell, seed int64, sink trace.Sink) (CellResult, string, er
 	}
 
 	net, err := core.NewNetwork(core.NetworkConfig{
-		Params:          p,
-		Seed:            seed,
-		Jammer:          cell.Jammer,
-		Positions:       chaosPositions(p.N),
-		Faults:          injector,
-		Retry:           retry,
-		Defense:         core.DefaultDefenseConfig(p),
-		ClockSkewSpread: 0.05,
-		Trace:           sink,
+		Params:    p,
+		Seed:      seed,
+		Jammer:    cell.Jammer,
+		Positions: chaosPositions(p.N),
+		Faults:    injector,
+		Retry:     retry,
+		Defense:   core.DefaultDefenseConfig(p),
+		Trace:     sink,
 	})
 	if err != nil {
 		return CellResult{}, "", err

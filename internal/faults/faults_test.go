@@ -130,6 +130,7 @@ func TestScheduledChurnRecoversDiscovery(t *testing.T) {
 	net, err := core.NewNetwork(core.NetworkConfig{
 		Params:    p,
 		Seed:      3,
+		Jammer:    core.JamNone,
 		Positions: chaosPositions(p.N),
 		Retry:     retry,
 	})
@@ -163,6 +164,7 @@ func TestInvariantCheckerFlagsViolations(t *testing.T) {
 	net, err := core.NewNetwork(core.NetworkConfig{
 		Params:    p,
 		Seed:      9,
+		Jammer:    core.JamNone,
 		Positions: chaosPositions(p.N),
 		Retry:     core.DefaultRetryConfig(p),
 	})

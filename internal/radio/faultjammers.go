@@ -50,9 +50,6 @@ func (j *PulseJammer) TryJam(tx Transmission) bool {
 	return verdict && j.rng.Float64() < j.duty
 }
 
-// Name returns "pulse(<inner>)".
-func (j *PulseJammer) Name() string { return "pulse(" + j.inner.Name() + ")" }
-
 // SweepJammer rotates a fixed-size window of target codes across its
 // compromised set, advancing one window per epoch: with c compromised
 // codes and a window of w emitters, epoch e reactively jams the codes
@@ -103,6 +100,3 @@ func (j *SweepJammer) TryJam(tx Transmission) bool {
 	off := (rank - start + c) % c
 	return off < j.window
 }
-
-// Name returns "sweep".
-func (j *SweepJammer) Name() string { return "sweep" }

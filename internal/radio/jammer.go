@@ -5,7 +5,9 @@
 // ECC budget using the correct code). The chip-level counterpart of this
 // abstraction lives in internal/dsss and is validated against it in tests:
 // the decision procedure here is exactly the success model proved in
-// Theorem 1.
+// Theorem 1. Which jammer a run uses is one decision, core.JammerKind
+// (zero value reactive), and core.NewJammer is the one place that builds
+// a Jammer from it, for the campaign and the event engine alike.
 package radio
 
 import (
@@ -37,8 +39,6 @@ type Transmission struct {
 type Jammer interface {
 	// TryJam reports whether the jammer destroys this transmission.
 	TryJam(tx Transmission) bool
-	// Name identifies the jammer model in experiment output.
-	Name() string
 }
 
 // NoJammer is the benign baseline.
@@ -46,9 +46,6 @@ type NoJammer struct{}
 
 // TryJam never jams.
 func (NoJammer) TryJam(Transmission) bool { return false }
-
-// Name returns "none".
-func (NoJammer) Name() string { return "none" }
 
 // ReactiveJammer implements the reactive model: on every transmission it
 // scans its compromised codes, identifies the one in use (assumed to
@@ -72,9 +69,6 @@ func (j *ReactiveJammer) TryJam(tx Transmission) bool {
 	}
 	return j.compromised.Contains(tx.Code)
 }
-
-// Name returns "reactive".
-func (j *ReactiveJammer) Name() string { return "reactive" }
 
 // RandomJammer implements the random model: on every transmission it picks
 // random compromised codes and transmits jamming signals with them. With z
@@ -135,9 +129,6 @@ func (j *RandomJammer) TryJam(tx Transmission) bool {
 	return j.rng.Float64() < float64(tries)/float64(c)
 }
 
-// Name returns "random".
-func (j *RandomJammer) Name() string { return "random" }
-
 // IntelligentJammer models the "more intelligent attack" of §V-B: it
 // deliberately lets some message kinds through (the HELLO, so the victim
 // commits to a spread code) and reactively jams everything else it has the
@@ -168,6 +159,3 @@ func (j *IntelligentJammer) TryJam(tx Transmission) bool {
 	}
 	return j.compromised.Contains(tx.Code)
 }
-
-// Name returns "intelligent".
-func (j *IntelligentJammer) Name() string { return "intelligent" }

@@ -22,9 +22,6 @@ func TestNoJammer(t *testing.T) {
 	if j.TryJam(Transmission{Code: 3}) {
 		t.Fatal("NoJammer jammed")
 	}
-	if j.Name() != "none" {
-		t.Fatal("wrong name")
-	}
 }
 
 func TestReactiveJammerExactlyCompromisedCodes(t *testing.T) {
@@ -40,9 +37,6 @@ func TestReactiveJammerExactlyCompromisedCodes(t *testing.T) {
 	}
 	if !j.TryJam(Transmission{Code: SessionCode, SessionKnown: true}) {
 		t.Fatal("reactive jammer missed a leaked session code")
-	}
-	if j.Name() != "reactive" {
-		t.Fatal("wrong name")
 	}
 }
 

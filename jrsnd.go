@@ -20,8 +20,9 @@
 //   - Protocol engine: an event-driven simulation of the full protocol —
 //     HELLO/CONFIRM/authentication exchanges, the x-sub-session redundancy
 //     design, M-NDP signed request flooding, the DoS revocation defence —
-//     over a message-level radio with random/reactive/intelligent jammers;
-//     see New and NetworkConfig.
+//     over a message-level radio; see New and NetworkConfig. One
+//     JammerKind (zero value JamReactive) selects the jammer for this
+//     engine and for the campaigns alike.
 //   - Chip level: a real DSSS PHY (±1 chip sequences, correlation
 //     de-spreading, sliding-window synchronization, Reed–Solomon erasure
 //     coding) validating the message-level jamming model; see the
@@ -96,14 +97,16 @@ type (
 	EpochStats  = core.EpochStats
 )
 
-// JammerKind selects the adversary model of §IV-B.
+// JammerKind selects the adversary model of §IV-B for both the protocol
+// engine (NetworkConfig.Jammer) and the campaigns (PointConfig.Jammer,
+// SweepConfig.Jammer). The zero value is reactive jamming.
 type JammerKind = core.JammerKind
 
-// Jammer models for NetworkConfig.Jammer.
+// Jammer models.
 const (
+	JamReactive    = core.JamReactive
 	JamNone        = core.JamNone
 	JamRandom      = core.JamRandom
-	JamReactive    = core.JamReactive
 	JamIntelligent = core.JamIntelligent
 )
 
@@ -160,16 +163,6 @@ type SweepConfig = experiment.SweepConfig
 type (
 	PointConfig  = experiment.PointConfig
 	PointMeasure = experiment.PointMeasure
-)
-
-// JammerModel selects the adversary for campaign experiments.
-type JammerModel = experiment.JammerModel
-
-// Campaign jammer models.
-const (
-	CampaignJamNone     = experiment.JamNone
-	CampaignJamRandom   = experiment.JamRandom
-	CampaignJamReactive = experiment.JamReactive
 )
 
 // MeasurePoint runs the Monte-Carlo campaign for one parameter point.

@@ -80,7 +80,7 @@ func TestFacadeMeasureAndPrint(t *testing.T) {
 	p.FieldWidth, p.FieldHeight = 2000, 2000
 	m, err := jrsnd.MeasurePoint(jrsnd.PointConfig{
 		Params: p,
-		Jammer: jrsnd.CampaignJamReactive,
+		Jammer: jrsnd.JamReactive,
 		Runs:   2,
 		Seed:   3,
 	})
