@@ -29,8 +29,9 @@ tier1: build
 
 # benchgate measures the hot-path benchmarks (sim scheduler, DSSS receive
 # path, authd handlers) against the checked-in BENCH_*.json baselines and
-# fails on a >2x regression. Re-baseline deliberately with
-# `go run ./cmd/jrsnd-benchgate -update`. See docs/observability.md.
+# fails on a >2x slowdown or on any allocs/op above the baseline.
+# Re-baseline deliberately with `go run ./cmd/jrsnd-benchgate -update`.
+# See docs/observability.md.
 benchgate:
 	$(GO) run ./cmd/jrsnd-benchgate
 

@@ -82,54 +82,6 @@ func BenchmarkAblationRedundancyOff(b *testing.B) {
 	b.ReportMetric(pd, "P_D")
 }
 
-func dosAblation(b *testing.B, gamma int) float64 {
-	b.Helper()
-	p := analysis.Defaults()
-	p.N = 12
-	p.M = 6
-	p.L = 12
-	p.Q = 0
-	p.Gamma = gamma
-	p.FieldWidth, p.FieldHeight = 1000, 1000
-	positions := make([]field.Point, p.N)
-	for i := range positions {
-		positions[i] = field.Point{X: 100 + float64(i%4)*50, Y: 100 + float64(i/4)*50}
-	}
-	net, err := core.NewNetwork(core.NetworkConfig{
-		Params:    p,
-		Seed:      1,
-		Jammer:    core.JamNone,
-		Positions: positions,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := net.Compromise([]int{p.N - 1}); err != nil {
-		b.Fatal(err)
-	}
-	report, err := net.RunDoSAttack(p.N-1, 20)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return float64(report.MACVerifications)
-}
-
-func BenchmarkAblationRevocationOn(b *testing.B) {
-	var v float64
-	for i := 0; i < b.N; i++ {
-		v = dosAblation(b, 5)
-	}
-	b.ReportMetric(v, "verifications")
-}
-
-func BenchmarkAblationRevocationOff(b *testing.B) {
-	var v float64
-	for i := 0; i < b.N; i++ {
-		v = dosAblation(b, 1<<20)
-	}
-	b.ReportMetric(v, "verifications")
-}
-
 // --- Substrate micro-benchmarks ---
 
 func BenchmarkCorrelate512(b *testing.B) {

@@ -1,12 +1,13 @@
 // Command jrsnd-benchgate is the benchmark-regression gate: it runs the
 // Go benchmarks of the hot-path packages (sim, dsss, authd, transport,
 // and the figure campaign's field and codepool kernels), reduces each
-// benchmark to its best observed ns/op across -count repetitions, and
-// compares the result against the checked-in per-suite baseline
-// (BENCH_sim.json, BENCH_dsss.json, …). A benchmark slower than
-// baseline × (1 + tolerance) is a regression and the gate exits nonzero —
-// wired into `make tier1` so every hot-path change is measured against
-// the locked-in trajectory.
+// benchmark to its best observed ns/op and allocs/op across -count
+// repetitions, and compares the result against the checked-in per-suite
+// baseline (BENCH_sim.json, BENCH_dsss.json, …). A benchmark slower than
+// baseline × (1 + tolerance), or allocating more per op than its
+// baseline, is a regression and the gate exits nonzero — wired into
+// `make tier1` so every hot-path change is measured against the
+// locked-in trajectory.
 //
 // Usage:
 //
@@ -19,6 +20,8 @@
 // checked-in baselines travel across machines, and the gate exists to
 // catch algorithmic regressions — an accidental O(n²), a lost fast path —
 // not scheduler jitter. Tighten it on a pinned benchmarking host.
+// Allocation counts do not depend on the machine, so allocs/op is gated
+// exactly; B/op is recorded but not gated, as it varies from run to run.
 package main
 
 import (
@@ -162,7 +165,7 @@ func run(out, errw io.Writer, cfg config) int {
 			}
 		}
 		if !hasRegression(findings) {
-			fmt.Fprintf(out, "%s: %d benchmarks within %.2gx of baseline\n", name, len(base.Benchmarks), 1+cfg.Tolerance)
+			fmt.Fprintf(out, "%s: %d benchmarks within %.2gx of baseline ns/op and at or below its allocs/op\n", name, len(base.Benchmarks), 1+cfg.Tolerance)
 		}
 	}
 	if failed {
@@ -197,7 +200,8 @@ func measure(name string, s suite, cfg config) (map[string]benchResult, string, 
 
 // parseBench reduces `go test -bench` output to per-benchmark results,
 // keeping the best (minimum) ns/op across -count repetitions — the run
-// least disturbed by the machine — and the matching memory columns.
+// least disturbed by the machine — with that run's B/op, and the minimum
+// allocs/op, which a short repetition can inflate with one-off setup.
 func parseBench(out string) (map[string]benchResult, error) {
 	results := map[string]benchResult{}
 	for _, line := range strings.Split(out, "\n") {
@@ -230,9 +234,13 @@ func parseBench(out string) (map[string]benchResult, error) {
 		if r.NsPerOp < 0 {
 			continue
 		}
-		if prev, ok := results[name]; !ok || r.NsPerOp < prev.NsPerOp {
-			results[name] = r
+		if prev, ok := results[name]; ok {
+			if prev.NsPerOp <= r.NsPerOp {
+				r.NsPerOp, r.BytesPerOp = prev.NsPerOp, prev.BytesPerOp
+			}
+			r.AllocsPerOp = min(r.AllocsPerOp, prev.AllocsPerOp)
 		}
+		results[name] = r
 	}
 	return results, nil
 }
@@ -253,9 +261,10 @@ func hasRegression(fs []finding) bool {
 }
 
 // compare gates current results against the baseline. A benchmark slower
-// than baseline*(1+tolerance) regresses; a benchmark that disappeared
-// regresses (deleting the measurement is not a way past the gate); a new
-// benchmark is reported but passes (record it with -update).
+// than baseline*(1+tolerance), or with more allocs/op than the baseline,
+// regresses; a benchmark that disappeared regresses (deleting the
+// measurement is not a way past the gate); a new benchmark is reported
+// but passes (record it with -update).
 func compare(base, cur map[string]benchResult, tolerance float64) []finding {
 	var names []string
 	for name := range base {
@@ -278,6 +287,12 @@ func compare(base, cur map[string]benchResult, tolerance float64) []finding {
 			out = append(out, finding{
 				Text: fmt.Sprintf("REGRESSION %s: %.0f ns/op vs baseline %.0f (limit %.0f, %.2fx)",
 					name, c.NsPerOp, b.NsPerOp, limit, c.NsPerOp/b.NsPerOp),
+				Regression: true,
+			})
+		}
+		if c.AllocsPerOp > b.AllocsPerOp {
+			out = append(out, finding{
+				Text:       fmt.Sprintf("REGRESSION %s: %d allocs/op vs baseline %d", name, c.AllocsPerOp, b.AllocsPerOp),
 				Regression: true,
 			})
 		}

@@ -120,6 +120,47 @@ BenchmarkCascade-8       100   310000 ns/op  131208 B/op  4101 allocs/op
 	}
 }
 
+// TestGateFailsOnAllocsRegression: one more allocation per op than the
+// baseline fails the gate even at baseline speed, while more bytes per op
+// at the baseline's allocation count passes (B/op is not gated).
+func TestGateFailsOnAllocsRegression(t *testing.T) {
+	dir := t.TempDir()
+	writeFile := func(name, content string) string {
+		t.Helper()
+		p := filepath.Join(dir, name)
+		if err := os.WriteFile(p, []byte(content), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	writeFile("BENCH_sim.json", `{
+  "suite": "sim",
+  "go_bench": "recorded for test",
+  "benchmarks": {
+    "ScheduleRun": {"ns_per_op": 100000, "bytes_per_op": 62664, "allocs_per_op": 1037}
+  }
+}`)
+	for _, tc := range []struct {
+		name, input string
+		want        int
+	}{
+		{"one more alloc", "BenchmarkScheduleRun-8  100  100000 ns/op  62664 B/op  1038 allocs/op\n", 1},
+		{"more bytes, same allocs", "BenchmarkScheduleRun-8  100  100000 ns/op  70000 B/op  1037 allocs/op\n", 0},
+		{"fewer allocs", "BenchmarkScheduleRun-8  100  100000 ns/op  62000 B/op  1036 allocs/op\n", 0},
+		{"best repetition counts", "BenchmarkScheduleRun-8  1  100000 ns/op  70000 B/op  1040 allocs/op\n" +
+			"BenchmarkScheduleRun-8  100  120000 ns/op  62664 B/op  1037 allocs/op\n", 0},
+	} {
+		var out, errw strings.Builder
+		input := writeFile("in.txt", tc.input)
+		if code := run(&out, &errw, config{Suites: []string{"sim"}, Tolerance: 1.0, Dir: dir, Input: input}); code != tc.want {
+			t.Fatalf("%s: exit = %d, want %d\nstdout: %s\nstderr: %s", tc.name, code, tc.want, out.String(), errw.String())
+		}
+		if tc.want == 1 && !strings.Contains(out.String(), "REGRESSION ScheduleRun: 1038 allocs/op vs baseline 1037") {
+			t.Fatalf("%s: missing allocs finding:\n%s", tc.name, out.String())
+		}
+	}
+}
+
 func TestGateFlagValidation(t *testing.T) {
 	var out, errw strings.Builder
 	if code := run(&out, &errw, config{Suites: []string{"bogus"}}); code != 2 {

@@ -114,27 +114,26 @@ const (
 	// flipBytes is how many random bytes are XORed per corrupted frame
 	// (BitFlip).
 	flipBytes = 3
-	// floodWaves is how many waves a Flood injects.
+	// floodWaves is how many waves New(Flood, ...) injects; NewFlood
+	// takes the count as an argument.
 	floodWaves = 3
 )
 
-// Profile configures a Byzantine behavior. core.ArmAdversary derives
-// every field from the network and its validated parameters; only Flood
-// reads FloodTargets.
+// Profile configures a Byzantine behavior. The core network derives
+// every field from its topology and validated parameters, one way for
+// ArmAdversary and RunDoSAttack; only Flood reads FloodTargets.
 type Profile struct {
 	Node   int           // the adversary's (compromised) node index
 	Rng    *rand.Rand    // seed-derived stream; owned by the adversary
 	Engine *sim.Engine   // event engine for scheduling injections
 	Tx     *radio.Medium // the medium to inject through
-	Limits wire.Limits   // codec caps for decoding/forging frames
+	Limits wire.Limits   // codec caps; MaxNonce and MaxMAC size forged fields
 
 	// ReplayDelay is how long after capture a recorded frame is
 	// reinjected (Replay). Should exceed the victims' session timeout so
 	// the replay lands on reaped handshake state.
 	ReplayDelay sim.Time
 
-	// NonceBytes and MACBytes size the forged AUTH fields (Forge, Flood).
-	NonceBytes, MACBytes int
 	// AuthBits is the airtime size of a forged AUTH1 (Flood).
 	AuthBits int
 	// FloodTargets are the (victim, code) pairs to hammer (Flood).
@@ -162,13 +161,13 @@ func New(kind Kind, profile Profile) (Byzantine, error) {
 	}
 	switch kind {
 	case Replay:
-		return &replayer{p: profile}, nil
+		return &replayer{base: base{p: profile}}, nil
 	case Forge:
-		return &forger{p: profile}, nil
+		return &forger{base: base{p: profile}}, nil
 	case BitFlip:
-		return &bitFlipper{p: profile}, nil
+		return &bitFlipper{base{p: profile}}, nil
 	case Flood:
-		return &flooder{p: profile}, nil
+		return NewFlood(profile, floodWaves)
 	default:
 		return nil, fmt.Errorf("adversary: kind %d has no behavior", kind)
 	}

@@ -1,16 +1,79 @@
 package adversary
 
 import (
+	"fmt"
+
 	"repro/internal/ibc"
 	"repro/internal/radio"
 	"repro/internal/sim"
 	"repro/internal/wire"
 )
 
-// forgedIDBase is where forged sender identities start — far above any
-// simulated deployment's ID range, so a forgery can never collide with an
-// honest node.
-const forgedIDBase = 50000
+// ForgedIDBase is where forged sender identities start. Honest nodes hold
+// IDs 0..N-1, so an adversary is armed only while N <= ForgedIDBase, and
+// a forgery never collides with an honest node.
+const ForgedIDBase = 50000
+
+// forgedIDs allocates forged sender identities upward from ForgedIDBase,
+// refusing to run past the 16-bit ID space instead of wrapping into
+// honest IDs.
+type forgedIDs struct{ used int }
+
+// take reserves k consecutive identities and returns the first.
+func (a *forgedIDs) take(k int) (ibc.NodeID, error) {
+	first := ForgedIDBase + a.used
+	if first+k-1 > 1<<16-1 {
+		return 0, fmt.Errorf("adversary: %d forged identities from %d run past the 16-bit ID space", k, first)
+	}
+	a.used += k
+	return ibc.NodeID(first), nil
+}
+
+// base is what every behavior shares: its profile, its counters, and the
+// one path its own frames take onto the air.
+type base struct {
+	p      Profile
+	counts Counts
+}
+
+func (b *base) Counts() Counts { return b.counts }
+func (b *base) Launch() error  { return nil }
+
+// observe counts a frame on the air and reports whether it is someone
+// else's: a behavior never acts on its own injections.
+func (b *base) observe(from int) bool {
+	if from == b.p.Node {
+		return false
+	}
+	b.counts.Observed++
+	return true
+}
+
+// inject transmits msg from the adversary's radio after delay (to = -1
+// broadcasts). It counts as injected only if the medium accepts it: a
+// crashed adversary's radio is off.
+func (b *base) inject(delay sim.Time, to int, msg radio.Message) error {
+	_, err := b.p.Engine.Schedule(delay, func() {
+		var err error
+		if to < 0 {
+			err = b.p.Tx.Broadcast(b.p.Node, msg)
+		} else {
+			err = b.p.Tx.Unicast(b.p.Node, to, msg)
+		}
+		if err == nil {
+			b.counts.Injected++
+		}
+	})
+	return err
+}
+
+// fill overwrites buf with random bytes and returns it.
+func (b *base) fill(buf []byte) []byte {
+	for i := range buf {
+		buf[i] = byte(b.p.Rng.Intn(256))
+	}
+	return buf
+}
 
 // replayer records AUTH frames off the air and reinjects byte-exact
 // copies after ReplayDelay. The copy is taken at capture time
@@ -18,19 +81,14 @@ const forgedIDBase = 50000
 // what is replayed, and the replayed frame is transmitted from the
 // adversary's own radio — its physical neighbors hear it.
 type replayer struct {
-	p         Profile
-	counts    Counts
+	base
 	scheduled int
 }
 
-func (r *replayer) Counts() Counts { return r.counts }
-func (r *replayer) Launch() error  { return nil }
-
 func (r *replayer) Intercept(from, to int, msg radio.Message) radio.Message {
-	if from == r.p.Node {
+	if !r.observe(from) {
 		return msg // own injections are not re-recorded
 	}
-	r.counts.Observed++
 	frame, ok := msg.Payload.([]byte)
 	if !ok || (msg.Kind != wire.KindAuth1 && msg.Kind != wire.KindAuth2) {
 		return msg
@@ -42,10 +100,7 @@ func (r *replayer) Intercept(from, to int, msg radio.Message) radio.Message {
 	r.counts.Recorded++
 	rec := msg
 	rec.Payload = append([]byte(nil), frame...)
-	r.p.Engine.MustSchedule(r.p.ReplayDelay, func() {
-		r.counts.Injected++
-		_ = r.p.Tx.Broadcast(r.p.Node, rec)
-	})
+	_ = r.inject(r.p.ReplayDelay, -1, rec) // a non-negative delay always schedules
 	return msg
 }
 
@@ -53,19 +108,15 @@ func (r *replayer) Intercept(from, to int, msg radio.Message) radio.Message {
 // identity and a random MAC, and injects the re-encoded forgery — a
 // structurally perfect frame whose only flaw is cryptographic.
 type forger struct {
-	p         Profile
-	counts    Counts
+	base
+	ids       forgedIDs
 	scheduled int
 }
 
-func (f *forger) Counts() Counts { return f.counts }
-func (f *forger) Launch() error  { return nil }
-
 func (f *forger) Intercept(from, to int, msg radio.Message) radio.Message {
-	if from == f.p.Node {
+	if !f.observe(from) {
 		return msg
 	}
-	f.counts.Observed++
 	frame, ok := msg.Payload.([]byte)
 	if !ok || msg.Kind != wire.KindAuth1 || f.scheduled >= maxInjections {
 		return msg
@@ -75,10 +126,10 @@ func (f *forger) Intercept(from, to int, msg radio.Message) radio.Message {
 		return msg
 	}
 	auth := payload.(wire.Auth)
-	auth.Sender = ibc.NodeID(forgedIDBase + f.scheduled)
-	for i := range auth.MAC {
-		auth.MAC[i] = byte(f.p.Rng.Intn(256))
+	if auth.Sender, err = f.ids.take(1); err != nil {
+		return msg
 	}
+	f.fill(auth.MAC)
 	forged, err := wire.Encode(wire.KindAuth1, auth, f.p.Limits)
 	if err != nil {
 		return msg
@@ -86,10 +137,7 @@ func (f *forger) Intercept(from, to int, msg radio.Message) radio.Message {
 	f.scheduled++
 	inj := msg
 	inj.Payload = forged
-	f.p.Engine.MustSchedule(0, func() {
-		f.counts.Injected++
-		_ = f.p.Tx.Broadcast(f.p.Node, inj)
-	})
+	_ = f.inject(0, -1, inj) // a zero delay always schedules
 	return msg
 }
 
@@ -98,19 +146,12 @@ func (f *forger) Intercept(from, to int, msg radio.Message) radio.Message {
 // interference) that mangles bytes the DSSS layer's ECC failed to fix.
 // The corruption happens on a copy: the transmitter's buffer is never
 // touched.
-type bitFlipper struct {
-	p      Profile
-	counts Counts
-}
-
-func (b *bitFlipper) Counts() Counts { return b.counts }
-func (b *bitFlipper) Launch() error  { return nil }
+type bitFlipper struct{ base }
 
 func (b *bitFlipper) Intercept(from, to int, msg radio.Message) radio.Message {
-	if from == b.p.Node {
+	if !b.observe(from) {
 		return msg
 	}
-	b.counts.Observed++
 	frame, ok := msg.Payload.([]byte)
 	if !ok || len(frame) == 0 {
 		return msg
@@ -129,63 +170,57 @@ func (b *bitFlipper) Intercept(from, to int, msg radio.Message) radio.Message {
 	return out
 }
 
-// flooder is the §V-D DoS attack driven through the codec: waves of
-// forged AUTH1 frames under fresh identities, one per (victim,
-// compromised code) target, paced at FloodInterval.
+// flooder is the §V-D DoS attack and the only code that builds its
+// frames: waves of forged AUTH1 frames under fresh identities, one per
+// (victim, compromised code) target, paced at FloodInterval. Both
+// core.RunDoSAttack and the chaos matrix's Flood cells run it.
 type flooder struct {
-	p      Profile
-	counts Counts
+	base
+	waves int
+	ids   forgedIDs
 }
 
-func (f *flooder) Counts() Counts { return f.counts }
+// NewFlood builds a Flood adversary that injects the given number of
+// waves; New(Flood, ...) injects three.
+func NewFlood(profile Profile, waves int) (Byzantine, error) {
+	if err := profile.validate(); err != nil {
+		return nil, err
+	}
+	if waves < 1 {
+		return nil, fmt.Errorf("adversary: flood waves %d must be >= 1", waves)
+	}
+	return &flooder{base: base{p: profile}, waves: waves}, nil
+}
 
 func (f *flooder) Intercept(from, to int, msg radio.Message) radio.Message {
-	if from != f.p.Node {
-		f.counts.Observed++
-	}
+	f.observe(from)
 	return msg
 }
 
+// Launch reserves every wave's forged identities up front, so a flood
+// that would exhaust the ID space schedules nothing.
 func (f *flooder) Launch() error {
-	fake := forgedIDBase
-	for wave := 0; wave < floodWaves; wave++ {
-		at := f.p.FloodInterval * sim.Time(wave)
+	sender, err := f.ids.take(f.waves * len(f.p.FloodTargets))
+	if err != nil {
+		return err
+	}
+	for wave := 0; wave < f.waves; wave++ {
 		for _, tgt := range f.p.FloodTargets {
-			nonce := f.randBytes(f.p.NonceBytes)
-			mac := f.randBytes(f.p.MACBytes)
-			auth := wire.Auth{
-				Sender: ibc.NodeID(fake),
+			frame, err := wire.Encode(wire.KindAuth1, wire.Auth{
+				Sender: sender,
 				Peer:   ibc.NodeID(tgt.Victim),
-				Nonce:  nonce,
-				MAC:    mac,
-			}
-			fake++
-			frame, err := wire.Encode(wire.KindAuth1, auth, f.p.Limits)
+				Nonce:  f.fill(make([]byte, f.p.Limits.MaxNonce)),
+				MAC:    f.fill(make([]byte, f.p.Limits.MaxMAC)),
+			}, f.p.Limits)
 			if err != nil {
 				return err
 			}
-			tgt := tgt
-			msg := radio.Message{
-				Kind:        wire.KindAuth1,
-				Code:        tgt.Code,
-				PayloadBits: f.p.AuthBits,
-				Payload:     frame,
-			}
-			if _, err := f.p.Engine.Schedule(at, func() {
-				f.counts.Injected++
-				_ = f.p.Tx.Unicast(f.p.Node, tgt.Victim, msg)
-			}); err != nil {
+			sender++
+			msg := radio.Message{Kind: wire.KindAuth1, Code: tgt.Code, PayloadBits: f.p.AuthBits, Payload: frame}
+			if err := f.inject(f.p.FloodInterval*sim.Time(wave), tgt.Victim, msg); err != nil {
 				return err
 			}
 		}
 	}
 	return nil
-}
-
-func (f *flooder) randBytes(n int) []byte {
-	out := make([]byte, n)
-	for i := range out {
-		out[i] = byte(f.p.Rng.Intn(256))
-	}
-	return out
 }

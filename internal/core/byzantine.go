@@ -9,21 +9,40 @@ import (
 
 // ArmAdversary compromises node idx and plugs the given Byzantine
 // behavior into the medium as an on-air interceptor (composing with the
-// jammer and any channel FaultInjector). The behavior's profile is
-// derived from the network: codec limits from Params, the replay delay
-// from the session timeout (so replays land on reaped handshake state),
-// and flood targets from idx's compromised codes × its physical neighbors
-// holding them — the same targeting RunDoSAttack uses. The returned
+// jammer and any channel FaultInjector). The behavior's profile comes
+// from adversaryProfile; a Flood injects three waves. The returned
 // Byzantine exposes activity counters for assertions.
 func (n *Network) ArmAdversary(idx int, kind adversary.Kind) (adversary.Byzantine, error) {
-	if idx < 0 || idx >= len(n.nodes) {
-		return nil, fmt.Errorf("core: adversary index %d out of range", idx)
+	profile, err := n.adversaryProfile(idx)
+	if err != nil {
+		return nil, err
 	}
-	if kind == adversary.None {
-		return nil, fmt.Errorf("core: adversary kind none cannot be armed")
+	b, err := adversary.New(kind, profile)
+	if err != nil {
+		return nil, fmt.Errorf("core: %w", err)
 	}
 	if err := n.Compromise([]int{idx}); err != nil {
 		return nil, err
+	}
+	n.medium.SetInterceptor(b)
+	if err := b.Launch(); err != nil {
+		return nil, err
+	}
+	return b, nil
+}
+
+// adversaryProfile derives the profile of a Byzantine behavior on node
+// idx from the network: codec limits (which size forged fields) from Params,
+// the replay delay from the session timeout (so replays land on reaped
+// handshake state), flood waves paced at t_key, and the flood targets —
+// idx's codes × its honest physical neighbors holding them. It refuses a
+// deployment whose honest IDs reach the forged-identity range.
+func (n *Network) adversaryProfile(idx int) (adversary.Profile, error) {
+	if idx < 0 || idx >= len(n.nodes) {
+		return adversary.Profile{}, fmt.Errorf("core: adversary index %d out of range", idx)
+	}
+	if len(n.nodes) > adversary.ForgedIDBase {
+		return adversary.Profile{}, fmt.Errorf("core: %d nodes overlap the forged identities from %d", len(n.nodes), adversary.ForgedIDBase)
 	}
 	att := n.nodes[idx]
 	p := n.params
@@ -34,7 +53,6 @@ func (n *Network) ArmAdversary(idx int, kind adversary.Kind) (adversary.Byzantin
 	if retry == nil {
 		retry = DefaultRetryConfig(p)
 	}
-	replayDelay := retry.SessionTimeout * 3 / 2
 
 	var targets []adversary.FloodTarget
 	for _, c := range att.codes {
@@ -47,25 +65,15 @@ func (n *Network) ArmAdversary(idx int, kind adversary.Kind) (adversary.Byzantin
 		}
 	}
 
-	b, err := adversary.New(kind, adversary.Profile{
+	return adversary.Profile{
 		Node:          idx,
 		Rng:           n.streams.Get("adversary"),
 		Engine:        n.engine,
 		Tx:            n.medium,
 		Limits:        n.limits,
-		ReplayDelay:   replayDelay,
-		NonceBytes:    (p.LenNonce + 7) / 8,
-		MACBytes:      (p.LenMAC + 7) / 8,
+		ReplayDelay:   retry.SessionTimeout * 3 / 2,
 		AuthBits:      p.LenID + p.LenNonce + p.LenMAC,
 		FloodTargets:  targets,
 		FloodInterval: sim.Time(p.TKey),
-	})
-	if err != nil {
-		return nil, err
-	}
-	n.medium.SetInterceptor(b)
-	if err := b.Launch(); err != nil {
-		return nil, err
-	}
-	return b, nil
+	}, nil
 }

@@ -7,6 +7,7 @@ import (
 	"repro/internal/adversary"
 	"repro/internal/metrics"
 	"repro/internal/radio"
+	"repro/internal/sim"
 	"repro/internal/wire"
 )
 
@@ -257,5 +258,64 @@ func TestDecoderCopyDefeatsMutateAfterDeliver(t *testing.T) {
 	}
 	if !victim.IsLogicalNeighbor(auth.Sender) {
 		t.Fatal("victim lost a discovered neighbor after the sender mutated its buffer")
+	}
+}
+
+// TestCrashedByzantineNodeIsSilent: an armed adversary whose node crashes
+// transmits nothing afterwards — the medium refuses a crashed radio's
+// frames whichever behavior scheduled them. A Flood crashed at 0.5·t_key
+// gets exactly its first wave (5 codes × 3 victims) on the air.
+func TestCrashedByzantineNodeIsSilent(t *testing.T) {
+	for _, kind := range adversary.Kinds {
+		t.Run(kind.String(), func(t *testing.T) {
+			net, _ := byzantineNet(t, 77)
+			b, err := net.ArmAdversary(3, kind)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Without a jammer every frame the medium accepts reaches the
+			// interceptor; wrap the adversary's to watch node 3's frames.
+			crashed, late := false, 0
+			net.medium.SetInterceptor(radio.InterceptorFunc(func(from, to int, msg radio.Message) radio.Message {
+				if from == 3 && crashed {
+					late++
+				}
+				return b.Intercept(from, to, msg)
+			}))
+			if _, err := net.Engine().Schedule(sim.Time(0.5*net.Params().TKey), func() {
+				crashed = true
+				_ = net.CrashNode(3)
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if err := net.RunDNDP(1); err != nil {
+				t.Fatal(err)
+			}
+			if late > 0 {
+				t.Fatalf("crashed node 3 put %d frames on the air", late)
+			}
+			if got := b.Counts().Injected; kind == adversary.Flood && got != 15 {
+				t.Fatalf("flood injected %d frames, want one wave of 15", got)
+			}
+		})
+	}
+}
+
+// TestAdversaryRefusesForgedIDOverlap: once honest IDs reach the forged
+// identity range, a forgery could impersonate an honest node, so neither
+// ArmAdversary nor RunDoSAttack arms one. The node table is padded past
+// adversary.ForgedIDBase rather than built, which would cost seconds of
+// key issuance; both calls must refuse before touching the padding.
+func TestAdversaryRefusesForgedIDOverlap(t *testing.T) {
+	net, _ := byzantineNet(t, 78)
+	if err := net.Compromise([]int{3}); err != nil {
+		t.Fatal(err)
+	}
+	net.nodes = append(net.nodes, make([]*Node, adversary.ForgedIDBase+1-len(net.nodes))...)
+	if _, err := net.ArmAdversary(3, adversary.Flood); err == nil {
+		t.Fatal("ArmAdversary armed a flood whose forged IDs overlap honest ones")
+	}
+	if _, err := net.RunDoSAttack(3, 1); err == nil {
+		t.Fatal("RunDoSAttack ran a flood whose forged IDs overlap honest ones")
 	}
 }

@@ -93,10 +93,7 @@ func (nd *Node) initiateDNDP() {
 		}
 		c := c
 		nd.net.engine.MustSchedule(sim.Time(i)*th, func() {
-			if nd.down {
-				return
-			}
-			_ = nd.net.send(nd.index, -1, radio.Message{
+			_ = nd.net.send(nd.index, -1, radio.Message{ // refused if crashed by now
 				Kind:        wire.KindHello,
 				Code:        c,
 				PayloadBits: helloBits,

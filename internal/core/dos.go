@@ -3,10 +3,7 @@ package core
 import (
 	"fmt"
 
-	"repro/internal/ibc"
-	"repro/internal/radio"
-	"repro/internal/sim"
-	"repro/internal/wire"
+	"repro/internal/adversary"
 )
 
 // DoS attack of §V-D: an adversary holding compromised spread codes injects
@@ -16,8 +13,8 @@ import (
 // i.e. (l−1)·γ verifications network-wide per code.
 
 // DoSReport aggregates the verification work the attack forced. Injected
-// counts frames the attacker actually put on the air — waves scheduled
-// after the attacker crashed (churn) do not transmit and are not counted.
+// counts frames the attacker actually put on the air: the medium refuses
+// waves that fire after the attacker crashed (churn).
 type DoSReport struct {
 	Injected         int
 	KeyComputations  int
@@ -28,74 +25,35 @@ type DoSReport struct {
 }
 
 // RunDoSAttack makes the compromised node `attacker` inject `rounds` waves
-// of fake first-authentication messages: one message per (compromised code,
-// physical neighbor holding that code) pair per wave, each under a fresh
-// forged sender identity so every injection forces a key computation and a
-// MAC verification until the victims revoke the code. It returns the work
-// counters accumulated by honest nodes during the attack (deltas over the
-// run).
+// of fake first-authentication messages: the adversary package's Flood
+// behavior, with the profile ArmAdversary uses, sends one message per
+// (compromised code, physical neighbor holding that code) pair per wave,
+// each under a fresh forged sender identity so every injection forces a
+// key computation and a MAC verification until the victims revoke the
+// code. It returns the work counters accumulated by honest nodes during
+// the attack (deltas over the run).
 func (n *Network) RunDoSAttack(attacker int, rounds int) (DoSReport, error) {
-	if attacker < 0 || attacker >= len(n.nodes) {
-		return DoSReport{}, fmt.Errorf("core: attacker index %d out of range", attacker)
+	profile, err := n.adversaryProfile(attacker)
+	if err != nil {
+		return DoSReport{}, err
 	}
-	if !n.compromisedNodes[attacker] {
+	if !n.nodes[attacker].compromised {
 		return DoSReport{}, fmt.Errorf("core: node %d is not compromised; compromise it first", attacker)
 	}
-	if rounds < 1 {
-		return DoSReport{}, fmt.Errorf("core: rounds=%d must be >= 1", rounds)
+	flood, err := adversary.NewFlood(profile, rounds)
+	if err != nil {
+		return DoSReport{}, fmt.Errorf("core: %w", err)
 	}
-	before := n.aggregateStats()
-	att := n.nodes[attacker]
-	p := n.params
-	bits := p.LenID + p.LenNonce + p.LenMAC
-	fakeID := uint16(60000)
-	injected := 0
-	interval := sim.Time(p.TKey) // pace waves roughly at victim work rate
-	for round := 0; round < rounds; round++ {
-		at := interval * sim.Time(round)
-		for _, c := range att.codes {
-			for _, victim := range n.graph.Adj[attacker] {
-				vn := n.nodes[victim]
-				if vn.compromised || !vn.codeSet[c] {
-					continue
-				}
-				sender := ibc.NodeID(fakeID)
-				fakeID++
-				c, victim := c, victim
-				garbageMAC := make([]byte, p.LenMAC/8)
-				for i := range garbageMAC {
-					garbageMAC[i] = byte(att.rng.Intn(256))
-				}
-				nonce := att.newNonce()
-				n.engine.MustSchedule(at, func() {
-					// A crashed attacker radio transmits nothing: waves
-					// scheduled past a mid-attack churn crash must not
-					// count as injected work.
-					if att.down {
-						return
-					}
-					injected++
-					_ = n.send(attacker, victim, radio.Message{
-						Kind:        wire.KindAuth1,
-						Code:        c,
-						PayloadBits: bits,
-						Payload: wire.Auth{
-							Sender: sender,
-							Peer:   ibc.NodeID(victim),
-							Nonce:  nonce,
-							MAC:    garbageMAC,
-						},
-					})
-				})
-			}
-		}
+	before := n.AggregateStats()
+	if err := flood.Launch(); err != nil {
+		return DoSReport{}, fmt.Errorf("core: %w", err)
 	}
 	if err := n.engine.Run(); err != nil {
 		return DoSReport{}, err
 	}
-	after := n.aggregateStats()
+	after := n.AggregateStats()
 	return DoSReport{
-		Injected:         injected,
+		Injected:         flood.Counts().Injected,
 		KeyComputations:  after.KeyComputations - before.KeyComputations,
 		MACVerifications: after.MACVerifications - before.MACVerifications,
 		MACFailures:      after.MACFailures - before.MACFailures,
@@ -104,8 +62,8 @@ func (n *Network) RunDoSAttack(attacker int, rounds int) (DoSReport, error) {
 	}, nil
 }
 
-// aggregateStats sums honest-node work counters.
-func (n *Network) aggregateStats() NodeStats {
+// AggregateStats sums the network-wide honest-node work counters.
+func (n *Network) AggregateStats() NodeStats {
 	var total NodeStats
 	for _, nd := range n.nodes {
 		if nd.compromised {
@@ -122,6 +80,3 @@ func (n *Network) aggregateStats() NodeStats {
 	}
 	return total
 }
-
-// AggregateStats exposes the network-wide honest-node work counters.
-func (n *Network) AggregateStats() NodeStats { return n.aggregateStats() }

@@ -150,3 +150,20 @@ func TestDoSValidation(t *testing.T) {
 		t.Fatal("accepted zero rounds")
 	}
 }
+
+func TestDoSRefusesForgedIDOverflow(t *testing.T) {
+	// 5 victims × 4 codes = 20 forged identities per wave: 800 waves need
+	// 16,000, more than the 15,536 between adversary.ForgedIDBase and the
+	// top of the 16-bit ID space. The attack must be refused up front
+	// rather than wrap into honest IDs.
+	net := dosNetwork(t, 6, 4, 6, 1000, 26)
+	if _, err := net.RunDoSAttack(5, 800); err == nil {
+		t.Fatal("accepted a flood that exhausts the forged-ID space")
+	}
+	if net.Engine().Pending() != 0 {
+		t.Fatalf("refused flood left %d events scheduled", net.Engine().Pending())
+	}
+	if tx := net.MediumStats().Transmissions; tx != 0 {
+		t.Fatalf("refused flood transmitted %d frames", tx)
+	}
+}

@@ -324,11 +324,8 @@ func (nd *Node) beaconSessionHello(origin ibc.NodeID) {
 	for i := 1; i <= beacons; i++ {
 		at := tauH * sim.Time(i) / sim.Time(beacons)
 		nd.net.engine.MustSchedule(at, func() {
-			if nd.down {
-				return
-			}
 			if _, pending := nd.mndpIn[origin]; !pending {
-				return // already confirmed (or reaped by the session timeout)
+				return // confirmed, reaped by the session timeout, or lost in a crash
 			}
 			_ = nd.net.send(nd.index, -1, radio.Message{
 				Kind:        wire.KindSessionHello,

@@ -202,7 +202,6 @@ type Network struct {
 	limits    wire.Limits   // frame codec caps, derived from Params
 
 	compromisedCodes *codepool.CodeSet
-	compromisedNodes map[int]bool
 
 	// one-directional acceptances; a pair is discovered when both exist
 	accepted map[[2]ibc.NodeID]sim.Time
@@ -277,7 +276,6 @@ func NewNetwork(cfg NetworkConfig) (*Network, error) {
 		graph:            graph,
 		jammer:           jammer,
 		compromisedCodes: compromised,
-		compromisedNodes: map[int]bool{},
 		accepted:         map[[2]ibc.NodeID]sim.Time{},
 		pairLive:         map[[2]ibc.NodeID]bool{},
 		initTime:         map[ibc.NodeID]sim.Time{},
@@ -504,18 +502,16 @@ func (n *Network) ScheduleDiscovery(node int, delay sim.Time) error {
 	if nd.compromised {
 		return fmt.Errorf("core: node %d is compromised", node)
 	}
-	_, err := n.engine.Schedule(delay, func() {
-		if !nd.down && !nd.compromised {
-			nd.startDNDP()
-		}
-	})
+	_, err := n.engine.Schedule(delay, nd.startDNDP) // a no-op if nd is down by then
 	return err
 }
 
 // CrashNode fails node i (churn fault model): it loses all volatile
 // protocol state — neighbor table, handshake state, M-NDP pendings — and
-// neither sends nor receives until RestartNode. Peers keep their stale
-// view of it until the monitor timeout (ExpireStaleNeighbors) reaps it.
+// neither sends nor receives until RestartNode: its radio is switched off
+// in the medium, so nothing it (or an adversary armed on it) schedules
+// reaches the air. Peers keep their stale view of it until the monitor
+// timeout (ExpireStaleNeighbors) reaps it.
 func (n *Network) CrashNode(i int) error {
 	if i < 0 || i >= len(n.nodes) {
 		return fmt.Errorf("core: node index %d out of range", i)
@@ -525,6 +521,7 @@ func (n *Network) CrashNode(i int) error {
 		return nil
 	}
 	nd.down = true
+	n.medium.SetRadio(i, false)
 	n.endNodeSpans(nd, "crashed")
 	for peer := range nd.neighbors {
 		n.dropAccepted(nd.id, peer)
@@ -565,6 +562,7 @@ func (n *Network) RestartNode(i int) error {
 		return nil
 	}
 	nd.down = false
+	n.medium.SetRadio(i, true)
 	if n.m != nil {
 		n.m.restarts.Inc()
 	}
@@ -704,10 +702,9 @@ func (n *Network) Compromise(nodes []int) error {
 		if i < 0 || i >= len(n.nodes) {
 			return fmt.Errorf("core: compromise index %d out of range", i)
 		}
-		if n.compromisedNodes[i] {
+		if n.nodes[i].compromised {
 			continue
 		}
-		n.compromisedNodes[i] = true
 		n.nodes[i].compromised = true
 		for _, c := range n.nodes[i].codes {
 			n.compromisedCodes.Add(c)
@@ -802,19 +799,16 @@ func (n *Network) RunMNDP(window sim.Time) error {
 }
 
 // runRound draws, in node order from the named stream, a start time in
-// [0, window) for every live honest node, schedules start there (skipped
-// if the node has crashed by then), and runs the engine until quiescent.
+// [0, window) for every live honest node, schedules start there (which
+// does nothing if the node has crashed by then), and runs the engine until
+// quiescent.
 func (n *Network) runRound(stream string, window sim.Time, start func(*Node)) error {
 	rng := n.streams.Get(stream)
 	for _, node := range n.nodes {
 		if node.compromised || node.down {
 			continue
 		}
-		if _, err := n.engine.Schedule(sim.Time(rng.Float64())*window, func() {
-			if !node.down {
-				start(node)
-			}
-		}); err != nil {
+		if _, err := n.engine.Schedule(sim.Time(rng.Float64())*window, func() { start(node) }); err != nil {
 			return err
 		}
 	}

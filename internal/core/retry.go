@@ -133,12 +133,7 @@ func (nd *Node) dndpRetryCheck() {
 			Peer:   -1,
 			Detail: fmt.Sprintf("D-NDP retry %d/%d after backoff %.4fs (%d peers undiscovered)", retry, cfg.MaxAttempts-1, float64(backoff), missingShared),
 		})
-		nd.net.engine.MustSchedule(backoff, func() {
-			if nd.down || nd.compromised {
-				return
-			}
-			nd.initiateDNDP()
-		})
+		nd.net.engine.MustSchedule(backoff, nd.initiateDNDP) // a no-op if nd is down by then
 		return
 	}
 	// Budget exhausted toward at least one physical neighbor (or no shared

@@ -1,6 +1,7 @@
 package radio
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/codepool"
@@ -90,8 +91,13 @@ type Medium struct {
 	faults    FaultInjector
 	intercept Interceptor
 	handlers  map[int]Handler
+	off       map[int]bool // nodes whose radio is switched off
 	stats     Stats
 }
+
+// ErrRadioOff is returned for a transmission from a node whose radio is
+// switched off (SetRadio): a crashed radio transmits nothing.
+var ErrRadioOff = errors.New("radio: transmitter is switched off")
 
 // MediumConfig configures the medium.
 type MediumConfig struct {
@@ -137,12 +143,18 @@ func NewMedium(cfg MediumConfig) (*Medium, error) {
 		observer: cfg.Observer,
 		faults:   cfg.Faults,
 		handlers: map[int]Handler{},
+		off:      map[int]bool{},
 	}, nil
 }
 
 // SetInterceptor arms (or, with nil, disarms) the on-air interceptor; it
 // is how an adversary is plugged into an already-built network.
 func (m *Medium) SetInterceptor(i Interceptor) { m.intercept = i }
+
+// SetRadio switches node's transmitter on or off. While it is off, the
+// medium refuses the node's frames with ErrRadioOff before the jammer,
+// the observer, the interceptor or the counters see them.
+func (m *Medium) SetRadio(node int, on bool) { m.off[node] = !on }
 
 // Attach registers node's receive handler.
 func (m *Medium) Attach(node int, h Handler) {
@@ -175,6 +187,9 @@ func (m *Medium) Unicast(from, to int, msg Message) error {
 }
 
 func (m *Medium) transmit(from, to int, msg Message) error {
+	if m.off[from] {
+		return ErrRadioOff
+	}
 	if msg.PayloadBits <= 0 {
 		return fmt.Errorf("radio: message payload bits %d must be positive", msg.PayloadBits)
 	}
