@@ -10,18 +10,19 @@ test: build
 	$(GO) test ./...
 
 # tier1 is the full quality gate: vet plus the whole suite under the race
-# detector (the trace sinks and metric registry are exercised concurrently),
-# then the chaos fault matrix. perfbench is its own module, so the root
-# ./... never compiles it; building and vetting it here catches a library
-# API change that would break the benchmark harness.
+# detector (the trace sinks and metric registry are exercised concurrently;
+# the suite already includes the chaos matrix and the authd smoke tests,
+# so the chaos and authd-smoke targets are not run a second time), then
+# the crash, replication, end-to-end and benchmark harnesses. perfbench is
+# its own module, so the root ./... never compiles it; building and
+# vetting it here catches a library API change that would break the
+# benchmark harness.
 tier1: build
 	$(GO) vet ./...
 	cd perfbench && $(GO) build -o /dev/null ./... && $(GO) vet ./...
 	$(MAKE) lint
 	$(MAKE) lint-fixtures
 	$(GO) test -race ./...
-	$(MAKE) chaos
-	$(MAKE) authd-smoke
 	$(MAKE) authd-crash
 	$(MAKE) authd-replica
 	$(MAKE) node-e2e

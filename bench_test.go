@@ -217,25 +217,6 @@ func BenchmarkBaselineUFHSimulation(b *testing.B) {
 	b.ReportMetric(last, "s/establishment")
 }
 
-func BenchmarkCrossCheck(b *testing.B) {
-	p := analysis.Defaults()
-	p.N = 150
-	p.L = 15
-	p.Q = 3
-	p.M = 20
-	p.FieldWidth, p.FieldHeight = 1370, 1370
-	var res experiment.CrossCheckResult
-	for i := 0; i < b.N; i++ {
-		var err error
-		res, err = experiment.CrossCheck(p, 2, int64(i))
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(res.EventPD, "P_D(event)")
-	b.ReportMetric(res.CampaignPD, "P_D(campaign)")
-}
-
 func BenchmarkRunEpochsMobility(b *testing.B) {
 	p := analysis.Defaults()
 	p.N = 30

@@ -39,10 +39,11 @@ type base struct {
 func (b *base) Counts() Counts { return b.counts }
 func (b *base) Launch() error  { return nil }
 
-// observe counts a frame on the air and reports whether it is someone
-// else's: a behavior never acts on its own injections.
+// observe counts a frame on the air and reports whether the behavior may
+// act on it: never on its own injections, and never while its own radio
+// is off — a crashed adversary neither hears nor touches the air.
 func (b *base) observe(from int) bool {
-	if from == b.p.Node {
+	if from == b.p.Node || !b.p.Tx.RadioOn(b.p.Node) {
 		return false
 	}
 	b.counts.Observed++

@@ -263,8 +263,9 @@ func TestDecoderCopyDefeatsMutateAfterDeliver(t *testing.T) {
 
 // TestCrashedByzantineNodeIsSilent: an armed adversary whose node crashes
 // transmits nothing afterwards — the medium refuses a crashed radio's
-// frames whichever behavior scheduled them. A Flood crashed at 0.5·t_key
-// gets exactly its first wave (5 codes × 3 victims) on the air.
+// frames whichever behavior scheduled them — and stops observing,
+// recording and corrupting other nodes' frames. A Flood crashed at
+// 0.5·t_key gets exactly its first wave (5 codes × 3 victims) on the air.
 func TestCrashedByzantineNodeIsSilent(t *testing.T) {
 	for _, kind := range adversary.Kinds {
 		t.Run(kind.String(), func(t *testing.T) {
@@ -276,6 +277,7 @@ func TestCrashedByzantineNodeIsSilent(t *testing.T) {
 			// Without a jammer every frame the medium accepts reaches the
 			// interceptor; wrap the adversary's to watch node 3's frames.
 			crashed, late := false, 0
+			var atCrash adversary.Counts
 			net.medium.SetInterceptor(radio.InterceptorFunc(func(from, to int, msg radio.Message) radio.Message {
 				if from == 3 && crashed {
 					late++
@@ -284,6 +286,7 @@ func TestCrashedByzantineNodeIsSilent(t *testing.T) {
 			}))
 			if _, err := net.Engine().Schedule(sim.Time(0.5*net.Params().TKey), func() {
 				crashed = true
+				atCrash = b.Counts()
 				_ = net.CrashNode(3)
 			}); err != nil {
 				t.Fatal(err)
@@ -294,8 +297,13 @@ func TestCrashedByzantineNodeIsSilent(t *testing.T) {
 			if late > 0 {
 				t.Fatalf("crashed node 3 put %d frames on the air", late)
 			}
-			if got := b.Counts().Injected; kind == adversary.Flood && got != 15 {
-				t.Fatalf("flood injected %d frames, want one wave of 15", got)
+			got := b.Counts()
+			if kind == adversary.Flood && got.Injected != 15 {
+				t.Fatalf("flood injected %d frames, want one wave of 15", got.Injected)
+			}
+			got.Injected = atCrash.Injected
+			if got != atCrash {
+				t.Fatalf("crashed adversary kept acting on the air: counts %+v at the crash, %+v after", atCrash, got)
 			}
 		})
 	}

@@ -81,7 +81,7 @@ func (n *Network) RunEpochs(cfg EpochConfig) ([]EpochStats, error) {
 				return nil, err
 			}
 		}
-		st.SecuredLinks, st.PhysicalLinks = n.securedHonestLinks()
+		st.SecuredLinks, st.PhysicalLinks = n.SecuredHonestLinks()
 		st.NewDiscoveries = len(n.Discoveries()) - prevDiscoveries
 		prevDiscoveries = len(n.Discoveries())
 		out = append(out, st)
@@ -89,9 +89,9 @@ func (n *Network) RunEpochs(cfg EpochConfig) ([]EpochStats, error) {
 	return out, nil
 }
 
-// securedHonestLinks counts current physical links between honest nodes
+// SecuredHonestLinks counts current physical links between honest nodes
 // and how many are mutually discovered.
-func (n *Network) securedHonestLinks() (secured, total int) {
+func (n *Network) SecuredHonestLinks() (secured, total int) {
 	for u := 0; u < n.NumNodes(); u++ {
 		if n.nodes[u].compromised {
 			continue

@@ -72,22 +72,8 @@ type PointMeasure struct {
 
 // MeasurePoint runs the Monte-Carlo campaign for one parameter point.
 func MeasurePoint(cfg PointConfig) (PointMeasure, error) {
-	type runResult struct {
-		measure PointMeasure
-		tdSum   float64
-		tdCount int
-		tdHist  *stats.Histogram
-	}
-	// Latency histogram bounds: the Theorem-2 delay model is bounded by
-	// 3t_p + λt_h + transmissions + 2t_key; 3× the mean covers it.
-	histHi := 3 * analysis.DNDPLatency(cfg.Params)
-	results, err := eachRun(cfg, func(seed int64) (runResult, error) {
-		hist, err := stats.NewHistogram(0, histHi, 256)
-		if err != nil {
-			return runResult{}, err
-		}
-		one, tdS, tdC, err := measureOnce(cfg, seed, hist)
-		return runResult{measure: one, tdSum: tdS, tdCount: tdC, tdHist: hist}, err
+	results, err := eachRun(cfg, func(seed int64) (runRecord, error) {
+		return measureOnce(cfg, seed)
 	})
 	if err != nil {
 		return PointMeasure{}, err
@@ -97,7 +83,7 @@ func MeasurePoint(cfg PointConfig) (PointMeasure, error) {
 	var pd, pm, pHat stats.Sample
 	var tdSum float64
 	var tdCount int
-	merged, err := stats.NewHistogram(0, histHi, 256)
+	merged, err := newLatencyHist(cfg.Params)
 	if err != nil {
 		return PointMeasure{}, err
 	}
@@ -188,7 +174,7 @@ type deployment struct {
 }
 
 // deploy runs a single seeded deployment up to and including D-NDP.
-// tdHist, when non-nil, receives every sampled D-NDP latency.
+// tdHist receives every sampled D-NDP latency.
 func deploy(cfg PointConfig, seed int64, tdHist *stats.Histogram) (deployment, error) {
 	p := cfg.Params
 	streams := sim.NewStreams(seed)
@@ -225,6 +211,10 @@ func deploy(cfg PointConfig, seed int64, tdHist *stats.Histogram) (deployment, e
 	d := deployment{physical: graph, compromised: compromised, logical: &field.Graph{Adj: make([][]int, p.N)}}
 	redundancyRng := streams.Get("redundancy")
 	latRng := streams.Get("latency")
+	// The Theorem-2 delay model's constants: t_p, the λ·t_h scan, the two
+	// authentication airtimes and the two key computations.
+	tp, scan := p.TProcess(), p.Lambda()*p.THello()
+	authTx, keys := 2*float64(p.ChipLen)*p.AuthBits()/p.ChipRate, 2*p.TKey
 	// Per-edge scratch: two nodes share at most m codes.
 	shared := make([]codepool.CodeID, 0, p.M)
 	received := make([]codepool.CodeID, 0, p.M)
@@ -242,11 +232,11 @@ func deploy(cfg PointConfig, seed int64, tdHist *stats.Histogram) (deployment, e
 				d.dSucc++
 				d.logical.Adj[u] = append(d.logical.Adj[u], v)
 				d.logical.Adj[v] = append(d.logical.Adj[v], u)
-				sample := sampleDNDPLatency(p, latRng)
+				// Three U[0,t_p] delays plus one U[0,λ·t_h] scan.
+				delays := latRng.Float64()*tp + latRng.Float64()*tp + latRng.Float64()*tp + latRng.Float64()*scan
+				sample := delays + authTx + keys
 				d.tdSum += sample
-				if tdHist != nil {
-					tdHist.Add(sample)
-				}
+				tdHist.Add(sample)
 			}
 		}
 	}
@@ -256,41 +246,43 @@ func deploy(cfg PointConfig, seed int64, tdHist *stats.Histogram) (deployment, e
 	return d, nil
 }
 
-// measureOnce runs a single seeded deployment and its M-NDP round(s). It
-// returns the run's measure and the sum and count of its D-NDP latency
-// samples; tdHist, when non-nil, receives every sample.
-func measureOnce(cfg PointConfig, seed int64, tdHist *stats.Histogram) (PointMeasure, float64, int, error) {
+// runRecord is one seeded run: its measure, its hop counts and its D-NDP
+// latency samples.
+type runRecord struct {
+	measure PointMeasure
+	// m[ν-1] counts the honest edges with an indirect logical path of at
+	// most ν hops; either[ν-1] counts those that are logical edges or have
+	// such a path. ν runs to Params.Nu.
+	m, either []int
+	tdSum     float64
+	tdCount   int
+	tdHist    *stats.Histogram
+}
+
+// measureOnce runs a single seeded deployment and its M-NDP round(s).
+func measureOnce(cfg PointConfig, seed int64) (runRecord, error) {
+	tdHist, err := newLatencyHist(cfg.Params)
+	if err != nil {
+		return runRecord{}, err
+	}
 	d, err := deploy(cfg, seed, tdHist)
 	if err != nil {
-		return PointMeasure{}, 0, 0, err
+		return runRecord{}, err
 	}
-	p := cfg.Params
+	nu := cfg.Params.Nu
 	logical, edges := d.logical, d.edges
-
-	// M-NDP outcome per physical edge: an indirect logical path of at most
-	// ν hops (excluding the direct logical edge, if any).
-	mSucc := 0
-	either := d.dSucc
-	newEdges := 0
-	for _, e := range edges {
-		direct := slices.Contains(logical.Adj[e.u], e.v)
-		if _, ok := logical.HopDistance(e.u, e.v, p.Nu, true); ok {
-			mSucc++
-			if !direct {
-				either++
-				newEdges++
-			}
-		}
-	}
-	if cfg.IterateMNDP && newEdges > 0 {
-		// Close the logical graph under repeated M-NDP rounds.
+	m, either := hopCounts(logical, edges, nu)
+	if cfg.IterateMNDP && either[nu-1] > d.dSucc {
+		// Close the logical graph under repeated M-NDP rounds. The loop
+		// stops only when no non-direct edge has an indirect path, so the
+		// recount's either is the closed graph's logical edges.
 		for {
 			added := 0
 			for _, e := range edges {
 				if slices.Contains(logical.Adj[e.u], e.v) {
 					continue
 				}
-				if _, ok := logical.HopDistance(e.u, e.v, p.Nu, true); ok {
+				if _, ok := logical.HopDistance(e.u, e.v, nu, true); ok {
 					logical.Adj[e.u] = append(logical.Adj[e.u], e.v)
 					logical.Adj[e.v] = append(logical.Adj[e.v], e.u)
 					added++
@@ -300,27 +292,50 @@ func measureOnce(cfg PointConfig, seed int64, tdHist *stats.Histogram) (PointMea
 				break
 			}
 		}
-		either = 0
-		mSucc = 0
-		for _, e := range edges {
-			if slices.Contains(logical.Adj[e.u], e.v) {
-				either++
-			}
-			if _, ok := logical.HopDistance(e.u, e.v, p.Nu, true); ok {
-				mSucc++
-			}
-		}
+		m, either = hopCounts(logical, edges, nu)
 	}
 
 	total := float64(len(edges))
-	return PointMeasure{
-		PD:               float64(d.dSucc) / total,
-		PM:               float64(mSucc) / total,
-		PHat:             float64(either) / total,
-		AvgDegree:        d.physical.AvgDegree(),
-		CompromisedCodes: float64(d.compromised.Len()),
-		Edges:            total,
-	}, d.tdSum, d.dSucc, nil
+	return runRecord{
+		measure: PointMeasure{
+			PD:               float64(d.dSucc) / total,
+			PM:               float64(m[nu-1]) / total,
+			PHat:             float64(either[nu-1]) / total,
+			AvgDegree:        d.physical.AvgDegree(),
+			CompromisedCodes: float64(d.compromised.Len()),
+			Edges:            total,
+		},
+		m:       m,
+		either:  either,
+		tdSum:   d.tdSum,
+		tdCount: d.dSucc,
+		tdHist:  tdHist,
+	}, nil
+}
+
+// hopCounts runs one hop search per edge, bounded by maxNu, and returns
+// cumulative counts for every ν ≤ maxNu (index ν-1): m[ν-1] edges have an
+// indirect logical path of at most ν hops, and either[ν-1] edges are
+// logical edges or have such a path.
+func hopCounts(logical *field.Graph, edges []edge, maxNu int) (m, either []int) {
+	m, either = make([]int, maxNu), make([]int, maxNu)
+	for _, e := range edges {
+		dist, ok := logical.HopDistance(e.u, e.v, maxNu, true)
+		if ok {
+			m[dist-1]++
+		}
+		switch {
+		case slices.Contains(logical.Adj[e.u], e.v):
+			either[0]++
+		case ok:
+			either[dist-1]++
+		}
+	}
+	for i := 1; i < maxNu; i++ {
+		m[i] += m[i-1]
+		either[i] += either[i-1]
+	}
+	return m, either
 }
 
 // dndpSucceeds plays out the x sub-sessions of one D-NDP execution under
@@ -366,13 +381,9 @@ func subSessionSurvives(c codepool.CodeID, jammer radio.Jammer) bool {
 	return true
 }
 
-// sampleDNDPLatency draws one latency sample from the Theorem-2 model:
-// three U[0,t_p] delays plus one U[0,λ·t_h] scan, the two authentication
-// airtimes, and two key computations.
-func sampleDNDPLatency(p analysis.Params, rng *rand.Rand) float64 {
-	tp := p.TProcess()
-	scan := p.Lambda() * p.THello()
-	delays := rng.Float64()*tp + rng.Float64()*tp + rng.Float64()*tp + rng.Float64()*scan
-	authTx := 2 * float64(p.ChipLen) * p.AuthBits() / p.ChipRate
-	return delays + authTx + 2*p.TKey
+// newLatencyHist returns an empty histogram for sampled D-NDP latencies.
+// The Theorem-2 delay model is bounded by 3t_p + λt_h + transmissions +
+// 2t_key; 3× the mean covers it.
+func newLatencyHist(p analysis.Params) (*stats.Histogram, error) {
+	return stats.NewHistogram(0, 3*analysis.DNDPLatency(p), 256)
 }

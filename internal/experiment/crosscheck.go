@@ -12,32 +12,9 @@ import (
 // two independent engines — the pair-level Monte-Carlo campaign (this
 // package) and the full event-driven protocol engine (internal/core),
 // which actually exchanges the four D-NDP messages over the simulated
-// medium. Both must agree with each other and with Theorem 1. CrossCheck
-// runs both on the same parameter point and reports all three numbers.
-
-// CrossCheckResult carries the three independent measurements.
-type CrossCheckResult struct {
-	CampaignPD float64 // pair-level Monte Carlo
-	EventPD    float64 // event-driven protocol engine
-	TheoryPD   float64 // Theorem 1 (reactive)
-	Runs       int
-}
-
-// CrossCheck measures P̂_D three ways at the given parameters under
-// reactive jamming. The event engine is O(n·m) messages per run, so keep n
-// modest (a few hundred).
-func CrossCheck(p analysis.Params, runs int, seed int64) (CrossCheckResult, error) {
-	campaign, event, err := enginesPD(p, core.JamReactive, runs, seed)
-	if err != nil {
-		return CrossCheckResult{}, err
-	}
-	return CrossCheckResult{
-		CampaignPD: campaign,
-		EventPD:    event,
-		TheoryPD:   analysis.DNDPReactive(p),
-		Runs:       runs,
-	}, nil
-}
+// medium. Both must agree with each other and with Theorem 1.
+// CrossCheckFigure runs both on the same parameter point and reports all
+// three numbers.
 
 // enginesPD measures P̂_D under the given jammer with both engines: the
 // campaign over runs seeded runs, and the mean of as many event-engine
@@ -87,30 +64,17 @@ func eventEnginePD(p analysis.Params, jam core.JammerKind, seed int64) (float64,
 	if err := net.RunDNDP(1); err != nil {
 		return 0, err
 	}
-	g := net.PhysicalGraph()
-	edges, secured := 0, 0
-	for u := 0; u < net.NumNodes(); u++ {
-		if net.Node(u).Compromised() {
-			continue
-		}
-		for _, v := range g.Adj[u] {
-			if v <= u || net.Node(v).Compromised() {
-				continue
-			}
-			edges++
-			if net.DiscoveredPair(u, v) {
-				secured++
-			}
-		}
-	}
-	if edges == 0 {
+	secured, total := net.SecuredHonestLinks()
+	if total == 0 {
 		return 0, fmt.Errorf("experiment: event-engine deployment has no honest edges")
 	}
-	return float64(secured) / float64(edges), nil
+	return float64(secured) / float64(total), nil
 }
 
-// CrossCheckFigure wraps CrossCheck as a printable figure (experiment id
-// ext-crosscheck).
+// CrossCheckFigure measures P̂_D three ways at the given parameters under
+// reactive jamming and prints them as a figure (experiment id
+// ext-crosscheck). The event engine is O(n·m) messages per run, so keep n
+// modest (a few hundred).
 func CrossCheckFigure(p analysis.Params, runs int, seed int64) (Figure, error) {
 	if p.N == 0 {
 		p = analysis.Defaults()
@@ -123,7 +87,7 @@ func CrossCheckFigure(p analysis.Params, runs int, seed int64) (Figure, error) {
 		p.M = 40
 		p.FieldWidth, p.FieldHeight = 1770, 1770
 	}
-	res, err := CrossCheck(p, runs, seed)
+	campaign, event, err := enginesPD(p, core.JamReactive, runs, seed)
 	if err != nil {
 		return Figure{}, err
 	}
@@ -131,9 +95,9 @@ func CrossCheckFigure(p analysis.Params, runs int, seed int64) (Figure, error) {
 		ID:    "ext-crosscheck",
 		Title: "Cross-fidelity check — P̂_D from three independent engines",
 		Series: []Series{
-			scalar("campaign Monte Carlo", res.CampaignPD),
-			scalar("event-driven protocol engine", res.EventPD),
-			scalar("Theorem 1 (reactive)", res.TheoryPD),
+			scalar("campaign Monte Carlo", campaign),
+			scalar("event-driven protocol engine", event),
+			scalar("Theorem 1 (reactive)", analysis.DNDPReactive(p)),
 		},
 		Notes: []string{
 			"the campaign models jam outcomes per Theorem 1; the event engine exchanges every message",

@@ -13,7 +13,7 @@ func TestCrossCheckEnginesAgree(t *testing.T) {
 	// the full event-driven protocol engine, and Theorem 1 all measure the
 	// same quantity. A small seeded sweep over (m, l, q) at n = 200 and
 	// Table I density keeps the campaign from drifting off the protocol in
-	// any one corner. CrossCheck compares D-NDP only, so ν does not enter.
+	// any one corner. The check compares D-NDP only, so ν does not enter.
 	// Both engines build their jammer with core.NewJammer, so any
 	// disagreement is protocol logic, not two adversary models.
 	//
@@ -73,12 +73,12 @@ func TestCrossCheckEnginesAgree(t *testing.T) {
 
 func TestCrossCheckValidation(t *testing.T) {
 	p := analysis.Defaults()
-	if _, err := CrossCheck(p, 0, 1); err == nil {
+	if _, err := CrossCheckFigure(p, 0, 1); err == nil {
 		t.Fatal("accepted zero runs")
 	}
 	bad := p
 	bad.M = 0
-	if _, err := CrossCheck(bad, 1, 1); err == nil {
+	if _, err := CrossCheckFigure(bad, 1, 1); err == nil {
 		t.Fatal("accepted invalid params")
 	}
 }

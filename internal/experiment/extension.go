@@ -2,7 +2,6 @@ package experiment
 
 import (
 	"fmt"
-	"slices"
 
 	"repro/internal/analysis"
 	"repro/internal/core"
@@ -89,27 +88,28 @@ type NuProfile struct {
 	PHat  []float64 // index ν-1
 }
 
-// MeasureNuProfile runs the campaign once per seed and evaluates every hop
-// bound ν ≤ maxNu in a single pass over the logical graph (one BFS per
-// edge, recording the indirect hop distance). It is how Fig. 5(a) and the
-// adaptive-ν experiment share work. M-NDP is a single round;
-// cfg.Params.Nu and cfg.IterateMNDP are not read.
+// MeasureNuProfile runs the campaign once per seed at ν = maxNu and reads
+// every hop bound ν ≤ maxNu off the run's hop counts (one search per
+// edge). It is how Fig. 5(a) and the adaptive-ν experiment share work.
+// M-NDP is a single round; cfg.Params.Nu and cfg.IterateMNDP are not read.
 func MeasureNuProfile(cfg PointConfig, maxNu int) (NuProfile, error) {
 	if maxNu < 1 {
 		return NuProfile{}, fmt.Errorf("experiment: maxNu=%d must be >= 1", maxNu)
 	}
-	runs, err := eachRun(cfg, func(seed int64) (NuProfile, error) {
-		return nuProfileOnce(cfg, seed, maxNu)
+	cfg.Params.Nu = maxNu
+	cfg.IterateMNDP = false
+	runs, err := eachRun(cfg, func(seed int64) (runRecord, error) {
+		return measureOnce(cfg, seed)
 	})
 	if err != nil {
 		return NuProfile{}, err
 	}
 	agg := NuProfile{MaxNu: maxNu, PM: make([]float64, maxNu), PHat: make([]float64, maxNu)}
 	for _, one := range runs {
-		agg.PD += one.PD
+		agg.PD += one.measure.PD
 		for i := 0; i < maxNu; i++ {
-			agg.PM[i] += one.PM[i]
-			agg.PHat[i] += one.PHat[i]
+			agg.PM[i] += float64(one.m[i]) / one.measure.Edges
+			agg.PHat[i] += float64(one.either[i]) / one.measure.Edges
 		}
 	}
 	r := float64(cfg.Runs)
@@ -119,42 +119,6 @@ func MeasureNuProfile(cfg PointConfig, maxNu int) (NuProfile, error) {
 		agg.PHat[i] /= r
 	}
 	return agg, nil
-}
-
-// nuProfileOnce runs one seeded deployment and histograms each edge's
-// indirect logical hop distance up to maxNu.
-func nuProfileOnce(cfg PointConfig, seed int64, maxNu int) (NuProfile, error) {
-	d, err := deploy(cfg, seed, nil)
-	if err != nil {
-		return NuProfile{}, err
-	}
-	// mAt[h] counts edges whose shortest indirect path has h hops; eitherAt[h]
-	// counts edges first discovered at ν = h (D-NDP edges at ν = 1).
-	mAt := make([]int, maxNu+1)
-	eitherAt := make([]int, maxNu+1)
-	for _, e := range d.edges {
-		dist, ok := d.logical.HopDistance(e.u, e.v, maxNu, true)
-		if ok {
-			mAt[dist]++
-		}
-		switch {
-		case slices.Contains(d.logical.Adj[e.u], e.v):
-			eitherAt[1]++
-		case ok:
-			eitherAt[dist]++
-		}
-	}
-	out := NuProfile{MaxNu: maxNu, PM: make([]float64, maxNu), PHat: make([]float64, maxNu)}
-	total := float64(len(d.edges))
-	out.PD = float64(d.dSucc) / total
-	m, either := 0, 0
-	for nu := 1; nu <= maxNu; nu++ {
-		m += mAt[nu]
-		either += eitherAt[nu]
-		out.PM[nu-1] = float64(m) / total
-		out.PHat[nu-1] = float64(either) / total
-	}
-	return out, nil
 }
 
 // ExtAdaptiveNu reproduces the §VI-B suggestion that nodes dynamically

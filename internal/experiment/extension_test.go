@@ -101,6 +101,25 @@ func TestMeasureNuProfileMonotoneAndConsistent(t *testing.T) {
 	if math.Abs(point.PD-profile.PD) > 1e-9 {
 		t.Fatalf("P̂_D mismatch: %v vs %v", profile.PD, point.PD)
 	}
+
+	// With one run, Welford's mean and the profile's sum/r both return the
+	// run's own value, so every ν must agree with MeasurePoint exactly.
+	single, err := MeasureNuProfile(PointConfig{Params: p, Jammer: core.JamReactive, Runs: 1, Seed: 11}, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for nu := 1; nu <= 6; nu++ {
+		pn := p
+		pn.Nu = nu
+		point, err := MeasurePoint(PointConfig{Params: pn, Jammer: core.JamReactive, Runs: 1, Seed: 11})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if point.PD != single.PD || point.PM != single.PM[nu-1] || point.PHat != single.PHat[nu-1] {
+			t.Fatalf("ν=%d: MeasurePoint (P̂_D %v, P̂_M %v, P̂ %v) != profile (%v, %v, %v)",
+				nu, point.PD, point.PM, point.PHat, single.PD, single.PM[nu-1], single.PHat[nu-1])
+		}
+	}
 }
 
 func TestExtZTracksTheorem1UpperBound(t *testing.T) {

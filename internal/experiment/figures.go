@@ -222,10 +222,10 @@ func Fig4(cfg SweepConfig, l int) (Figure, error) {
 }
 
 // Fig5a reproduces Fig. 5(a): impact of ν on P̂_M with P̂_D ≈ 0.2 (q=100).
-// All hop bounds are evaluated in one pass over each run's logical graph
-// (MeasureNuProfile), so the ν profile is single-round M-NDP whatever
-// cfg.IterateMNDP says. The theory overlay uses the iterated Theorem-3
-// recurrence for ν > 2.
+// All hop bounds come from one hop search per edge at ν = 8
+// (MeasureNuProfile reads the per-ν counts of MeasurePoint's run), so the
+// ν profile is single-round M-NDP whatever cfg.IterateMNDP says. The
+// theory overlay uses the iterated Theorem-3 recurrence for ν > 2.
 func Fig5a(cfg SweepConfig) (Figure, error) {
 	cfg = cfg.withDefaults()
 	const maxNu = 8

@@ -118,6 +118,9 @@ func TestMediumRefusesSwitchedOffRadio(t *testing.T) {
 	msg := Message{Code: 1, PayloadBits: 10}
 
 	m.SetRadio(0, false)
+	if m.RadioOn(0) || !m.RadioOn(1) {
+		t.Fatalf("RadioOn(0) = %v, RadioOn(1) = %v after switching 0 off", m.RadioOn(0), m.RadioOn(1))
+	}
 	if err := m.Broadcast(0, msg); !errors.Is(err, ErrRadioOff) {
 		t.Fatalf("broadcast from a switched-off radio: err = %v, want ErrRadioOff", err)
 	}
@@ -132,6 +135,9 @@ func TestMediumRefusesSwitchedOffRadio(t *testing.T) {
 	}
 	m.SetRadio(0, true)
 	m.SetRadio(7, true) // switching on a radio never switched off is a no-op
+	if !m.RadioOn(0) || !m.RadioOn(7) {
+		t.Fatal("RadioOn false after switching the radio on")
+	}
 	if err := m.Broadcast(0, msg); err != nil {
 		t.Fatal(err)
 	}

@@ -156,6 +156,9 @@ func (m *Medium) SetInterceptor(i Interceptor) { m.intercept = i }
 // the observer, the interceptor or the counters see them.
 func (m *Medium) SetRadio(node int, on bool) { m.off[node] = !on }
 
+// RadioOn reports whether node's radio is switched on (SetRadio).
+func (m *Medium) RadioOn(node int) bool { return !m.off[node] }
+
 // Attach registers node's receive handler.
 func (m *Medium) Attach(node int, h Handler) {
 	m.handlers[node] = h
