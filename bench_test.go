@@ -22,9 +22,7 @@ import (
 	"repro/internal/experiment"
 	"repro/internal/field"
 	"repro/internal/ibc"
-	"repro/internal/metrics"
 	"repro/internal/rs"
-	"repro/internal/trace"
 )
 
 // BenchmarkExperiments runs every registered experiment once per
@@ -268,54 +266,4 @@ func BenchmarkCampaignSingleRun2000(b *testing.B) {
 			b.Fatal("nonsense measurement")
 		}
 	}
-}
-
-// Observability micro-benches: the instrumentation contract is that an
-// *uninstrumented* hot path (nil registry handles, nil trace sink) costs
-// under 100 ns/op — effectively one pointer check — so metrics and tracing
-// can stay compiled into every protocol path.
-
-func BenchmarkMetricsEmit(b *testing.B) {
-	b.Run("nil-handles", func(b *testing.B) {
-		var c *metrics.Counter
-		var h *metrics.Histogram
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			c.Inc()
-			h.Observe(float64(i))
-		}
-	})
-	b.Run("live", func(b *testing.B) {
-		reg := metrics.New()
-		c := reg.Counter("bench_total", "bench counter")
-		h := reg.Histogram("bench_hist", "bench histogram", metrics.ExponentialBounds(1, 2, 16))
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			c.Inc()
-			h.Observe(float64(i % 65536))
-		}
-	})
-}
-
-func BenchmarkRecorderEmit(b *testing.B) {
-	ev := trace.Event{At: 1, Kind: trace.KindTx, Node: 1, Peer: 2, Detail: "bench"}
-	b.Run("nil-recorder", func(b *testing.B) {
-		var r *trace.Recorder
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			r.Emit(ev)
-		}
-	})
-	b.Run("live", func(b *testing.B) {
-		r, err := trace.NewRecorder(1024)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			r.Emit(ev)
-		}
-	})
 }

@@ -150,9 +150,23 @@ type cursor struct {
 // failf records the first error; later ones are dropped.
 func (c *cursor) failf(format string, args ...any) {
 	if c.err == nil {
-		c.err = fmt.Errorf("%w: "+format, append([]any{c.base}, args...)...)
+		c.err = &cursorError{base: c.base, format: format, args: args}
 	}
 }
+
+// cursorError is a decode rejection that formats only when read, so
+// refusing hostile input never touches fmt's printer cache: that cache is
+// a sync.Pool, which the race detector empties at random, and a miss
+// there would show up as a spurious extra allocation on the reject path.
+type cursorError struct {
+	base   error
+	format string
+	args   []any
+}
+
+func (e *cursorError) Error() string { return e.base.Error() + ": " + fmt.Sprintf(e.format, e.args...) }
+
+func (e *cursorError) Unwrap() error { return e.base }
 
 func (c *cursor) take(n int) []byte {
 	if c.err != nil {

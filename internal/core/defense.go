@@ -150,7 +150,7 @@ func (nd *Node) replaySeen(peer ibc.NodeID, nonce []byte) bool {
 	if w == nil || !w.contains(nonce) {
 		return false
 	}
-	nd.net.m.onReplayDropped()
+	nd.net.m.replaysDropped.Inc()
 	nd.net.emit(trace.Event{
 		At:     float64(nd.net.engine.Now()),
 		Kind:   trace.KindDrop,
@@ -191,7 +191,7 @@ func (nd *Node) admitHalfOpen(from int) bool {
 	if b.allow(now) {
 		return true
 	}
-	nd.net.m.onRateLimited()
+	nd.net.m.ratelimited.Inc()
 	nd.net.emit(trace.Event{
 		At:     float64(now),
 		Kind:   trace.KindDrop,

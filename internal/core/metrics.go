@@ -10,8 +10,8 @@ import (
 // coreMetrics is the protocol engine's telemetry handle set, resolved once
 // at network construction so the hot paths (every transmission, every
 // discovery) update instruments with a single atomic op. All handles come
-// from the registry in NetworkConfig.Metrics; when that is nil the whole
-// struct is nil and call sites skip instrumentation with one pointer check.
+// from the registry in NetworkConfig.Metrics; when that is nil every handle
+// is nil and each update is a no-op.
 type coreMetrics struct {
 	tx     map[int]*metrics.Counter // transmissions by message kind
 	jammed map[int]*metrics.Counter // jammed transmissions by message kind
@@ -57,12 +57,9 @@ var discoveryLatencyBounds = metrics.ExponentialBounds(0.001, 2, 20)
 // fanoutBounds covers the M-NDP flood fan-out per step.
 var fanoutBounds = []float64{1, 2, 4, 8, 16, 32, 64, 128}
 
-// newCoreMetrics registers the protocol-engine instruments. A nil registry
-// returns nil (instrumentation off).
+// newCoreMetrics registers the protocol-engine instruments on reg, which
+// may be nil.
 func newCoreMetrics(reg *metrics.Registry) *coreMetrics {
-	if reg == nil {
-		return nil
-	}
 	m := &coreMetrics{
 		tx:          map[int]*metrics.Counter{},
 		jammed:      map[int]*metrics.Counter{},
@@ -113,83 +110,4 @@ func newCoreMetrics(reg *metrics.Registry) *coreMetrics {
 			"mutual discoveries by protocol")
 	}
 	return m
-}
-
-// onTransmission records one medium transmission and its jam verdict.
-func (m *coreMetrics) onTransmission(kind int, jammedVerdict bool) {
-	if m == nil {
-		return
-	}
-	m.tx[kind].Inc()
-	if jammedVerdict {
-		m.jammed[kind].Inc()
-	}
-}
-
-// onDiscovery records one completed mutual discovery.
-func (m *coreMetrics) onDiscovery(via DiscoveryMethod, latencySeconds float64) {
-	if m == nil {
-		return
-	}
-	m.discoveries[via].Inc()
-	m.discoveryLatency.Observe(latencySeconds)
-}
-
-// onMNDPFlood records one flood step's fan-out.
-func (m *coreMetrics) onMNDPFlood(targets int) {
-	if m == nil || targets == 0 {
-		return
-	}
-	m.mndpForwards.Add(uint64(targets))
-	m.mndpFanout.Observe(float64(targets))
-}
-
-// onRetry records one D-NDP re-initiation by the backoff state machine.
-func (m *coreMetrics) onRetry() {
-	if m == nil {
-		return
-	}
-	m.retries.Inc()
-}
-
-// onFallback records one graceful degradation to M-NDP.
-func (m *coreMetrics) onFallback() {
-	if m == nil {
-		return
-	}
-	m.fallbacks.Inc()
-}
-
-// onHalfOpenGC records one half-open handshake record reclaimed by the
-// session timeout.
-func (m *coreMetrics) onHalfOpenGC() {
-	if m == nil {
-		return
-	}
-	m.halfOpenGC.Inc()
-}
-
-// onDecodeError records one frame the wire codec rejected.
-func (m *coreMetrics) onDecodeError() {
-	if m == nil {
-		return
-	}
-	m.decodeErrors.Inc()
-}
-
-// onReplayDropped records one AUTH frame dropped by the replay window.
-func (m *coreMetrics) onReplayDropped() {
-	if m == nil {
-		return
-	}
-	m.replaysDropped.Inc()
-}
-
-// onRateLimited records one handshake record refused by the half-open
-// budget.
-func (m *coreMetrics) onRateLimited() {
-	if m == nil {
-		return
-	}
-	m.ratelimited.Inc()
 }

@@ -173,7 +173,10 @@ func (nd *Node) forwardRequest(req wire.MNDPRequest) {
 			Payload:     req,
 		})
 	}
-	nd.net.m.onMNDPFlood(targets)
+	if targets > 0 {
+		nd.net.m.mndpForwards.Add(uint64(targets))
+		nd.net.m.mndpFanout.Observe(float64(targets))
+	}
 }
 
 // onMNDPRequest verifies and processes a request relayed by a logical

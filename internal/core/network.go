@@ -198,7 +198,7 @@ type Network struct {
 	jammer    radio.Jammer
 	sink      trace.Sink    // normalized from cfg.Trace; nil when tracing is off
 	tracer    *trace.Tracer // span emission over sink; nil when tracing is off
-	m         *coreMetrics  // nil when cfg.Metrics is nil
+	m         *coreMetrics  // nil handles when cfg.Metrics is nil
 	limits    wire.Limits   // frame codec caps, derived from Params
 
 	compromisedCodes *codepool.CodeSet
@@ -289,9 +289,12 @@ func NewNetwork(cfg NetworkConfig) (*Network, error) {
 		engine.Instrument(sim.NewEngineMetrics(cfg.Metrics))
 	}
 	var observer func(from, to int, msg radio.Message, jammed bool)
-	if n.sink != nil || n.m != nil {
+	if n.sink != nil || cfg.Metrics != nil {
 		observer = func(from, to int, msg radio.Message, jammed bool) {
-			n.m.onTransmission(msg.Kind, jammed)
+			n.m.tx[msg.Kind].Inc()
+			if jammed {
+				n.m.jammed[msg.Kind].Inc()
+			}
 			if n.sink == nil {
 				return
 			}
@@ -434,9 +437,7 @@ func (n *Network) RevokeGlobally(code codepool.CodeID) (int, error) {
 		}
 	}
 	if held > 0 {
-		if n.m != nil {
-			n.m.revokedGlobal.Inc()
-		}
+		n.m.revokedGlobal.Inc()
 		n.emit(trace.Event{
 			At:     float64(n.engine.Now()),
 			Kind:   trace.KindRevocation,
@@ -537,9 +538,7 @@ func (n *Network) CrashNode(i int) error {
 	nd.mndpFallback = false
 	nd.resetDefenses()
 	delete(n.initTime, nd.id)
-	if n.m != nil {
-		n.m.crashes.Inc()
-	}
+	n.m.crashes.Inc()
 	n.emit(trace.Event{
 		At:     float64(n.engine.Now()),
 		Kind:   trace.KindCrash,
@@ -563,9 +562,7 @@ func (n *Network) RestartNode(i int) error {
 	}
 	nd.down = false
 	n.medium.SetRadio(i, true)
-	if n.m != nil {
-		n.m.restarts.Inc()
-	}
+	n.m.restarts.Inc()
 	n.emit(trace.Event{
 		At:     float64(n.engine.Now()),
 		Kind:   trace.KindRestart,
@@ -599,18 +596,9 @@ func (n *Network) ExpireStaleNeighbors() int {
 			if adjacent[peer] {
 				continue
 			}
-			delete(nd.neighbors, peer)
-			delete(nd.responders, peer)
-			delete(nd.mndpOut, peer)
-			delete(nd.mndpIn, peer)
-			if nd.initiator != nil {
-				delete(nd.initiator.peers, peer)
-			}
-			n.dropAccepted(nd.id, peer)
+			nd.forgetPeer(peer)
 			droppedPairs[pairKey(nd.id, peer)] = true
-			if n.m != nil {
-				n.m.expiries.Inc()
-			}
+			n.m.expiries.Inc()
 			n.emit(trace.Event{
 				At:     float64(n.engine.Now()),
 				Kind:   trace.KindExpiry,
@@ -642,9 +630,7 @@ func (n *Network) ExpireSilentSessions() int {
 			delete(nd.neighbors, peer)
 			n.dropAccepted(nd.id, peer)
 			dropped++
-			if n.m != nil {
-				n.m.silentExpiries.Inc()
-			}
+			n.m.silentExpiries.Inc()
 			n.emit(trace.Event{
 				At:     float64(n.engine.Now()),
 				Kind:   trace.KindExpiry,
@@ -763,7 +749,8 @@ func (n *Network) recordDiscovery(self, peer ibc.NodeID, via DiscoveryMethod) {
 			latency = now - t0
 		}
 	}
-	n.m.onDiscovery(via, float64(latency))
+	n.m.discoveries[via].Inc()
+	n.m.discoveryLatency.Observe(float64(latency))
 	n.pairs = append(n.pairs, PairDiscovery{A: a, B: b, Via: via, At: now, Latency: latency})
 }
 
@@ -847,7 +834,7 @@ func (nd *Node) handle(from int, msg radio.Message) {
 	}
 	kind, payload, err := wire.Decode(frame, nd.net.limits)
 	if err != nil {
-		nd.net.m.onDecodeError()
+		nd.net.m.decodeErrors.Inc()
 		nd.net.emit(trace.Event{
 			At:     float64(nd.net.engine.Now()),
 			Kind:   trace.KindDrop,

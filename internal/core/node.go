@@ -211,6 +211,20 @@ func (nd *Node) acceptNeighbor(peer ibc.NodeID, via DiscoveryMethod, key [32]byt
 	nd.net.recordDiscovery(nd.id, peer, via)
 }
 
+// forgetPeer drops every piece of state nd keeps about peer: the logical
+// neighbor, both handshake roles, M-NDP progress in either direction and
+// the acceptance record, so a later encounter runs discovery afresh.
+func (nd *Node) forgetPeer(peer ibc.NodeID) {
+	delete(nd.neighbors, peer)
+	delete(nd.responders, peer)
+	delete(nd.mndpOut, peer)
+	delete(nd.mndpIn, peer)
+	if nd.initiator != nil {
+		delete(nd.initiator.peers, peer)
+	}
+	nd.net.dropAccepted(nd.id, peer)
+}
+
 // evictOldestNeighbor stops monitoring the least-recently-established
 // session (the §IV-A capacity limit) and drops the corresponding logical
 // neighbor on this side.
@@ -228,17 +242,8 @@ func (nd *Node) evictOldestNeighbor() {
 	if first {
 		return
 	}
-	delete(nd.neighbors, victim)
-	delete(nd.responders, victim)
-	delete(nd.mndpOut, victim)
-	delete(nd.mndpIn, victim)
-	if nd.initiator != nil {
-		delete(nd.initiator.peers, victim)
-	}
-	nd.net.dropAccepted(nd.id, victim)
-	if nd.net.m != nil {
-		nd.net.m.evictions.Inc()
-	}
+	nd.forgetPeer(victim)
+	nd.net.m.evictions.Inc()
 	nd.net.emit(trace.Event{
 		At:     float64(nd.net.engine.Now()),
 		Kind:   trace.KindExpiry,
@@ -270,13 +275,9 @@ func (nd *Node) reportInvalid(c codepool.CodeID) {
 		return
 	}
 	nd.stats.InvalidReports++
-	if nd.net.m != nil {
-		nd.net.m.invalidReports.Inc()
-	}
+	nd.net.m.invalidReports.Inc()
 	if nd.revoker.ReportInvalid(c) {
-		if nd.net.m != nil {
-			nd.net.m.revokedLocal.Inc()
-		}
+		nd.net.m.revokedLocal.Inc()
 		nd.net.emit(trace.Event{
 			At:     float64(nd.net.engine.Now()),
 			Kind:   trace.KindRevocation,

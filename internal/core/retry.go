@@ -110,7 +110,7 @@ func (nd *Node) dndpRetryCheck() {
 		for peer, ps := range st.peers {
 			if !ps.done {
 				delete(st.peers, peer)
-				nd.net.m.onHalfOpenGC()
+				nd.net.m.halfOpenGC.Inc()
 			}
 		}
 	}
@@ -125,7 +125,7 @@ func (nd *Node) dndpRetryCheck() {
 			shift = 16 // cap the exponential window; beyond this jitter dominates anyway
 		}
 		backoff := sim.Time(nd.rng.Float64()) * cfg.BackoffBase * sim.Time(uint64(1)<<uint(shift))
-		nd.net.m.onRetry()
+		nd.net.m.retries.Inc()
 		nd.net.emit(trace.Event{
 			At:     float64(nd.net.engine.Now()),
 			Kind:   trace.KindRetry,
@@ -141,7 +141,7 @@ func (nd *Node) dndpRetryCheck() {
 	// the logical neighbors we do have.
 	if cfg.FallbackToMNDP && !nd.mndpFallback && len(nd.neighbors) > 0 {
 		nd.mndpFallback = true
-		nd.net.m.onFallback()
+		nd.net.m.fallbacks.Inc()
 		nd.net.emit(trace.Event{
 			At:     float64(nd.net.engine.Now()),
 			Kind:   trace.KindRetry,
@@ -192,7 +192,7 @@ func (nd *Node) scheduleResponderReap(initiator ibc.NodeID, rs *dndpResponderSta
 	nd.net.engine.MustSchedule(cfg.SessionTimeout, func() {
 		if cur := nd.responders[initiator]; cur == rs && !cur.accepted {
 			delete(nd.responders, initiator)
-			nd.net.m.onHalfOpenGC()
+			nd.net.m.halfOpenGC.Inc()
 		}
 	})
 }
@@ -212,7 +212,7 @@ func (nd *Node) scheduleInitiatorPeerReap(st *dndpInitiatorState, responder ibc.
 		}
 		if cur := st.peers[responder]; cur == ps && !cur.done {
 			delete(st.peers, responder)
-			nd.net.m.onHalfOpenGC()
+			nd.net.m.halfOpenGC.Inc()
 		}
 	})
 }
@@ -227,7 +227,7 @@ func (nd *Node) scheduleMNDPReap(table map[ibc.NodeID]*mndpPending, peer ibc.Nod
 	nd.net.engine.MustSchedule(cfg.SessionTimeout, func() {
 		if cur, ok := table[peer]; ok && cur == p {
 			delete(table, peer)
-			nd.net.m.onHalfOpenGC()
+			nd.net.m.halfOpenGC.Inc()
 		}
 	})
 }

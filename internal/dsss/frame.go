@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/chips"
 	"repro/internal/rs"
-	"repro/internal/trace"
 )
 
 // Frame is the complete §V-B message path: Reed–Solomon expansion by the
@@ -20,11 +19,8 @@ import (
 // offsets could otherwise "decode" noise; the sync word rejects such
 // miscorrections with probability 1 − 2^{-16}.
 type Frame struct {
-	codec    *rs.Codec
-	tau      float64
-	m        *PhyMetrics   // nil unless Instrument was called
-	tracer   *trace.Tracer // nil unless Trace was called
-	chipRate float64       // chips per second for span timestamps
+	codec *rs.Codec
+	tau   float64
 }
 
 // frameMagic is the two-byte sync word prepended to every frame payload.
@@ -85,39 +81,13 @@ func (f *Frame) ReceiveScan(buf []int32, codes []chips.Sequence, msgLen int) (ms
 	frameChips := f.EncodedBits(msgLen) * n
 	start := 0
 	for {
-		window := buf[start:]
-		if f.m != nil {
-			f.m.SyncAttempts.Inc()
-		}
-		sync := trace.SpanID(0)
-		if f.tracer != nil {
-			sync = f.tracer.Start(f.chipTime(start), 0, -1, -1, "dsss.sync_window")
-		}
-		res, serr := Synchronize(window, codes, f.tau, f.EncodedBits(msgLen))
+		res, serr := Synchronize(buf[start:], codes, f.tau, f.EncodedBits(msgLen))
 		if serr != nil {
-			if f.m != nil {
-				f.m.SyncMisses.Inc()
-			}
-			if f.tracer != nil {
-				f.tracer.End(f.chipTime(len(buf)), sync, -1, -1, "no signal")
-			}
 			return nil, 0, 0, ErrNoSignal
 		}
 		off := start + res.Offset
-		if f.tracer != nil {
-			f.tracer.End(f.chipTime(off), sync, -1, -1, fmt.Sprintf("locked code=%d", res.CodeIndex))
-		}
 		if off+frameChips > len(buf) {
 			return nil, 0, 0, ErrNoSignal
-		}
-		despread := trace.SpanID(0)
-		if f.tracer != nil {
-			despread = f.tracer.Start(f.chipTime(off), sync, -1, -1, "dsss.despread")
-		}
-		endDespread := func(detail string) {
-			if f.tracer != nil {
-				f.tracer.End(f.chipTime(off+frameChips), despread, -1, -1, detail)
-			}
 		}
 		// A sync hit locates a plausible frame start, but the code that
 		// tripped the threshold may be a chance correlator of another
@@ -125,7 +95,6 @@ func (f *Frame) ReceiveScan(buf []int32, codes []chips.Sequence, msgLen int) (ms
 		// first, then every other candidate, before advancing — otherwise
 		// a false lock at the true offset would skip the real frame.
 		if m, derr := f.Receive(buf, off, codes[res.CodeIndex], msgLen); derr == nil {
-			endDespread(fmt.Sprintf("decoded code=%d", res.CodeIndex))
 			return m, res.CodeIndex, off, nil
 		}
 		for ci := range codes {
@@ -133,11 +102,9 @@ func (f *Frame) ReceiveScan(buf []int32, codes []chips.Sequence, msgLen int) (ms
 				continue
 			}
 			if m, derr := f.Receive(buf, off, codes[ci], msgLen); derr == nil {
-				endDespread(fmt.Sprintf("decoded code=%d", ci))
 				return m, ci, off, nil
 			}
 		}
-		endDespread("all candidates failed")
 		start = off + 1
 	}
 }
@@ -160,24 +127,12 @@ func (f *Frame) Receive(buf []int32, off int, code chips.Sequence, msgLen int) (
 	if err != nil {
 		return nil, err
 	}
-	if f.m != nil {
-		f.m.ErasureSymbols.Add(uint64(len(erasures)))
-	}
 	framed, err := f.codec.Decode(coded, msgLen+len(frameMagic), erasures)
 	if err != nil {
-		if f.m != nil {
-			f.m.DecodeErrors.Inc()
-		}
 		return nil, fmt.Errorf("frame decode: %w", err)
 	}
 	if framed[0] != frameMagic[0] || framed[1] != frameMagic[1] {
-		if f.m != nil {
-			f.m.DecodeErrors.Inc()
-		}
 		return nil, fmt.Errorf("frame decode: bad sync word (miscorrection or wrong code)")
-	}
-	if f.m != nil {
-		f.m.DecodeOK.Inc()
 	}
 	return framed[len(frameMagic):], nil
 }

@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"strings"
 	"testing"
-
-	"repro/internal/metrics"
 )
 
 func TestTracerEmitsPairedEvents(t *testing.T) {
@@ -163,25 +161,4 @@ func TestPhases(t *testing.T) {
 	if ps[1].Name != "dndp.hello_buffer" {
 		t.Fatalf("second phase = %+v", ps[1])
 	}
-}
-
-func TestRecorderInstrumentDropped(t *testing.T) {
-	rec, _ := NewRecorder(2)
-	reg := metrics.New()
-	rec.Emit(Event{At: 0, Kind: KindTx, Node: 0, Peer: -1})
-	rec.Emit(Event{At: 1, Kind: KindTx, Node: 0, Peer: -1})
-	rec.Emit(Event{At: 2, Kind: KindTx, Node: 0, Peer: -1}) // evicts one pre-Instrument
-	rec.Instrument(reg)
-	rec.Emit(Event{At: 3, Kind: KindTx, Node: 0, Peer: -1}) // evicts one post-Instrument
-	c := reg.Counter("jrsnd_trace_dropped_total", "")
-	if got := c.Value(); got != 2 {
-		t.Fatalf("jrsnd_trace_dropped_total = %d, want 2", got)
-	}
-	if rec.Dropped() != 2 {
-		t.Fatalf("Dropped() = %d, want 2", rec.Dropped())
-	}
-	// nil recorder / nil registry must not panic.
-	var nilRec *Recorder
-	nilRec.Instrument(reg)
-	rec.Instrument(nil)
 }

@@ -11,8 +11,6 @@ import (
 	"io"
 	"strings"
 	"sync"
-
-	"repro/internal/metrics"
 )
 
 // Sink consumes protocol events. Implementations must tolerate concurrent
@@ -141,12 +139,11 @@ func (e Event) String() string {
 // callers can emit unconditionally. All methods are goroutine-safe, so a
 // single Recorder can be shared across parallel campaign runs.
 type Recorder struct {
-	mu       sync.Mutex
-	cap      int
-	events   []Event
-	start    int // ring start index
-	dropped  int
-	droppedC *metrics.Counter
+	mu      sync.Mutex
+	cap     int
+	events  []Event
+	start   int // ring start index
+	dropped int
 }
 
 // Recorder is the canonical Sink implementation.
@@ -174,26 +171,6 @@ func (r *Recorder) Emit(e Event) {
 	r.events[r.start] = e
 	r.start = (r.start + 1) % r.cap
 	r.dropped++
-	if r.droppedC != nil {
-		r.droppedC.Inc()
-	}
-}
-
-// Instrument surfaces the recorder's eviction count as the
-// jrsnd_trace_dropped_total counter, so a silently truncated trace shows
-// up in scraped metrics instead of lying by omission. Evictions that
-// happened before Instrument are folded in. Safe on a nil receiver.
-func (r *Recorder) Instrument(reg *metrics.Registry) {
-	if r == nil || reg == nil {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.droppedC = reg.Counter("jrsnd_trace_dropped_total",
-		"Trace events evicted from the bounded recorder ring (truncated trace).")
-	if r.dropped > 0 {
-		r.droppedC.Add(uint64(r.dropped))
-	}
 }
 
 // Len returns the number of retained events.

@@ -221,7 +221,7 @@ func (e *Endpoint) emit(kind trace.Kind, peerID int, detail string) {
 
 // drop counts and traces one rejected datagram.
 func (e *Endpoint) drop(reason string, peerID int, detail string) {
-	e.m.onDrop(reason)
+	e.m.drops[reason].Inc()
 	if e.sink != nil {
 		e.emit(trace.KindDrop, peerID, reason+": "+detail)
 	}
@@ -331,7 +331,7 @@ func (e *Endpoint) Close() error {
 	e.cancel()
 	err := e.conn.Close()
 	e.wg.Wait()
-	e.m.onPeers(0)
+	e.m.peers.Set(0)
 	return err
 }
 
@@ -354,7 +354,7 @@ func (e *Endpoint) Bye() {
 func (e *Endpoint) writeTo(addr *net.UDPAddr, buf []byte) {
 	if _, err := e.conn.WriteToUDP(buf, addr); err == nil {
 		e.txCount.Add(1)
-		e.m.onTx()
+		e.m.txDgrams.Inc()
 	}
 }
 
@@ -393,7 +393,7 @@ func (e *Endpoint) readLoop() {
 			continue
 		}
 		e.rxCount.Add(1)
-		e.m.onRx()
+		e.m.rxDgrams.Inc()
 		e.processDatagram(src, buf[:n])
 		e.bufs.Put(buf) //nolint:staticcheck // fixed-size buffer, pooling by design
 	}
@@ -587,8 +587,8 @@ func (e *Endpoint) register(id int, addr *net.UDPAddr) (*peer, error) {
 	e.mu.Unlock()
 
 	go e.sendLoop(p)
-	e.m.onPeers(count)
-	e.m.onHandshake()
+	e.m.peers.Set(float64(count))
+	e.m.handshakes.Inc()
 	if replaced != nil {
 		e.emit(trace.KindExpiry, id, "peer re-registered from "+key+" (stale entry replaced)")
 	}
@@ -629,7 +629,7 @@ func (e *Endpoint) removePeer(p *peer, reason string) {
 	if !removed {
 		return
 	}
-	e.m.onPeers(count)
+	e.m.peers.Set(float64(count))
 	e.emit(trace.KindExpiry, p.id, "peer removed: "+reason)
 	if e.cfg.OnPeerChange != nil {
 		e.cfg.OnPeerChange(p.id, false)

@@ -2,18 +2,15 @@ package transport
 
 import "repro/internal/metrics"
 
-// transportMetrics holds the endpoint's instruments. A nil receiver (no
-// registry configured) makes every update a no-op, matching the
-// convention of internal/core's coreMetrics.
+// transportMetrics holds the endpoint's instruments. Without a registry
+// every handle is nil, and the metrics package makes each update on a nil
+// handle a no-op.
 type transportMetrics struct {
 	peers      *metrics.Gauge
 	txDgrams   *metrics.Counter
 	rxDgrams   *metrics.Counter
 	handshakes *metrics.Counter
-
-	dropDecode    *metrics.Counter
-	dropRatelimit *metrics.Counter
-	dropUnknown   *metrics.Counter
+	drops      map[string]*metrics.Counter // by drop reason
 }
 
 // Drop reasons, used both as metric labels and trace details.
@@ -24,62 +21,16 @@ const (
 )
 
 func newTransportMetrics(reg *metrics.Registry) *transportMetrics {
-	if reg == nil {
-		return nil
+	m := &transportMetrics{
+		peers:      reg.Gauge("jrsnd_transport_peers", "authenticated peers currently registered"),
+		txDgrams:   reg.Counter("jrsnd_node_tx_datagrams_total", "UDP datagrams transmitted"),
+		rxDgrams:   reg.Counter("jrsnd_node_rx_datagrams_total", "UDP datagrams received"),
+		handshakes: reg.Counter("jrsnd_transport_handshakes_total", "handshakes completed (peer registrations)"),
+		drops:      map[string]*metrics.Counter{},
 	}
-	drops := func(reason string) *metrics.Counter {
-		return reg.Counter(`jrsnd_transport_drops_total{reason="`+metrics.EscapeLabelValue(reason)+`"}`,
+	for _, reason := range []string{dropDecode, dropRatelimit, dropUnknown} {
+		m.drops[reason] = reg.Counter(`jrsnd_transport_drops_total{reason="`+metrics.EscapeLabelValue(reason)+`"}`,
 			"datagrams dropped by the transport receive path, by reason")
 	}
-	return &transportMetrics{
-		peers:         reg.Gauge("jrsnd_transport_peers", "authenticated peers currently registered"),
-		txDgrams:      reg.Counter("jrsnd_node_tx_datagrams_total", "UDP datagrams transmitted"),
-		rxDgrams:      reg.Counter("jrsnd_node_rx_datagrams_total", "UDP datagrams received"),
-		handshakes:    reg.Counter("jrsnd_transport_handshakes_total", "handshakes completed (peer registrations)"),
-		dropDecode:    drops(dropDecode),
-		dropRatelimit: drops(dropRatelimit),
-		dropUnknown:   drops(dropUnknown),
-	}
-}
-
-func (m *transportMetrics) onPeers(n int) {
-	if m == nil {
-		return
-	}
-	m.peers.Set(float64(n))
-}
-
-func (m *transportMetrics) onTx() {
-	if m == nil {
-		return
-	}
-	m.txDgrams.Inc()
-}
-
-func (m *transportMetrics) onRx() {
-	if m == nil {
-		return
-	}
-	m.rxDgrams.Inc()
-}
-
-func (m *transportMetrics) onHandshake() {
-	if m == nil {
-		return
-	}
-	m.handshakes.Inc()
-}
-
-func (m *transportMetrics) onDrop(reason string) {
-	if m == nil {
-		return
-	}
-	switch reason {
-	case dropDecode:
-		m.dropDecode.Inc()
-	case dropRatelimit:
-		m.dropRatelimit.Inc()
-	case dropUnknown:
-		m.dropUnknown.Inc()
-	}
+	return m
 }
