@@ -76,8 +76,8 @@ authd-smoke:
 # crash matrix (panic-based hooks at every WAL/snapshot crash point),
 # then a subprocess kill-restart loop that boots the real binary armed to
 # exit(137) at each point, hammers it with the loadgen, and verifies the
-# recovery invariants against a ledger of acknowledged mutations. Exits 1
-# on any violation. See docs/authority.md.
+# recovery invariants with authd.Ledger, the one ledger of acknowledged
+# mutations. Exits 1 on any violation. See docs/authority.md §9.4.
 authd-crash:
 	$(GO) run ./cmd/jrsnd-authority -crash-harness -crash-cycles 2
 
@@ -86,9 +86,9 @@ authd-crash:
 # follower kill/restart under load, an asymmetric partition that forces a
 # snapshot catch-up, and a primary kill with gated promotion and client
 # failover; after each fault the whole replica set must converge to one
-# (sequence, fingerprint) and every replica is checked against the ledger
-# of acknowledged mutations. Exits 1 on any violation. See
-# docs/authority.md.
+# (sequence, fingerprint) and every replica is checked by authd.Ledger's
+# read-only Check, the same ledger authd-crash uses. Exits 1 on any
+# violation. See docs/authority.md §10.4.
 authd-replica:
 	$(GO) run ./cmd/jrsnd-authority -replica-harness -replica-cycles 1
 

@@ -7,7 +7,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -27,14 +26,16 @@ import (
 // Phase 2 is the real thing: for each crash point it re-executes this
 // binary as a durable server armed to os.Exit(137) at that point, hammers
 // it over HTTP with the load generator plus a tracked client whose
-// acknowledged responses form a ledger, waits for the child to die, then
-// boots a clean child on the same data directory and checks the four
-// recovery invariants against the ledger: no double-assigned slot (every
-// acked node still holds exactly its acked codes), no lost acknowledged
-// mutation, exactly-one-revocation, monotonic epoch. Each verify child is
-// stopped with SIGTERM, so graceful drain-flushes-WAL is exercised every
-// cycle: mutations acked just before the SIGTERM must survive into the
-// next cycle's recovery.
+// acknowledged responses enter an authd.Ledger, waits for the child to
+// die, then boots a clean child on the same data directory and runs the
+// ledger's Check against it over HTTP: every acked node still holds
+// exactly its acked codes, the epoch never went back, and a code acked
+// RevokedNow or reported more than γ times is revoked. The ledger itself
+// flags a node acked twice and a second RevokedNow as they are recorded.
+// Each verify child is stopped with SIGTERM, so graceful
+// drain-flushes-WAL is exercised every cycle: mutations acked just before
+// the SIGTERM must survive into the next cycle's recovery. Both phases
+// print one authd.CrashReport per point.
 //
 // Any violation → exit 1.
 
@@ -51,73 +52,11 @@ const (
 	harnessGamma = 3
 )
 
-// harnessLedger accumulates acknowledged state across every child of one
-// crash point. Only fully received responses enter it, so everything in
-// here was acknowledged and must survive any crash.
-type harnessLedger struct {
-	mu             sync.Mutex
-	nodes          map[int][]codepool.CodeID
-	maxEpoch       int
-	maxSeq         uint64 // highest WAL sequence any acknowledged response carried
-	revCode        int32
-	revAcks        int
-	revokedNowAcks int
-	violations     []string
-}
-
-func newLedger(revCode int32) *harnessLedger {
-	return &harnessLedger{nodes: map[int][]codepool.CodeID{}, revCode: revCode}
-}
-
-// ackSeq records the WAL sequence of an acknowledged mutation — the
-// replica harness's promotion gate uses the maximum as "what any client
-// knows was acknowledged".
-func (l *harnessLedger) ackSeq(seq uint64) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if seq > l.maxSeq {
-		l.maxSeq = seq
-	}
-}
-
-func (l *harnessLedger) ackedSeq() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.maxSeq
-}
-
-func (l *harnessLedger) violate(format string, args ...any) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.violations = append(l.violations, fmt.Sprintf(format, args...))
-}
-
-func (l *harnessLedger) ackAssign(node int, codes []codepool.CodeID, epoch int) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if prev, ok := l.nodes[node]; ok && !slices.Equal(prev, codes) {
-		l.violations = append(l.violations,
-			fmt.Sprintf("node %d acked twice with different codes: %v then %v", node, prev, codes))
-		return
-	}
-	l.nodes[node] = append([]codepool.CodeID(nil), codes...)
-	if epoch > l.maxEpoch {
-		l.maxEpoch = epoch
-	}
-}
-
-func (l *harnessLedger) ackRevoke(res authd.RevokeResult) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.revAcks++
-	if res.RevokedNow {
-		l.revokedNowAcks++
-		if l.revokedNowAcks > 1 {
-			l.violations = append(l.violations,
-				fmt.Sprintf("code %d acknowledged RevokedNow %d times", l.revCode, l.revokedNowAcks))
-		}
-	}
-}
+// harnessRevokeCode is the one code the crash and replica harnesses
+// report, and their background load runs with MixRevoke 0. So the revoked
+// count GET /v1/epoch returns is exactly this code's revocation bit, which
+// is how checkServer reads revocation over HTTP.
+const harnessRevokeCode int32 = 3
 
 func runCrashHarness(opts options, out io.Writer) (int, error) {
 	cycles := opts.crashCycles
@@ -169,31 +108,26 @@ func runCrashHarness(opts options, out io.Writer) (int, error) {
 	failed := false
 	for _, pt := range authd.CrashPoints {
 		fmt.Fprintf(out, "crash-harness: phase 2 — subprocess kill-restart at %s\n", pt)
-		led := newLedger(3)
+		rep := authd.CrashReport{Point: pt, Cycles: cycles}
+		led := authd.NewLedger(harnessGamma)
 		dir := filepath.Join(work, "proc-"+string(pt))
 		for cycle := 0; cycle < cycles; cycle++ {
 			if err := runKillCycle(exe, dir, pt, cycle, opts.seed, led); err != nil {
-				led.violate("cycle %d: %v", cycle, err)
+				led.Violate("cycle %d: %v", cycle, err)
 				break
 			}
+			rep.Crashes++
 		}
 		// One last clean boot so mutations acked during the final cycle's
 		// graceful pass are verified too.
-		if len(led.violations) == 0 {
+		if len(led.Violations()) == 0 {
 			if err := verifyCleanBoot(exe, dir, opts.seed, led); err != nil {
-				led.violate("final verification: %v", err)
+				led.Violate("final verification: %v", err)
 			}
 		}
-		if n := len(led.violations); n > 0 {
-			failed = true
-			fmt.Fprintf(out, "crash-harness: %s FAILED (%d violations)\n", pt, n)
-			for _, v := range led.violations {
-				fmt.Fprintf(out, "  violation: %s\n", v)
-			}
-		} else {
-			fmt.Fprintf(out, "crash-harness: %s ok (%d acked nodes, %d revoke acks, epoch %d)\n",
-				pt, len(led.nodes), led.revAcks, led.maxEpoch)
-		}
+		rep.AckedOps, rep.Violations = led.AckedOps(), led.Violations()
+		fmt.Fprint(out, authd.FormatCrashReports([]authd.CrashReport{rep}))
+		failed = failed || !rep.Passed()
 	}
 	if failed {
 		return 1, errors.New("crash harness detected invariant violations")
@@ -209,7 +143,7 @@ func runCrashHarness(opts options, out io.Writer) (int, error) {
 // driven until it dies at its crash point, then a clean child recovers the
 // same directory, the ledger is checked against it, a few more tracked
 // mutations are acked, and it is drained with SIGTERM.
-func runKillCycle(exe, dir string, pt authd.CrashPoint, cycle int, seed int64, led *harnessLedger) error {
+func runKillCycle(exe, dir string, pt authd.CrashPoint, cycle int, seed int64, led *authd.Ledger) error {
 	// Append points fire per mutation; snapshot points fire once per
 	// snapshot, so those children snapshot aggressively and crash on a
 	// low hit count. Staggering by cycle moves the cut through the
@@ -268,7 +202,7 @@ func runKillCycle(exe, dir string, pt authd.CrashPoint, cycle int, seed int64, l
 	if err != nil {
 		return fmt.Errorf("recovery child: %w", err)
 	}
-	verifyLedger(v.URL(), led)
+	verifyRecovery(v.URL(), led)
 	trackedOps(context.Background(), v.URL(), led, 6)
 	if err := v.Terminate(); err != nil {
 		return fmt.Errorf("graceful drain: %w (output:\n%s)", err, v.Output())
@@ -278,12 +212,12 @@ func runKillCycle(exe, dir string, pt authd.CrashPoint, cycle int, seed int64, l
 
 // verifyCleanBoot boots one more clean child and re-checks the ledger —
 // covering mutations acked after the last cycle's verification.
-func verifyCleanBoot(exe, dir string, seed int64, led *harnessLedger) error {
+func verifyCleanBoot(exe, dir string, seed int64, led *authd.Ledger) error {
 	v, err := startChild(exe, dir, 64, seed, nil)
 	if err != nil {
 		return err
 	}
-	verifyLedger(v.URL(), led)
+	verifyRecovery(v.URL(), led)
 	return v.Terminate()
 }
 
@@ -291,7 +225,7 @@ func verifyCleanBoot(exe, dir string, seed int64, led *harnessLedger) error {
 // it runs until ctx is cancelled (racing a crash — errors are expected
 // and simply not recorded); with n > 0 it performs exactly n acked ops
 // against a healthy server and fails the ledger if any errors.
-func trackedOps(ctx context.Context, url string, led *harnessLedger, n int) {
+func trackedOps(ctx context.Context, url string, led *authd.Ledger, n int) {
 	cl := &authd.Client{Base: url, ClientID: "crash-harness", MaxAttempts: 1}
 	for i := 0; n == 0 || i < n; i++ {
 		if ctx.Err() != nil {
@@ -302,7 +236,7 @@ func trackedOps(ctx context.Context, url string, led *harnessLedger, n int) {
 		cancelOp()
 		if err != nil && !errors.Is(err, authd.ErrExhausted) {
 			if n > 0 {
-				led.violate("tracked op against healthy server failed: %v", err)
+				led.Violate("tracked op against healthy server failed: %v", err)
 			}
 			// Otherwise racing a crash: the child is dead or dying. Stop
 			// hammering.
@@ -314,104 +248,66 @@ func trackedOps(ctx context.Context, url string, led *harnessLedger, n int) {
 // trackedStep performs tracked op i — provision, provision, join, revoke
 // by i mod 4 — and records an acknowledged result in the ledger. Only
 // fully received responses enter it.
-func trackedStep(ctx context.Context, cl *authd.Client, led *harnessLedger, i int) error {
+func trackedStep(ctx context.Context, cl *authd.Client, led *authd.Ledger, i int) error {
 	switch i % 4 {
 	case 0, 1:
 		res, err := cl.Provision(ctx, 1, "tracked")
 		if err != nil {
 			return err
 		}
-		for _, a := range res.Nodes {
-			led.ackAssign(a.Node, a.Codes, res.Epoch)
-		}
-		led.ackSeq(res.Seq)
+		led.Provision(res)
 	case 2:
 		res, err := cl.Join(ctx, "tracked")
 		if err != nil {
 			return err
 		}
-		led.ackAssign(res.Node, res.Codes, res.Epoch)
-		led.ackSeq(res.Seq)
+		led.Join(res)
 	default:
-		res, err := cl.Revoke(ctx, led.revCode)
+		res, err := cl.Revoke(ctx, harnessRevokeCode)
 		if err != nil {
 			return err
 		}
-		led.ackRevoke(res)
-		led.ackSeq(res.Seq)
+		led.Revoke(res)
 	}
 	return nil
 }
 
-// checkLedger is the read-only ledger check against one server: every
-// acked node present with exactly its acked codes, epoch monotonic, and
-// the acknowledged revocation still in force. Being read-only, it runs
-// against followers too. It reports false if the server did not answer.
-func checkLedger(url string, led *harnessLedger) bool {
+// checkServer runs the ledger's read-only Check against the authority at
+// url over HTTP, so it serves followers too. It reports false if the
+// server did not answer.
+func checkServer(url string, led *authd.Ledger) bool {
 	cl := &authd.Client{Base: url, ClientID: "ledger-verify"}
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-
 	info, err := cl.Epoch(ctx)
 	if err != nil {
-		led.violate("%s: epoch probe: %v", url, err)
+		led.Violate("%s: epoch probe: %v", url, err)
 		return false
 	}
-	led.mu.Lock()
-	maxEpoch := led.maxEpoch
-	nodes := make(map[int][]codepool.CodeID, len(led.nodes))
-	for n, c := range led.nodes {
-		nodes[n] = c
-	}
-	revokedNow := led.revokedNowAcks
-	led.mu.Unlock()
-	if info.Epoch < maxEpoch {
-		led.violate("%s: epoch went backwards: %d < acked %d", url, info.Epoch, maxEpoch)
-	}
-	for node, codes := range nodes {
-		ni, err := cl.Node(ctx, node)
-		if err != nil {
-			led.violate("%s: acked node %d lost: %v", url, node, err)
-			continue
-		}
-		if !slices.Equal(ni.Codes, codes) {
-			led.violate("%s: node %d holds codes %v, acked %v", url, node, ni.Codes, codes)
-		}
-	}
-	if revokedNow > 0 && info.Revoked < 1 {
-		led.violate("%s: acknowledged revocation of code %d missing", url, led.revCode)
-	}
+	led.Check(authd.View{
+		Prefix: url + ": ",
+		Epoch:  info.Epoch,
+		Node: func(node int) ([]codepool.CodeID, error) {
+			ni, err := cl.Node(ctx, node)
+			return ni.Codes, err
+		},
+		Revoked: func(int32) bool { return info.Revoked > 0 }, // see harnessRevokeCode
+	})
 	return true
 }
 
-// verifyLedger checks every recovery invariant against a freshly
-// recovered server: the read-only checkLedger, then a mutating probe.
-func verifyLedger(url string, led *harnessLedger) {
-	if !checkLedger(url, led) {
-		return
-	}
-	led.mu.Lock()
-	revAcks := led.revAcks
-	led.mu.Unlock()
-	// Revocation durability + exactly-once: past γ acknowledged reports
-	// the code must be revoked, and re-reporting a revoked code must not
-	// claim RevokedNow again. The probe report is itself acked, so it
-	// joins the ledger.
-	if revAcks <= harnessGamma {
+// verifyRecovery checks a freshly recovered primary: checkServer, then,
+// once the code is past γ, one more tracked report, which the ledger
+// flags if it claims RevokedNow a second time.
+func verifyRecovery(url string, led *authd.Ledger) {
+	if !checkServer(url, led) || led.Reports(harnessRevokeCode) <= harnessGamma {
 		return
 	}
 	cl := &authd.Client{Base: url, ClientID: "crash-verify"}
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	res, err := cl.Revoke(ctx, led.revCode)
-	if err != nil {
-		led.violate("revoke probe after recovery: %v", err)
-		return
-	}
-	led.ackRevoke(res)
-	if !res.Revoked {
-		led.violate("code %d had %d acked reports (γ=%d) but recovered unrevoked",
-			led.revCode, revAcks, harnessGamma)
+	if err := trackedStep(ctx, cl, led, 3); err != nil { // tracked op 3 is a revoke
+		led.Violate("revoke probe after recovery: %v", err)
 	}
 }
 

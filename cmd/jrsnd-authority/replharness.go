@@ -45,11 +45,14 @@ import (
 //     fsynced before dying must be detected as divergent and wiped, never
 //     served), and the group converges again.
 //
-// After every cycle the four recovery invariants are checked against
-// EVERY live replica — reads go to each replica directly, so a follower
-// that lost an acknowledged mutation cannot hide behind the primary:
-// no double-assigned slot, no lost acknowledged mutation,
-// exactly-one-revocation, monotonic epoch. Any violation → exit 1.
+// The tracked client records into the same authd.Ledger as the crash
+// harness, which flags a node acked twice and a second RevokedNow as they
+// are recorded. After every cycle the ledger's read-only Check runs
+// against EVERY live replica — reads go to each replica directly, so a
+// follower that lost an acknowledged mutation cannot hide behind the
+// primary: every acked node holds exactly its acked codes, the epoch
+// never went back, and code 3 (harnessRevokeCode) is revoked once it was
+// acked RevokedNow or reported more than γ times. Any violation → exit 1.
 
 const (
 	replSnapEvery = 48
@@ -106,21 +109,21 @@ func runReplicaHarness(opts options, out io.Writer) (int, error) {
 		}
 	}
 
-	led := newLedger(3)
+	led := authd.NewLedger(harnessGamma)
 	for cycle := 0; cycle < cycles; cycle++ {
 		fmt.Fprintf(out, "replica-harness: cycle %d — follower kill/restart under load\n", cycle)
 		if err := g.followerKillCycle(led); err != nil {
-			led.violate("follower kill cycle %d: %v", cycle, err)
+			led.Violate("follower kill cycle %d: %v", cycle, err)
 			break
 		}
 		fmt.Fprintf(out, "replica-harness: cycle %d — partition + snapshot catch-up\n", cycle)
 		if err := g.partitionCatchupCycle(led); err != nil {
-			led.violate("partition cycle %d: %v", cycle, err)
+			led.Violate("partition cycle %d: %v", cycle, err)
 			break
 		}
 		fmt.Fprintf(out, "replica-harness: cycle %d — primary kill, gated promotion, failover\n", cycle)
 		if err := g.promotionCycle(led); err != nil {
-			led.violate("promotion cycle %d: %v", cycle, err)
+			led.Violate("promotion cycle %d: %v", cycle, err)
 			break
 		}
 	}
@@ -130,9 +133,9 @@ func runReplicaHarness(opts options, out io.Writer) (int, error) {
 			c.Kill()
 		}
 	}
-	if n := len(led.violations); n > 0 {
-		fmt.Fprintf(out, "replica-harness: FAILED (%d violations)\n", n)
-		for _, v := range led.violations {
+	if vs := led.Violations(); len(vs) > 0 {
+		fmt.Fprintf(out, "replica-harness: FAILED (%d violations)\n", len(vs))
+		for _, v := range vs {
 			fmt.Fprintf(out, "  violation: %s\n", v)
 		}
 		for i, c := range g.kids {
@@ -144,8 +147,8 @@ func runReplicaHarness(opts options, out io.Writer) (int, error) {
 		return 1, errors.New("replica harness detected invariant violations")
 	}
 	os.RemoveAll(work)
-	fmt.Fprintf(out, "replica-harness: all cycles passed (%d acked nodes, max acked seq %d, epoch %d)\n",
-		len(led.nodes), led.ackedSeq(), led.maxEpoch)
+	fmt.Fprintf(out, "replica-harness: all cycles passed (%d acked ops, max acked seq %d)\n",
+		led.AckedOps(), led.AckedSeq())
 	return 0, nil
 }
 
@@ -214,7 +217,7 @@ func (g *replGroup) roles() (int, []int, error) {
 // outcome (mid-fault there may briefly be no reachable primary);
 // anything else unexpected is a violation. Only fully received responses
 // enter the ledger.
-func (g *replGroup) ack(led *harnessLedger, n int, tolerate bool) {
+func (g *replGroup) ack(led *authd.Ledger, n int, tolerate bool) {
 	cl := &authd.Client{Endpoints: append([]string(nil), g.urls...), ClientID: "replica-harness"}
 	for i := 0; i < n; i++ {
 		opCtx, cancelOp := context.WithTimeout(context.Background(), 15*time.Second)
@@ -224,7 +227,7 @@ func (g *replGroup) ack(led *harnessLedger, n int, tolerate bool) {
 		case err == nil, errors.Is(err, authd.ErrExhausted):
 		case tolerate && errors.Is(err, authd.ErrUnavailable):
 		default:
-			led.violate("tracked op failed: %v", err)
+			led.Violate("tracked op failed: %v", err)
 			return
 		}
 	}
@@ -233,18 +236,18 @@ func (g *replGroup) ack(led *harnessLedger, n int, tolerate bool) {
 // drive acknowledges mutations until the acked WAL sequence advances by
 // at least records. Revokes always append a record, so this terminates
 // even once the slot pool is exhausted; the op budget bounds it anyway.
-func (g *replGroup) drive(led *harnessLedger, records uint64) error {
-	target := led.ackedSeq() + records
+func (g *replGroup) drive(led *authd.Ledger, records uint64) error {
+	target := led.AckedSeq() + records
 	for budget := 0; budget < 64; budget++ {
-		if led.ackedSeq() >= target {
+		if led.AckedSeq() >= target {
 			return nil
 		}
 		g.ack(led, 16, false)
-		if len(led.violations) > 0 {
+		if len(led.Violations()) > 0 {
 			return errors.New("tracked ops failed while driving the WAL forward")
 		}
 	}
-	return fmt.Errorf("could not advance the acked sequence to %d (at %d)", target, led.ackedSeq())
+	return fmt.Errorf("could not advance the acked sequence to %d (at %d)", target, led.AckedSeq())
 }
 
 // waitConverged polls the replica set until every live member reports
@@ -302,20 +305,20 @@ func summarize(sts []authd.ReplicationStatus) []string {
 	return out
 }
 
-// verifyAll checks the ledger invariants against every live replica.
-func (g *replGroup) verifyAll(led *harnessLedger) {
+// verifyAll runs the ledger's Check against every live replica.
+func (g *replGroup) verifyAll(led *authd.Ledger) {
 	for i, url := range g.urls {
 		if g.kids[i] == nil {
 			continue
 		}
-		checkLedger(url, led)
+		checkServer(url, led)
 	}
 }
 
 // followerKillCycle: SIGKILL a follower while background load and
 // tracked mutations are in flight, keep acknowledging with one follower
 // down, restart it on its own directory, converge, verify everywhere.
-func (g *replGroup) followerKillCycle(led *harnessLedger) error {
+func (g *replGroup) followerKillCycle(led *authd.Ledger) error {
 	_, fols, err := g.roles()
 	if err != nil {
 		return err
@@ -371,7 +374,7 @@ func (g *replGroup) followerKillCycle(led *harnessLedger) error {
 // primary past its snapshot window so the follower's position is
 // compacted out of the stream, unpause, and require a snapshot
 // re-bootstrap (observed via the follower's catch-up counter).
-func (g *replGroup) partitionCatchupCycle(led *harnessLedger) error {
+func (g *replGroup) partitionCatchupCycle(led *authd.Ledger) error {
 	_, fols, err := g.roles()
 	if err != nil {
 		return err
@@ -418,7 +421,7 @@ func (g *replGroup) partitionCatchupCycle(led *harnessLedger) error {
 // the promotion gate to refuse the laggard and accept the up-to-date
 // follower, fail clients over, rejoin the old primary as a follower, and
 // converge.
-func (g *replGroup) promotionCycle(led *harnessLedger) error {
+func (g *replGroup) promotionCycle(led *authd.Ledger) error {
 	prim, fols, err := g.roles()
 	if err != nil {
 		return err
@@ -433,7 +436,7 @@ func (g *replGroup) promotionCycle(led *harnessLedger) error {
 		return fmt.Errorf("pause %s: %w", g.urls[lag], err)
 	}
 	g.ack(led, 16, false)
-	minSeq := led.ackedSeq()
+	minSeq := led.AckedSeq()
 
 	g.kids[prim].Kill()
 	g.kids[prim] = nil

@@ -136,42 +136,20 @@ func RunCrashMatrix(cfg CrashConfig) ([]CrashReport, error) {
 	return reports, nil
 }
 
-// crashLedger is the harness's durable memory of what the authority
-// acknowledged — the ground truth recovery is checked against. Recovered
-// state may contain *more* than the ledger (a CrashPostAppend mutation is
-// durable but unacknowledged; at-least-once is the contract), never less.
-type crashLedger struct {
-	nodes          map[int]ackedAssign
-	maxEpoch       int
-	revokeAcks     map[int32]int // acknowledged reports per code
-	revokedNowAcks map[int32]int // acknowledged RevokedNow per code
-}
-
-type ackedAssign struct {
-	codes string // fmt.Sprint fingerprint of the code set
-	via   string
-}
-
-func newCrashLedger() *crashLedger {
-	return &crashLedger{
-		nodes:          map[int]ackedAssign{},
-		revokeAcks:     map[int32]int{},
-		revokedNowAcks: map[int32]int{},
-	}
-}
-
 // runCrashPoint hammers one point: open → verify recovery → mutate until
 // the armed crash fires (or the cycle's op budget runs out) → abandon or
 // drain → repeat. The data directory persists across cycles; the ledger
 // persists across the whole point.
 func runCrashPoint(point CrashPoint, idx int, cfg CrashConfig) CrashReport {
 	rep := CrashReport{Point: point, Cycles: cfg.Cycles}
-	led := newCrashLedger()
+	led := NewLedger(cfg.Params.Gamma)
 	dir := filepath.Join(cfg.Dir, string(point))
 	rng := rand.New(rand.NewSource(cfg.Seed + int64(idx)*7919))
 	for cycle := 0; cycle < cfg.Cycles; cycle++ {
-		runCrashCycle(point, dir, cfg, rng, led, &rep)
-		if len(rep.Violations) > 8 {
+		if runCrashCycle(point, dir, cfg, rng, led) {
+			rep.Crashes++
+		}
+		if len(led.Violations()) > 8 {
 			break // the point is broken; stop piling on
 		}
 	}
@@ -181,17 +159,19 @@ func runCrashPoint(point CrashPoint, idx int, cfg CrashConfig) CrashReport {
 	fp2, err2 := crashFingerprint(dir, cfg)
 	switch {
 	case err1 != nil:
-		rep.Violations = append(rep.Violations, fmt.Sprintf("final recovery failed: %v", err1))
+		led.Violate("final recovery failed: %v", err1)
 	case err2 != nil:
-		rep.Violations = append(rep.Violations, fmt.Sprintf("second recovery failed: %v", err2))
+		led.Violate("second recovery failed: %v", err2)
 	case fp1 != fp2:
-		rep.Violations = append(rep.Violations, "recovery is nondeterministic: two replays of the same directory disagree")
+		led.Violate("recovery is nondeterministic: two replays of the same directory disagree")
 	}
+	rep.AckedOps, rep.Violations = led.AckedOps(), led.Violations()
 	return rep
 }
 
-// runCrashCycle runs one open-verify-mutate-kill cycle.
-func runCrashCycle(point CrashPoint, dir string, cfg CrashConfig, rng *rand.Rand, led *crashLedger, rep *CrashReport) {
+// runCrashCycle runs one open-verify-mutate-kill cycle and reports
+// whether it died at the armed point.
+func runCrashCycle(point CrashPoint, dir string, cfg CrashConfig, rng *rand.Rand, led *Ledger) bool {
 	hits, target := 0, 1+rng.Intn(4)
 	hook := func(q CrashPoint) {
 		if q == point {
@@ -212,10 +192,10 @@ func runCrashCycle(point CrashPoint, dir string, cfg CrashConfig, rng *rand.Rand
 		},
 	})
 	if err != nil {
-		rep.Violations = append(rep.Violations, fmt.Sprintf("recovery failed: %v", err))
-		return
+		led.Violate("recovery failed: %v", err)
+		return false
 	}
-	verifyRecovered(s, led, rep)
+	led.Check(s.view())
 
 	// The pool only grows, so the boot-time size is always a valid revoke
 	// range.
@@ -223,25 +203,23 @@ func runCrashCycle(point CrashPoint, dir string, cfg CrashConfig, rng *rand.Rand
 	poolSize := s.pool.S()
 	s.poolMu.RUnlock()
 
-	crashed := false
-	for i := 0; i < cfg.OpsPerCycle && !crashed; i++ {
-		crashed = runCrashOp(s, i, poolSize, cfg, rng, led, rep)
-	}
-	if crashed {
-		rep.Crashes++
-		s.wal.abandon() // the "dead" process's fd goes away; state is disk-only now
-		return
+	for i := 0; i < cfg.OpsPerCycle; i++ {
+		if runCrashOp(s, i, poolSize, cfg, rng, led) {
+			s.wal.abandon() // the "dead" process's fd goes away; state is disk-only now
+			return true
+		}
 	}
 	if err := s.wal.close(); err != nil {
-		rep.Violations = append(rep.Violations, fmt.Sprintf("clean close failed: %v", err))
+		led.Violate("clean close failed: %v", err)
 	}
+	return false
 }
 
 // runCrashOp performs one driver operation directly against the server's
 // mutation path (the HTTP layer is exercised by the subprocess harness in
 // cmd/jrsnd-authority), recording every acknowledged result in the
 // ledger. It reports whether the armed crash fired.
-func runCrashOp(s *Server, i, poolSize int, cfg CrashConfig, rng *rand.Rand, led *crashLedger, rep *CrashReport) (crashed bool) {
+func runCrashOp(s *Server, i, poolSize int, cfg CrashConfig, rng *rand.Rand, led *Ledger) (crashed bool) {
 	defer func() {
 		if r := recover(); r != nil {
 			if _, ok := r.(crashSignal); ok {
@@ -253,100 +231,49 @@ func runCrashOp(s *Server, i, poolSize int, cfg CrashConfig, rng *rand.Rand, led
 	}()
 	if i > 0 && i%cfg.SnapshotEvery == 0 {
 		if err := s.Snapshot(); err != nil {
-			rep.Violations = append(rep.Violations, fmt.Sprintf("snapshot failed: %v", err))
+			led.Violate("snapshot failed: %v", err)
 		}
 	}
 	switch pick := rng.Intn(100); {
 	case pick < 45:
-		out, _, err := s.provision(1+rng.Intn(3), "crash")
+		out, seq, err := s.provision(1+rng.Intn(3), "crash")
 		switch {
 		case err == nil:
-			for _, a := range out {
-				led.ackNode(a.Node, a.Codes, "provision", rep)
-				rep.AckedOps++
-			}
-			led.observeEpoch(s.Epoch())
+			led.Provision(ProvisionResponse{Nodes: out, Epoch: s.Epoch(), Seq: seq})
 		case !errors.Is(err, ErrExhausted):
-			rep.Violations = append(rep.Violations, fmt.Sprintf("provision error: %v", err))
+			led.Violate("provision error: %v", err)
 		}
 	case pick < 70:
-		a, _, _, err := s.join("crash")
+		a, expanded, seq, err := s.join("crash")
 		if err != nil {
-			rep.Violations = append(rep.Violations, fmt.Sprintf("join error: %v", err))
+			led.Violate("join error: %v", err)
 			return false
 		}
-		led.ackNode(a.Node, a.Codes, "join", rep)
-		led.observeEpoch(s.Epoch())
-		rep.AckedOps++
+		led.Join(JoinResponse{Node: a.Node, Codes: a.Codes, Epoch: s.Epoch(), Expanded: expanded, Seq: seq})
 	default:
-		code := int32(rng.Intn(poolSize))
-		res, err := s.revoke(codepool.CodeID(code))
+		res, err := s.revoke(codepool.CodeID(rng.Intn(poolSize)))
 		if err != nil {
-			rep.Violations = append(rep.Violations, fmt.Sprintf("revoke error: %v", err))
+			led.Violate("revoke error: %v", err)
 			return false
 		}
-		led.revokeAcks[code]++
-		if res.RevokedNow {
-			led.revokedNowAcks[code]++
-			if led.revokedNowAcks[code] > 1 {
-				rep.Violations = append(rep.Violations,
-					fmt.Sprintf("code %d acknowledged RevokedNow %d times", code, led.revokedNowAcks[code]))
-			}
-		}
-		rep.AckedOps++
+		led.Revoke(res)
 	}
 	return false
 }
 
-// ackNode records one acknowledged assignment, flagging a double
-// assignment immediately: the authority must never acknowledge the same
-// node twice across its whole (restarting) lifetime.
-func (l *crashLedger) ackNode(node int, codes []codepool.CodeID, via string, rep *CrashReport) {
-	fp := fmt.Sprint(codes)
-	if prev, ok := l.nodes[node]; ok {
-		rep.Violations = append(rep.Violations,
-			fmt.Sprintf("node %d assigned twice (%s then %s)", node, prev.via, via))
-		return
-	}
-	l.nodes[node] = ackedAssign{codes: fp, via: via}
-}
-
-func (l *crashLedger) observeEpoch(e int) {
-	if e > l.maxEpoch {
-		l.maxEpoch = e
-	}
-}
-
-// verifyRecovered checks a freshly recovered server against everything
-// the ledger knows was acknowledged before the kill.
-func verifyRecovered(s *Server, led *crashLedger, rep *CrashReport) {
-	for node, want := range led.nodes {
-		rec, ok := s.reg.get(node)
-		switch {
-		case !ok:
-			rep.Violations = append(rep.Violations,
-				fmt.Sprintf("acknowledged %s of node %d lost by recovery", want.via, node))
-		case fmt.Sprint(rec.Codes) != want.codes:
-			rep.Violations = append(rep.Violations,
-				fmt.Sprintf("node %d recovered with different codes (%s vs acked %s)", node, fmt.Sprint(rec.Codes), want.codes))
-		}
-	}
-	if e := s.Epoch(); e < led.maxEpoch {
-		rep.Violations = append(rep.Violations,
-			fmt.Sprintf("epoch regressed: recovered %d < acknowledged %d", e, led.maxEpoch))
-	}
-	gamma := s.rev.Gamma()
-	for code, acks := range led.revokeAcks {
-		if acks > gamma && !s.rev.Revoked(codepool.CodeID(code)) {
-			rep.Violations = append(rep.Violations,
-				fmt.Sprintf("code %d had %d acknowledged reports (γ=%d) but is not revoked after recovery", code, acks, gamma))
-		}
-	}
-	for code, n := range led.revokedNowAcks {
-		if n > 0 && !s.rev.Revoked(codepool.CodeID(code)) {
-			rep.Violations = append(rep.Violations,
-				fmt.Sprintf("code %d's acknowledged revocation lost by recovery", code))
-		}
+// view is the server's registry, epoch and revocation table as
+// Ledger.Check reads them.
+func (s *Server) view() View {
+	return View{
+		Epoch: s.Epoch(),
+		Node: func(node int) ([]codepool.CodeID, error) {
+			rec, ok := s.reg.get(node)
+			if !ok {
+				return nil, ErrNotFound
+			}
+			return rec.Codes, nil
+		},
+		Revoked: func(code int32) bool { return s.rev.Revoked(codepool.CodeID(code)) },
 	}
 }
 

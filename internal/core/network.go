@@ -128,7 +128,8 @@ type NetworkConfig struct {
 	// AcceptWithoutBeacon models the naive M-NDP variant that accepts a
 	// peer upon the signed response alone, skipping the session-code
 	// HELLO/CONFIRM beacon. It exhibits the false positives the paper
-	// warns about and exists for the ablation experiment.
+	// warns about. No registered experiment sets it; only the M-NDP
+	// false-positive and GPS-filter tests do.
 	AcceptWithoutBeacon bool
 	// DisableRedundancy turns off the x-sub-session redundancy design of
 	// §V-B (responders pick a single shared code instead of all of them);

@@ -158,15 +158,15 @@ func TestGoldenSpanbalance(t *testing.T) {
 // polices: exactly the span-emitting packages of docs/observability.md.
 func TestInstrumentedPackageScope(t *testing.T) {
 	for _, path := range []string{
-		"repro/internal/core", "repro/internal/sim", "repro/internal/dsss",
-		"repro/internal/authd", "repro/internal/core/sub",
+		"repro/internal/core", "repro/internal/sim", "repro/internal/authd",
+		"repro/internal/core/sub",
 	} {
 		if !IsInstrumentedPackage(path) {
 			t.Errorf("IsInstrumentedPackage(%q) = false, want true", path)
 		}
 	}
 	for _, path := range []string{
-		"repro", "repro/internal/trace", "repro/internal/wire",
+		"repro", "repro/internal/trace", "repro/internal/wire", "repro/internal/dsss",
 		"repro/internal/faults", "repro/cmd/jrsnd-report", "repro/internal/corecraft",
 	} {
 		if IsInstrumentedPackage(path) {

@@ -30,7 +30,6 @@ import (
 var instrumentedPkgs = []string{
 	"repro/internal/core",
 	"repro/internal/sim",
-	"repro/internal/dsss",
 	"repro/internal/authd",
 }
 

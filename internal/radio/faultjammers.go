@@ -80,11 +80,11 @@ func NewSweepJammer(compromised *codepool.CodeSet, window int, epoch sim.Time, c
 }
 
 // TryJam destroys a transmission iff its code falls inside the current
-// epoch's target window (session codes remain safe unless leaked by a
-// compromised endpoint, as for the §IV-B models).
+// epoch's target window (session codes remain safe, as for the §IV-B
+// models).
 func (j *SweepJammer) TryJam(tx Transmission) bool {
 	if tx.Code == SessionCode {
-		return tx.SessionKnown
+		return false
 	}
 	rank := j.compromised.Rank(tx.Code)
 	if rank < 0 {

@@ -25,9 +25,6 @@ const SessionCode codepool.CodeID = -1
 type Transmission struct {
 	// Code is the pool code in use, or SessionCode.
 	Code codepool.CodeID
-	// SessionKnown reports whether the jammer knows the session code
-	// (true only when one endpoint of the session is compromised).
-	SessionKnown bool
 	// Kind is the protocol message kind, available to jammers that
 	// distinguish message types (the paper's "intelligent attack" on the
 	// redundancy design distinguishes the four D-NDP messages).
@@ -62,12 +59,10 @@ func NewReactiveJammer(compromised *codepool.CodeSet) *ReactiveJammer {
 	return &ReactiveJammer{compromised: compromised}
 }
 
-// TryJam succeeds iff the code in use is known to the jammer.
+// TryJam succeeds iff the code in use is known to the jammer. A session
+// code is a fresh secret of the two endpoints, so it is never known.
 func (j *ReactiveJammer) TryJam(tx Transmission) bool {
-	if tx.Code == SessionCode {
-		return tx.SessionKnown
-	}
-	return j.compromised.Contains(tx.Code)
+	return tx.Code != SessionCode && j.compromised.Contains(tx.Code)
 }
 
 // RandomJammer implements the random model: on every transmission it picks
@@ -108,12 +103,9 @@ func (j *RandomJammer) Tries() int {
 // TryJam draws the Theorem-1 Bernoulli: the target must be a compromised
 // code and among the jammer's random picks for this message.
 func (j *RandomJammer) TryJam(tx Transmission) bool {
-	if tx.Code == SessionCode {
-		// A session code is a fresh 2^N-sized secret; random picks from
-		// the pool never match. A compromised endpoint leaks it, though.
-		return tx.SessionKnown
-	}
-	if !j.compromised.Contains(tx.Code) {
+	// A session code is a fresh 2^N-sized secret; random picks from the
+	// pool never match it.
+	if tx.Code == SessionCode || !j.compromised.Contains(tx.Code) {
 		return false
 	}
 	c := j.compromised.Len()
@@ -151,11 +143,5 @@ func NewIntelligentJammer(compromised *codepool.CodeSet, passKinds []int) *Intel
 
 // TryJam jams reactively except for the pass-listed kinds.
 func (j *IntelligentJammer) TryJam(tx Transmission) bool {
-	if j.pass[tx.Kind] {
-		return false
-	}
-	if tx.Code == SessionCode {
-		return tx.SessionKnown
-	}
-	return j.compromised.Contains(tx.Code)
+	return !j.pass[tx.Kind] && tx.Code != SessionCode && j.compromised.Contains(tx.Code)
 }

@@ -11,11 +11,10 @@ import (
 // Message is a protocol message on the air. The medium is payload-agnostic;
 // the protocol layer defines Kind and Payload.
 type Message struct {
-	Kind         int
-	Code         codepool.CodeID // pool code in use, or SessionCode
-	SessionKnown bool            // jammer knows the session code
-	PayloadBits  int             // pre-ECC payload length in bits
-	Payload      any
+	Kind        int
+	Code        codepool.CodeID // pool code in use, or SessionCode
+	PayloadBits int             // pre-ECC payload length in bits
+	Payload     any
 }
 
 // Handler receives messages that survived jamming. from is the transmitter
@@ -197,7 +196,7 @@ func (m *Medium) transmit(from, to int, msg Message) error {
 		return fmt.Errorf("radio: message payload bits %d must be positive", msg.PayloadBits)
 	}
 	m.stats.Transmissions++
-	jammed := m.jammer.TryJam(Transmission{Code: msg.Code, SessionKnown: msg.SessionKnown, Kind: msg.Kind})
+	jammed := m.jammer.TryJam(Transmission{Code: msg.Code, Kind: msg.Kind})
 	if jammed {
 		m.stats.Jammed++
 	}

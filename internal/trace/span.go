@@ -10,8 +10,7 @@ import (
 // Causal spans, layered on the flat Event stream: a span is a pair of
 // KindSpanStart/KindSpanEnd events sharing a SpanID, carrying a ParentID
 // for causality and virtual-time Start/End stamps. The protocol engine,
-// the sim engine, the DSSS receive path, and authd all emit spans through
-// a Tracer; BuildSpans reconstructs the forest from any recorded event
+// the sim engine and authd emit spans through a Tracer; BuildSpans reconstructs the forest from any recorded event
 // stream so cmd/jrsnd-report can attribute where a handshake's latency
 // went — per phase, per critical path, or as a flamegraph-compatible
 // folded-stack export.

@@ -141,7 +141,17 @@ func TestBroadcastFanOut(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	waitFor(t, "hub registration", func() bool { return eps[0].PeerCount() == n-1 })
+	// The hub registers a dialer on its HELLO, but the dialer registers the
+	// hub only once it has verified the ACK; a frame that arrives before
+	// that is dropped as coming from an unregistered source.
+	waitFor(t, "mutual hub registration", func() bool {
+		for i := 1; i < n; i++ {
+			if eps[i].PeerCount() != 1 {
+				return false
+			}
+		}
+		return eps[0].PeerCount() == n-1
+	})
 	sent, err := eps[0].Broadcast([]byte("to everyone"))
 	if err != nil {
 		t.Fatal(err)
