@@ -181,30 +181,6 @@ func BenchmarkSessionCodeDerivation(b *testing.B) {
 	}
 }
 
-func BenchmarkDNDPRoundEventSim(b *testing.B) {
-	// Full event-driven D-NDP over a 40-node cluster.
-	p := analysis.Defaults()
-	p.N = 40
-	p.M = 12
-	p.L = 10
-	p.Q = 0
-	p.FieldWidth, p.FieldHeight = 1200, 1200
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		net, err := core.NewNetwork(core.NetworkConfig{
-			Params: p,
-			Seed:   int64(i),
-			Jammer: core.JamReactive,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := net.RunDNDP(1); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkBaselineUFHSimulation(b *testing.B) {
 	u := baseline.DefaultUFH()
 	rng := rand.New(rand.NewSource(12))

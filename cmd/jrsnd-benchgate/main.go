@@ -1,6 +1,7 @@
 // Command jrsnd-benchgate is the benchmark-regression gate: it runs the
 // Go benchmarks of the hot-path packages (sim, dsss, authd, transport,
-// and the figure campaign's field and codepool kernels), reduces each
+// the figure campaign's field and codepool kernels, and the event-driven
+// protocol engine's D-NDP and M-NDP rounds in core), reduces each
 // benchmark to its best observed ns/op and allocs/op across -count
 // repetitions, and compares the result against the checked-in per-suite
 // baseline (BENCH_sim.json, BENCH_dsss.json, …). A benchmark slower than
@@ -52,9 +53,10 @@ var suites = map[string]suite{
 	"transport": {Pkg: "./internal/transport", Baseline: "BENCH_transport.json"},
 	"field":     {Pkg: "./internal/field", Baseline: "BENCH_field.json"},
 	"codepool":  {Pkg: "./internal/codepool", Baseline: "BENCH_codepool.json"},
+	"core":      {Pkg: "./internal/core", Baseline: "BENCH_core.json"},
 }
 
-var suiteOrder = []string{"sim", "dsss", "authd", "transport", "field", "codepool"}
+var suiteOrder = []string{"sim", "dsss", "authd", "transport", "field", "codepool", "core"}
 
 // benchResult is one benchmark's reduced measurement.
 type benchResult struct {

@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"math/rand"
 
+	"repro/internal/analysis"
 	"repro/internal/codepool"
 	"repro/internal/radio"
 	"repro/internal/sim"
@@ -127,47 +128,53 @@ type Profile struct {
 	Rng    *rand.Rand    // seed-derived stream; owned by the adversary
 	Engine *sim.Engine   // event engine for scheduling injections
 	Tx     *radio.Medium // the medium to inject through
-	Limits wire.Limits   // codec caps; MaxNonce and MaxMAC size forged fields
+	// Params is the network's Table I set; forged fields, codec caps and
+	// frame sizes derive from it as they do for honest nodes.
+	Params analysis.Params
 
 	// ReplayDelay is how long after capture a recorded frame is
 	// reinjected (Replay). Should exceed the victims' session timeout so
 	// the replay lands on reaped handshake state.
 	ReplayDelay sim.Time
 
-	// AuthBits is the airtime size of a forged AUTH1 (Flood).
-	AuthBits int
 	// FloodTargets are the (victim, code) pairs to hammer (Flood).
 	FloodTargets []FloodTarget
 	// FloodInterval paces the waves (Flood).
 	FloodInterval sim.Time
 }
 
-func (p *Profile) validate() error {
+// newBase validates the profile and derives the codec caps from its
+// Params.
+func newBase(p Profile) (base, error) {
 	switch {
 	case p.Rng == nil:
-		return fmt.Errorf("adversary: Rng must be set")
+		return base{}, fmt.Errorf("adversary: Rng must be set")
 	case p.Engine == nil:
-		return fmt.Errorf("adversary: Engine must be set")
+		return base{}, fmt.Errorf("adversary: Engine must be set")
 	case p.Tx == nil:
-		return fmt.Errorf("adversary: Tx must be set")
+		return base{}, fmt.Errorf("adversary: Tx must be set")
 	}
-	return p.Limits.Validate()
+	if err := p.Params.Validate(); err != nil {
+		return base{}, fmt.Errorf("adversary: %w", err)
+	}
+	return base{p: p, lim: wire.LimitsFromParams(p.Params)}, nil
 }
 
 // New builds an armed behavior of the given kind.
 func New(kind Kind, profile Profile) (Byzantine, error) {
-	if err := profile.validate(); err != nil {
+	b, err := newBase(profile)
+	if err != nil {
 		return nil, err
 	}
 	switch kind {
 	case Replay:
-		return &replayer{base: base{p: profile}}, nil
+		return &replayer{base: b}, nil
 	case Forge:
-		return &forger{base: base{p: profile}}, nil
+		return &forger{base: b}, nil
 	case BitFlip:
-		return &bitFlipper{base{p: profile}}, nil
+		return &bitFlipper{b}, nil
 	case Flood:
-		return NewFlood(profile, floodWaves)
+		return &flooder{base: b, waves: floodWaves}, nil
 	default:
 		return nil, fmt.Errorf("adversary: kind %d has no behavior", kind)
 	}

@@ -29,10 +29,12 @@ func (a *forgedIDs) take(k int) (ibc.NodeID, error) {
 	return ibc.NodeID(first), nil
 }
 
-// base is what every behavior shares: its profile, its counters, and the
-// one path its own frames take onto the air.
+// base is what every behavior shares: its profile, the codec caps derived
+// from it, its counters, and the one path its own frames take onto the
+// air.
 type base struct {
 	p      Profile
+	lim    wire.Limits
 	counts Counts
 }
 
@@ -90,8 +92,7 @@ func (r *replayer) Intercept(from, to int, msg radio.Message) radio.Message {
 	if !r.observe(from) {
 		return msg // own injections are not re-recorded
 	}
-	frame, ok := msg.Payload.([]byte)
-	if !ok || (msg.Kind != wire.KindAuth1 && msg.Kind != wire.KindAuth2) {
+	if msg.Kind != wire.KindAuth1 && msg.Kind != wire.KindAuth2 {
 		return msg
 	}
 	if r.scheduled >= maxInjections {
@@ -100,7 +101,7 @@ func (r *replayer) Intercept(from, to int, msg radio.Message) radio.Message {
 	r.scheduled++
 	r.counts.Recorded++
 	rec := msg
-	rec.Payload = append([]byte(nil), frame...)
+	rec.Frame = append([]byte(nil), msg.Frame...)
 	_ = r.inject(r.p.ReplayDelay, -1, rec) // a non-negative delay always schedules
 	return msg
 }
@@ -118,11 +119,10 @@ func (f *forger) Intercept(from, to int, msg radio.Message) radio.Message {
 	if !f.observe(from) {
 		return msg
 	}
-	frame, ok := msg.Payload.([]byte)
-	if !ok || msg.Kind != wire.KindAuth1 || f.scheduled >= maxInjections {
+	if msg.Kind != wire.KindAuth1 || f.scheduled >= maxInjections {
 		return msg
 	}
-	kind, payload, err := wire.Decode(frame, f.p.Limits)
+	kind, payload, err := wire.Decode(msg.Frame, f.lim)
 	if err != nil || kind != wire.KindAuth1 {
 		return msg
 	}
@@ -131,13 +131,13 @@ func (f *forger) Intercept(from, to int, msg radio.Message) radio.Message {
 		return msg
 	}
 	f.fill(auth.MAC)
-	forged, err := wire.Encode(wire.KindAuth1, auth, f.p.Limits)
+	forged, err := wire.Encode(wire.KindAuth1, auth, f.lim)
 	if err != nil {
 		return msg
 	}
 	f.scheduled++
 	inj := msg
-	inj.Payload = forged
+	inj.Frame = forged
 	_ = f.inject(0, -1, inj) // a zero delay always schedules
 	return msg
 }
@@ -153,21 +153,20 @@ func (b *bitFlipper) Intercept(from, to int, msg radio.Message) radio.Message {
 	if !b.observe(from) {
 		return msg
 	}
-	frame, ok := msg.Payload.([]byte)
-	if !ok || len(frame) == 0 {
+	if len(msg.Frame) == 0 {
 		return msg
 	}
 	if b.p.Rng.Float64() >= flipProb {
 		return msg
 	}
-	cp := append([]byte(nil), frame...)
+	cp := append([]byte(nil), msg.Frame...)
 	for i := 0; i < flipBytes; i++ {
 		pos := b.p.Rng.Intn(len(cp))
 		cp[pos] ^= byte(1 + b.p.Rng.Intn(255)) // nonzero mask: always flips
 	}
 	b.counts.Corrupted++
 	out := msg
-	out.Payload = cp
+	out.Frame = cp
 	return out
 }
 
@@ -184,13 +183,14 @@ type flooder struct {
 // NewFlood builds a Flood adversary that injects the given number of
 // waves; New(Flood, ...) injects three.
 func NewFlood(profile Profile, waves int) (Byzantine, error) {
-	if err := profile.validate(); err != nil {
+	b, err := newBase(profile)
+	if err != nil {
 		return nil, err
 	}
 	if waves < 1 {
 		return nil, fmt.Errorf("adversary: flood waves %d must be >= 1", waves)
 	}
-	return &flooder{base: base{p: profile}, waves: waves}, nil
+	return &flooder{base: b, waves: waves}, nil
 }
 
 func (f *flooder) Intercept(from, to int, msg radio.Message) radio.Message {
@@ -207,17 +207,18 @@ func (f *flooder) Launch() error {
 	}
 	for wave := 0; wave < f.waves; wave++ {
 		for _, tgt := range f.p.FloodTargets {
-			frame, err := wire.Encode(wire.KindAuth1, wire.Auth{
+			auth := wire.Auth{
 				Sender: sender,
 				Peer:   ibc.NodeID(tgt.Victim),
-				Nonce:  f.fill(make([]byte, f.p.Limits.MaxNonce)),
-				MAC:    f.fill(make([]byte, f.p.Limits.MaxMAC)),
-			}, f.p.Limits)
+				Nonce:  f.fill(make([]byte, f.lim.MaxNonce)),
+				MAC:    f.fill(make([]byte, f.lim.MaxMAC)),
+			}
+			frame, err := wire.Encode(wire.KindAuth1, auth, f.lim)
 			if err != nil {
 				return err
 			}
 			sender++
-			msg := radio.Message{Kind: wire.KindAuth1, Code: tgt.Code, PayloadBits: f.p.AuthBits, Payload: frame}
+			msg := radio.Message{Kind: wire.KindAuth1, Code: tgt.Code, PayloadBits: wire.PayloadBits(f.p.Params, auth), Frame: frame}
 			if err := f.inject(f.p.FloodInterval*sim.Time(wave), tgt.Victim, msg); err != nil {
 				return err
 			}

@@ -32,11 +32,12 @@ func (n *Network) ArmAdversary(idx int, kind adversary.Kind) (adversary.Byzantin
 }
 
 // adversaryProfile derives the profile of a Byzantine behavior on node
-// idx from the network: codec limits (which size forged fields) from Params,
-// the replay delay from the session timeout (so replays land on reaped
-// handshake state), flood waves paced at t_key, and the flood targets —
-// idx's codes × its honest physical neighbors holding them. It refuses a
-// deployment whose honest IDs reach the forged-identity range.
+// idx from the network: the validated Params (the adversary sizes forged
+// fields and frames from them, as honest nodes do), the replay delay from
+// the session timeout (so replays land on reaped handshake state), flood
+// waves paced at t_key, and the flood targets — idx's codes × its honest
+// physical neighbors holding them. It refuses a deployment whose honest
+// IDs reach the forged-identity range.
 func (n *Network) adversaryProfile(idx int) (adversary.Profile, error) {
 	if idx < 0 || idx >= len(n.nodes) {
 		return adversary.Profile{}, fmt.Errorf("core: adversary index %d out of range", idx)
@@ -70,9 +71,8 @@ func (n *Network) adversaryProfile(idx int) (adversary.Profile, error) {
 		Rng:           n.streams.Get("adversary"),
 		Engine:        n.engine,
 		Tx:            n.medium,
-		Limits:        n.limits,
+		Params:        p,
 		ReplayDelay:   retry.SessionTimeout * 3 / 2,
-		AuthBits:      p.LenID + p.LenNonce + p.LenMAC,
 		FloodTargets:  targets,
 		FloodInterval: sim.Time(p.TKey),
 	}, nil

@@ -53,7 +53,7 @@ func TestReplayedAuthDroppedByNonceCache(t *testing.T) {
 	net.medium.SetInterceptor(radio.InterceptorFunc(func(from, to int, msg radio.Message) radio.Message {
 		if recorded == nil && msg.Kind == wire.KindAuth1 {
 			cp := msg
-			cp.Payload = append([]byte(nil), msg.Payload.([]byte)...)
+			cp.Frame = append([]byte(nil), msg.Frame...)
 			recorded = &cp
 		}
 		return msg
@@ -66,7 +66,7 @@ func TestReplayedAuthDroppedByNonceCache(t *testing.T) {
 	if recorded == nil {
 		t.Fatal("no AUTH1 frame captured")
 	}
-	_, payload, err := wire.Decode(recorded.Payload.([]byte), net.limits)
+	_, payload, err := wire.Decode(recorded.Frame, net.limits)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,9 +220,9 @@ func TestDecoderCopyDefeatsMutateAfterDeliver(t *testing.T) {
 	var pristine []byte // a copy for comparison
 	net.medium.SetInterceptor(radio.InterceptorFunc(func(from, to int, msg radio.Message) radio.Message {
 		if live == nil {
-			if frame, ok := msg.Payload.([]byte); ok && msg.Kind == wire.KindAuth1 {
-				live = frame
-				pristine = append([]byte(nil), frame...)
+			if msg.Kind == wire.KindAuth1 {
+				live = msg.Frame
+				pristine = append([]byte(nil), msg.Frame...)
 			}
 		}
 		return msg

@@ -3,7 +3,6 @@ package core
 import (
 	"repro/internal/codepool"
 	"repro/internal/ibc"
-	"repro/internal/radio"
 	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/wire"
@@ -76,9 +75,7 @@ func (nd *Node) initiateDNDP() {
 	}
 	nd.dndpAttempts++
 	nd.scheduleDNDPRetryCheck()
-	p := nd.net.params
-	helloBits := p.LenType + p.LenID
-	th := sim.Time(p.THello())
+	th := sim.Time(nd.net.params.THello())
 	// The sweep span covers the sequential m-slot HELLO broadcast (the
 	// code-assignment phase); its end rides a dedicated timer so it closes
 	// even if the node goes down mid-sweep.
@@ -93,25 +90,16 @@ func (nd *Node) initiateDNDP() {
 		}
 		c := c
 		nd.net.engine.MustSchedule(sim.Time(i)*th, func() {
-			_ = nd.net.send(nd.index, -1, radio.Message{ // refused if crashed by now
-				Kind:        wire.KindHello,
-				Code:        c,
-				PayloadBits: helloBits,
-				Payload:     wire.Hello{Initiator: nd.id},
-			})
+			_ = nd.net.send(nd.index, -1, wire.KindHello, c, wire.Hello{Initiator: nd.id}) // refused if crashed by now
 		})
 	}
 }
 
 // onHello is the responder path: collect HELLO copies per initiator, then
 // CONFIRM on every shared code after the processing delay.
-func (nd *Node) onHello(from int, msg radio.Message) {
-	p, ok := msg.Payload.(wire.Hello)
-	if !ok || p.Initiator == nd.id {
+func (nd *Node) onHello(from int, code codepool.CodeID, p wire.Hello) {
+	if p.Initiator == nd.id {
 		return
-	}
-	if !nd.holdsCode(msg.Code) {
-		return // cannot de-spread, or locally revoked (§V-D)
 	}
 	if nd.IsLogicalNeighbor(p.Initiator) {
 		if !nd.retryEnabled() {
@@ -142,9 +130,9 @@ func (nd *Node) onHello(from int, msg radio.Message) {
 	if rs.accepted {
 		return
 	}
-	if !rs.helloSeen[msg.Code] {
-		rs.helloSeen[msg.Code] = true
-		rs.helloCodes = append(rs.helloCodes, msg.Code)
+	if !rs.helloSeen[code] {
+		rs.helloSeen[code] = true
+		rs.helloCodes = append(rs.helloCodes, code)
 	}
 	if rs.scheduled {
 		return
@@ -190,29 +178,19 @@ func (nd *Node) sendConfirm(initiator ibc.NodeID) {
 		codes = []codepool.CodeID{codes[nd.rng.Intn(len(codes))]}
 		rs.helloCodes = codes
 	}
-	p := nd.net.params
 	for _, c := range codes {
 		if nd.revoker.Revoked(c) {
 			continue
 		}
-		_ = nd.net.send(nd.index, -1, radio.Message{
-			Kind:        wire.KindConfirm,
-			Code:        c,
-			PayloadBits: p.LenType + p.LenID,
-			Payload:     wire.Confirm{Responder: nd.id, Initiator: initiator},
-		})
+		_ = nd.net.send(nd.index, -1, wire.KindConfirm, c, wire.Confirm{Responder: nd.id, Initiator: initiator})
 	}
 }
 
 // onConfirm is the initiator path: gather CONFIRM copies from a responder,
 // then compute the pairwise key and send the first authentication message
 // on every confirmed code.
-func (nd *Node) onConfirm(msg radio.Message) {
-	p, ok := msg.Payload.(wire.Confirm)
-	if !ok || p.Initiator != nd.id || p.Responder == nd.id {
-		return
-	}
-	if !nd.holdsCode(msg.Code) {
+func (nd *Node) onConfirm(code codepool.CodeID, p wire.Confirm) {
+	if p.Initiator != nd.id || p.Responder == nd.id {
 		return
 	}
 	st := nd.initiator
@@ -230,12 +208,12 @@ func (nd *Node) onConfirm(msg radio.Message) {
 	}
 	dup := false
 	for _, c := range peer.confirmCodes {
-		if c == msg.Code {
+		if c == code {
 			dup = true
 		}
 	}
 	if !dup {
-		peer.confirmCodes = append(peer.confirmCodes, msg.Code)
+		peer.confirmCodes = append(peer.confirmCodes, code)
 	}
 	if peer.scheduled {
 		return
@@ -274,20 +252,13 @@ func (nd *Node) sendAuth1(responder ibc.NodeID) {
 		peer.haveKey = true
 		nd.stats.KeyComputations++
 	}
-	p := nd.net.params
-	mac := ibc.MAC(peer.key, p.LenMAC/8, idBytes(nd.id), st.nonce)
-	bits := p.LenID + p.LenNonce + p.LenMAC
+	mac := ibc.MAC(peer.key, nd.net.params.LenMAC/8, idBytes(nd.id), st.nonce)
 	for _, c := range peer.confirmCodes {
-		_ = nd.net.send(nd.index, -1, radio.Message{
-			Kind:        wire.KindAuth1,
-			Code:        c,
-			PayloadBits: bits,
-			Payload: wire.Auth{
-				Sender: nd.id,
-				Peer:   responder,
-				Nonce:  append([]byte(nil), st.nonce...),
-				MAC:    mac,
-			},
+		_ = nd.net.send(nd.index, -1, wire.KindAuth1, c, wire.Auth{
+			Sender: nd.id,
+			Peer:   responder,
+			Nonce:  append([]byte(nil), st.nonce...),
+			MAC:    mac,
 		})
 	}
 }
@@ -297,12 +268,8 @@ func (nd *Node) sendAuth1(responder ibc.NodeID) {
 // second authentication message on the same code. Invalid MACs feed the
 // §V-D revocation counters — this is the DoS-attack work the adversary can
 // force with compromised codes.
-func (nd *Node) onAuth1(from int, msg radio.Message) {
-	p, ok := msg.Payload.(wire.Auth)
-	if !ok || p.Peer != nd.id || p.Sender == nd.id {
-		return
-	}
-	if !nd.holdsCode(msg.Code) {
+func (nd *Node) onAuth1(from int, code codepool.CodeID, p wire.Auth) {
+	if p.Peer != nd.id || p.Sender == nd.id {
 		return
 	}
 	rs := nd.responders[p.Sender]
@@ -332,12 +299,10 @@ func (nd *Node) onAuth1(from int, msg radio.Message) {
 		delay = nd.keyDelay()
 	}
 	sender := p.Sender
-	payload := p
-	code := msg.Code
 	// The verify span covers the key-derivation delay plus the MAC check;
 	// verifyAuth1 closes it on every outcome.
 	sp := nd.net.spanStart(nd.net.attemptSpanOf(sender), nd.index, int(sender), "dndp.auth1_verify")
-	nd.net.engine.MustSchedule(delay, func() { nd.verifyAuth1(sender, payload, code, sp) })
+	nd.net.engine.MustSchedule(delay, func() { nd.verifyAuth1(sender, p, code, sp) })
 }
 
 func (nd *Node) verifyAuth1(sender ibc.NodeID, p wire.Auth, code codepool.CodeID, sp trace.SpanID) {
@@ -384,29 +349,19 @@ func (nd *Node) verifyAuth1(sender ibc.NodeID, p wire.Auth, code codepool.CodeID
 		// open is a handshake the jammer destroyed on the last message.
 		rs.confirmSpan = nd.net.spanStart(nd.net.attemptSpanOf(sender), nd.index, int(sender), "dndp.confirm")
 	}
-	params := nd.net.params
-	mac := ibc.MAC(rs.key, params.LenMAC/8, idBytes(nd.id), rs.nonce)
-	_ = nd.net.send(nd.index, -1, radio.Message{
-		Kind:        wire.KindAuth2,
-		Code:        code,
-		PayloadBits: params.LenID + params.LenNonce + params.LenMAC,
-		Payload: wire.Auth{
-			Sender: nd.id,
-			Peer:   sender,
-			Nonce:  append([]byte(nil), rs.nonce...),
-			MAC:    mac,
-		},
+	mac := ibc.MAC(rs.key, nd.net.params.LenMAC/8, idBytes(nd.id), rs.nonce)
+	_ = nd.net.send(nd.index, -1, wire.KindAuth2, code, wire.Auth{
+		Sender: nd.id,
+		Peer:   sender,
+		Nonce:  append([]byte(nil), rs.nonce...),
+		MAC:    mac,
 	})
 }
 
 // onAuth2 is the initiator's final step: verify the responder's MAC and
 // accept it as an authenticated logical neighbor.
-func (nd *Node) onAuth2(msg radio.Message) {
-	p, ok := msg.Payload.(wire.Auth)
-	if !ok || p.Peer != nd.id || p.Sender == nd.id {
-		return
-	}
-	if !nd.holdsCode(msg.Code) {
+func (nd *Node) onAuth2(code codepool.CodeID, p wire.Auth) {
+	if p.Peer != nd.id || p.Sender == nd.id {
 		return
 	}
 	st := nd.initiator
@@ -420,7 +375,7 @@ func (nd *Node) onAuth2(msg radio.Message) {
 	nd.stats.MACVerifications++
 	if !ibc.VerifyMAC(peer.key, p.MAC, idBytes(p.Sender), p.Nonce) {
 		nd.stats.MACFailures++
-		nd.reportInvalid(msg.Code)
+		nd.reportInvalid(code)
 		nd.net.endConfirmSpan(p.Sender, nd.id, "mac invalid")
 		return
 	}

@@ -77,7 +77,7 @@ func FuzzHandshakeTranscript(f *testing.F) {
 			if i%5 == 4 {
 				code = radio.SessionCode
 			}
-			victim.handle(1, radio.Message{Code: code, Payload: frame})
+			victim.handle(1, radio.Message{Code: code, Frame: frame})
 		}
 		if err := net.engine.Run(); err != nil {
 			t.Fatal(err)

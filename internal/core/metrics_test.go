@@ -57,15 +57,15 @@ func TestCoreInstrumentsPinned(t *testing.T) {
 	replay := defended(71)
 	var recorded radio.Message
 	replay.medium.SetInterceptor(radio.InterceptorFunc(func(from, to int, msg radio.Message) radio.Message {
-		if recorded.Payload == nil && msg.Kind == wire.KindAuth1 {
+		if recorded.Frame == nil && msg.Kind == wire.KindAuth1 {
 			recorded = msg
-			recorded.Payload = append([]byte(nil), msg.Payload.([]byte)...)
+			recorded.Frame = append([]byte(nil), msg.Frame...)
 		}
 		return msg
 	}))
 	run(replay)
 	replay.medium.SetInterceptor(nil)
-	_, payload, err := wire.Decode(recorded.Payload.([]byte), replay.limits)
+	_, payload, err := wire.Decode(recorded.Frame, replay.limits)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,10 +101,12 @@ func TestCoreInstrumentsPinned(t *testing.T) {
 	sessionKinds := []int{wire.KindMNDPRequest, wire.KindMNDPResponse, wire.KindSessionHello, wire.KindSessionConfirm}
 	// No jammer knows a session code, so frames of the four session-code
 	// kinds put on the air here are never jammed: their jammed series stay
-	// at 0.
-	for _, k := range sessionKinds {
-		msg := radio.Message{Kind: k, Code: radio.SessionCode, PayloadBits: 8}
-		if err := leak.medium.Unicast(0, 1, msg); err != nil {
+	// at 0. Node 1 decodes each and drops it without side effects: the
+	// M-NDP messages carry no hop records, and the session messages are
+	// addressed to node 2.
+	sessionPayloads := []any{wire.MNDPRequest{Nu: 1}, wire.MNDPResponse{Nu: 1}, wire.Session{Peer: 2}, wire.Session{Peer: 2}}
+	for i, k := range sessionKinds {
+		if err := leak.send(0, 1, k, radio.SessionCode, sessionPayloads[i]); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -115,25 +115,6 @@ func requestKey(origin ibc.NodeID, nonce []byte) string {
 	return string(idBytes(origin)) + string(nonce)
 }
 
-// requestBits is the airtime size of a request in bits.
-func (nd *Node) requestBits(req wire.MNDPRequest) int {
-	p := nd.net.params
-	bits := p.LenNonce + p.LenNu
-	for _, h := range req.Hops {
-		bits += p.LenID + len(h.Neighbors)*p.LenID + p.LenSig
-	}
-	return bits
-}
-
-func (nd *Node) responseBits(resp wire.MNDPResponse) int {
-	p := nd.net.params
-	bits := 2*p.LenNonce + p.LenNu + p.LenID
-	for _, h := range resp.Path {
-		bits += p.LenID + len(h.Neighbors)*p.LenID + p.LenSig
-	}
-	return bits
-}
-
 // forwardRequest unicasts req to every logical neighbor not already
 // covered by the hop records.
 func (nd *Node) forwardRequest(req wire.MNDPRequest) {
@@ -151,7 +132,6 @@ func (nd *Node) forwardRequest(req wire.MNDPRequest) {
 			covered[nb] = true
 		}
 	}
-	bits := nd.requestBits(req)
 	targets := 0
 	// Iterate in sorted ID order: map order would vary run to run, and the
 	// resulting unicast scheduling order perturbs downstream duplicate
@@ -166,12 +146,7 @@ func (nd *Node) forwardRequest(req wire.MNDPRequest) {
 			continue
 		}
 		targets++
-		_ = nd.net.send(nd.index, int(id), radio.Message{
-			Kind:        wire.KindMNDPRequest,
-			Code:        radio.SessionCode,
-			PayloadBits: bits,
-			Payload:     req,
-		})
+		_ = nd.net.send(nd.index, int(id), wire.KindMNDPRequest, radio.SessionCode, req)
 	}
 	if targets > 0 {
 		nd.net.m.mndpForwards.Add(uint64(targets))
@@ -181,9 +156,8 @@ func (nd *Node) forwardRequest(req wire.MNDPRequest) {
 
 // onMNDPRequest verifies and processes a request relayed by a logical
 // neighbor.
-func (nd *Node) onMNDPRequest(from int, msg radio.Message) {
-	req, ok := msg.Payload.(wire.MNDPRequest)
-	if !ok || len(req.Hops) == 0 {
+func (nd *Node) onMNDPRequest(from int, req wire.MNDPRequest) {
+	if len(req.Hops) == 0 {
 		return
 	}
 	relay := ibc.NodeID(from)
@@ -298,12 +272,7 @@ func (nd *Node) respondToRequest(req wire.MNDPRequest) {
 			next = int(resp.ReturnRoute[0])
 			resp.ReturnRoute = resp.ReturnRoute[1:]
 		}
-		_ = nd.net.send(nd.index, next, radio.Message{
-			Kind:        wire.KindMNDPResponse,
-			Code:        radio.SessionCode,
-			PayloadBits: nd.responseBits(resp),
-			Payload:     resp,
-		})
+		_ = nd.net.send(nd.index, next, wire.KindMNDPResponse, radio.SessionCode, resp)
 		nd.net.spanEnd(sp, nd.index, int(origin), "responded")
 		if nd.net.cfg.AcceptWithoutBeacon {
 			nd.acceptNeighbor(origin, ViaMNDP, key)
@@ -330,21 +299,15 @@ func (nd *Node) beaconSessionHello(origin ibc.NodeID) {
 			if _, pending := nd.mndpIn[origin]; !pending {
 				return // confirmed, reaped by the session timeout, or lost in a crash
 			}
-			_ = nd.net.send(nd.index, -1, radio.Message{
-				Kind:        wire.KindSessionHello,
-				Code:        radio.SessionCode,
-				PayloadBits: p.LenType + p.LenID,
-				Payload:     wire.Session{Sender: nd.id, Peer: origin},
-			})
+			_ = nd.net.send(nd.index, -1, wire.KindSessionHello, radio.SessionCode, wire.Session{Sender: nd.id, Peer: origin})
 		})
 	}
 }
 
 // onMNDPResponse relays a response toward the origin, or completes the
 // exchange at the origin.
-func (nd *Node) onMNDPResponse(from int, msg radio.Message) {
-	resp, ok := msg.Payload.(wire.MNDPResponse)
-	if !ok || len(resp.Path) == 0 {
+func (nd *Node) onMNDPResponse(from int, resp wire.MNDPResponse) {
+	if len(resp.Path) == 0 {
 		return
 	}
 	if !nd.IsLogicalNeighbor(ibc.NodeID(from)) {
@@ -390,12 +353,7 @@ func (nd *Node) processResponse(resp wire.MNDPResponse) {
 				return
 			}
 			fwd.Path[len(fwd.Path)-1].Sig = nd.priv.Sign(encodeResponse(fwd, len(fwd.Path)-1))
-			_ = nd.net.send(nd.index, next, radio.Message{
-				Kind:        wire.KindMNDPResponse,
-				Code:        radio.SessionCode,
-				PayloadBits: nd.responseBits(fwd),
-				Payload:     fwd,
-			})
+			_ = nd.net.send(nd.index, next, wire.KindMNDPResponse, radio.SessionCode, fwd)
 		})
 		return
 	}
@@ -426,9 +384,8 @@ func (nd *Node) processResponse(resp wire.MNDPResponse) {
 
 // onSessionHello completes M-NDP at the origin: the beacon proves the
 // responder is physically in range.
-func (nd *Node) onSessionHello(from int, msg radio.Message) {
-	p, ok := msg.Payload.(wire.Session)
-	if !ok || p.Peer != nd.id {
+func (nd *Node) onSessionHello(from int, p wire.Session) {
+	if p.Peer != nd.id {
 		return
 	}
 	if int(p.Sender) != from {
@@ -446,19 +403,12 @@ func (nd *Node) onSessionHello(from int, msg radio.Message) {
 		nd.acceptNeighbor(p.Sender, ViaMNDP, pending.key)
 		delete(nd.mndpOut, p.Sender)
 	}
-	params := nd.net.params
-	_ = nd.net.send(nd.index, from, radio.Message{
-		Kind:        wire.KindSessionConfirm,
-		Code:        radio.SessionCode,
-		PayloadBits: params.LenType + params.LenID,
-		Payload:     wire.Session{Sender: nd.id, Peer: p.Sender},
-	})
+	_ = nd.net.send(nd.index, from, wire.KindSessionConfirm, radio.SessionCode, wire.Session{Sender: nd.id, Peer: p.Sender})
 }
 
 // onSessionConfirm completes M-NDP at the responder.
-func (nd *Node) onSessionConfirm(from int, msg radio.Message) {
-	p, ok := msg.Payload.(wire.Session)
-	if !ok || p.Peer != nd.id {
+func (nd *Node) onSessionConfirm(from int, p wire.Session) {
+	if p.Peer != nd.id {
 		return
 	}
 	pending, exists := nd.mndpIn[p.Sender]

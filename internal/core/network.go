@@ -804,17 +804,18 @@ func (n *Network) runRound(stream string, window sim.Time, start func(*Node)) er
 }
 
 // send is the single egress path of the protocol engine: it encodes the
-// typed payload into a canonical wire frame and puts the frame on the
-// medium (to == -1 broadcasts). Everything a receiver sees is bytes — an
-// on-air interceptor can corrupt, record, or replay them, and the
-// receiver's decoder is the only thing standing between those bytes and
-// protocol state.
-func (n *Network) send(from, to int, msg radio.Message) error {
-	frame, err := wire.Encode(msg.Kind, msg.Payload, n.limits)
+// typed payload into a canonical wire frame, sizes it with
+// wire.PayloadBits, and puts the frame on the medium (to == -1
+// broadcasts). Everything a receiver sees is bytes — an on-air
+// interceptor can corrupt, record, or replay them, and the receiver's
+// decoder is the only thing standing between those bytes and protocol
+// state.
+func (n *Network) send(from, to, kind int, code codepool.CodeID, payload any) error {
+	frame, err := wire.Encode(kind, payload, n.limits)
 	if err != nil {
-		return fmt.Errorf("core: encode %s: %w", wire.KindName(msg.Kind), err)
+		return fmt.Errorf("core: encode %s: %w", wire.KindName(kind), err)
 	}
-	msg.Payload = frame
+	msg := radio.Message{Kind: kind, Code: code, PayloadBits: wire.PayloadBits(n.params, payload), Frame: frame}
 	if to < 0 {
 		return n.medium.Broadcast(from, msg)
 	}
@@ -822,18 +823,16 @@ func (n *Network) send(from, to int, msg radio.Message) error {
 }
 
 // handle is the single ingress path: decode the delivered frame under the
-// derived limits, then dispatch on the *decoded* kind — a corrupted kind
-// byte or payload is a decode error, not a misrouted struct. Rejected
-// frames are counted (`decode_errors`) and traced, never processed.
+// derived limits, drop a D-NDP frame spread with a code the node cannot
+// de-spread (or has locally revoked, §V-D), then dispatch the typed
+// payload on the *decoded* kind — a corrupted kind byte or payload is a
+// decode error, not a misrouted struct. Rejected frames are counted
+// (`decode_errors`) and traced, never processed.
 func (nd *Node) handle(from int, msg radio.Message) {
 	if nd.compromised || nd.down {
 		return // compromised nodes do not run the honest protocol; crashed radios are off
 	}
-	frame, ok := msg.Payload.([]byte)
-	if !ok {
-		return // not a wire frame; nothing the engine can parse
-	}
-	kind, payload, err := wire.Decode(frame, nd.net.limits)
+	kind, payload, err := wire.Decode(msg.Frame, nd.net.limits)
 	if err != nil {
 		nd.net.m.decodeErrors.Inc()
 		nd.net.emit(trace.Event{
@@ -845,23 +844,29 @@ func (nd *Node) handle(from int, msg radio.Message) {
 		})
 		return
 	}
-	msg.Payload = payload
+	switch kind {
+	case wire.KindHello, wire.KindConfirm, wire.KindAuth1, wire.KindAuth2:
+		if !nd.holdsCode(msg.Code) {
+			return // cannot de-spread, or locally revoked (§V-D)
+		}
+	}
+	// wire.Decode returns the payload type that matches the kind.
 	switch kind {
 	case wire.KindHello:
-		nd.onHello(from, msg)
+		nd.onHello(from, msg.Code, payload.(wire.Hello))
 	case wire.KindConfirm:
-		nd.onConfirm(msg)
+		nd.onConfirm(msg.Code, payload.(wire.Confirm))
 	case wire.KindAuth1:
-		nd.onAuth1(from, msg)
+		nd.onAuth1(from, msg.Code, payload.(wire.Auth))
 	case wire.KindAuth2:
-		nd.onAuth2(msg)
+		nd.onAuth2(msg.Code, payload.(wire.Auth))
 	case wire.KindMNDPRequest:
-		nd.onMNDPRequest(from, msg)
+		nd.onMNDPRequest(from, payload.(wire.MNDPRequest))
 	case wire.KindMNDPResponse:
-		nd.onMNDPResponse(from, msg)
+		nd.onMNDPResponse(from, payload.(wire.MNDPResponse))
 	case wire.KindSessionHello:
-		nd.onSessionHello(from, msg)
+		nd.onSessionHello(from, payload.(wire.Session))
 	case wire.KindSessionConfirm:
-		nd.onSessionConfirm(from, msg)
+		nd.onSessionConfirm(from, payload.(wire.Session))
 	}
 }

@@ -34,13 +34,13 @@ func securityNet(t *testing.T, seed int64) *Network {
 	return net
 }
 
-// inject wire-encodes and delivers a message from `from` and drains the
-// engine — the same egress path honest nodes use, so the forgery reaches
-// the victim as a well-formed frame and exercises the handlers, not the
-// decoder.
-func inject(t *testing.T, net *Network, from, to int, msg radio.Message) {
+// inject wire-encodes and delivers an M-NDP message from `from` on the
+// session code and drains the engine — the same egress path honest nodes
+// use, so the forgery reaches the victim as a well-formed frame and
+// exercises the handlers, not the decoder.
+func inject(t *testing.T, net *Network, from, to, kind int, payload any) {
 	t.Helper()
-	if err := net.send(from, to, msg); err != nil {
+	if err := net.send(from, to, kind, radio.SessionCode, payload); err != nil {
 		t.Fatal(err)
 	}
 	if err := net.engine.Run(); err != nil {
@@ -72,12 +72,7 @@ func TestMNDPRejectsForgedOriginSignature(t *testing.T) {
 			{ID: 1, Neighbors: []ibc.NodeID{0, 2}, Sig: net.Node(1).priv.Sign([]byte("whatever"))},
 		},
 	}
-	inject(t, net, 1, 0, radio.Message{
-		Kind:        wire.KindMNDPRequest,
-		Code:        radio.SessionCode,
-		PayloadBits: victim.requestBits(forged),
-		Payload:     forged,
-	})
+	inject(t, net, 1, 0, wire.KindMNDPRequest, forged)
 	after := victim.Stats()
 	if after.SigFailures <= before.SigFailures {
 		t.Fatal("forged origin signature was not rejected")
@@ -103,12 +98,7 @@ func TestMNDPRejectsTamperedNeighborList(t *testing.T) {
 	req.Hops[0].Neighbors = append(req.Hops[0].Neighbors, 999) // tamper
 
 	before := victim.Stats()
-	inject(t, net, 2, 0, radio.Message{
-		Kind:        wire.KindMNDPRequest,
-		Code:        radio.SessionCode,
-		PayloadBits: victim.requestBits(req),
-		Payload:     req,
-	})
+	inject(t, net, 2, 0, wire.KindMNDPRequest, req)
 	after := victim.Stats()
 	if after.SigFailures <= before.SigFailures {
 		t.Fatal("tampered neighbor list passed signature verification")
@@ -127,17 +117,11 @@ func TestMNDPDedupSuppressesReplay(t *testing.T) {
 	}
 	req.Hops[0].Sig = origin.signRequest(req, 0)
 
-	msg := radio.Message{
-		Kind:        wire.KindMNDPRequest,
-		Code:        radio.SessionCode,
-		PayloadBits: victim.requestBits(req),
-		Payload:     req,
-	}
-	inject(t, net, 2, 0, msg)
+	inject(t, net, 2, 0, wire.KindMNDPRequest, req)
 	firstVerifications := victim.Stats().SigVerifications
 	// Replay the identical request: the (origin, nonce) dedup must drop it
 	// before any signature verification runs.
-	inject(t, net, 2, 0, msg)
+	inject(t, net, 2, 0, wire.KindMNDPRequest, req)
 	if got := victim.Stats().SigVerifications; got != firstVerifications {
 		t.Fatalf("replay caused %d extra verifications", got-firstVerifications)
 	}
@@ -161,12 +145,7 @@ func TestMNDPRejectsInvalidPathChain(t *testing.T) {
 	req.Hops = append(req.Hops, wire.Hop{ID: relay.id, Neighbors: relay.neighborIDs()})
 	req.Hops[1].Sig = relay.signRequest(req, 1)
 
-	inject(t, net, 1, 0, radio.Message{
-		Kind:        wire.KindMNDPRequest,
-		Code:        radio.SessionCode,
-		PayloadBits: victim.requestBits(req),
-		Payload:     req,
-	})
+	inject(t, net, 1, 0, wire.KindMNDPRequest, req)
 	if len(victim.mndpIn) != 0 {
 		t.Fatal("victim answered a request whose path chain is invalid")
 	}
@@ -196,12 +175,7 @@ func TestMNDPRejectsForgedResponse(t *testing.T) {
 			},
 		}},
 	}
-	inject(t, net, 1, 0, radio.Message{
-		Kind:        wire.KindMNDPResponse,
-		Code:        radio.SessionCode,
-		PayloadBits: origin.responseBits(forged),
-		Payload:     forged,
-	})
+	inject(t, net, 1, 0, wire.KindMNDPResponse, forged)
 	after := origin.Stats()
 	if after.SigFailures <= before.SigFailures {
 		t.Fatal("forged response signature was not rejected")
@@ -233,12 +207,7 @@ func TestMNDPRejectsTamperedResponseRelayHop(t *testing.T) {
 	resp.Path[1].Neighbors = append(resp.Path[1].Neighbors, 777)
 
 	before := origin.Stats()
-	inject(t, net, 1, 0, radio.Message{
-		Kind:        wire.KindMNDPResponse,
-		Code:        radio.SessionCode,
-		PayloadBits: origin.responseBits(resp),
-		Payload:     resp,
-	})
+	inject(t, net, 1, 0, wire.KindMNDPResponse, resp)
 	after := origin.Stats()
 	if after.SigFailures <= before.SigFailures {
 		t.Fatal("tampered relay hop passed verification")
@@ -268,12 +237,7 @@ func TestMNDPResponsePathChainChecked(t *testing.T) {
 	resp.Path = append(resp.Path, wire.Hop{ID: relay.id, Neighbors: relay.neighborIDs()})
 	resp.Path[1].Sig = relay.priv.Sign(encodeResponse(resp, 1))
 
-	inject(t, net, 1, 0, radio.Message{
-		Kind:        wire.KindMNDPResponse,
-		Code:        radio.SessionCode,
-		PayloadBits: origin.responseBits(resp),
-		Payload:     resp,
-	})
+	inject(t, net, 1, 0, wire.KindMNDPResponse, resp)
 	if origin.Stats().SigFailures != 0 {
 		t.Fatal("signatures were valid; rejection must come from the path check")
 	}
@@ -303,12 +267,7 @@ func TestMNDPIgnoresRequestsFromStrangers(t *testing.T) {
 	}
 	req.Hops[0].Sig = origin.signRequest(req, 0)
 	victim := net.Node(0)
-	inject(t, net, 2, 0, radio.Message{
-		Kind:        wire.KindMNDPRequest,
-		Code:        radio.SessionCode,
-		PayloadBits: victim.requestBits(req),
-		Payload:     req,
-	})
+	inject(t, net, 2, 0, wire.KindMNDPRequest, req)
 	if victim.Stats().SigVerifications != 0 {
 		t.Fatal("victim verified a request from a stranger")
 	}

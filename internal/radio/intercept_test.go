@@ -20,12 +20,12 @@ func TestMediumInterceptorReplacesDeliveredMessage(t *testing.T) {
 		t.Fatal(err)
 	}
 	m.SetInterceptor(InterceptorFunc(func(from, to int, msg Message) Message {
-		msg.Payload = []byte{0xBA, 0xD0}
+		msg.Frame = []byte{0xBA, 0xD0}
 		return msg
 	}))
 	var got []byte
-	m.Attach(1, func(_ int, msg Message) { got = msg.Payload.([]byte) })
-	if err := m.Broadcast(0, Message{Code: 1, PayloadBits: 10, Payload: []byte{1, 2, 3}}); err != nil {
+	m.Attach(1, func(_ int, msg Message) { got = msg.Frame })
+	if err := m.Broadcast(0, Message{Code: 1, PayloadBits: 10, Frame: []byte{1, 2, 3}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := engine.Run(); err != nil {

@@ -8,13 +8,14 @@ import (
 	"repro/internal/sim"
 )
 
-// Message is a protocol message on the air. The medium is payload-agnostic;
-// the protocol layer defines Kind and Payload.
+// Message is one frame on the air. The medium never looks inside Frame:
+// the jammer, the counters and the trace read Kind, Code and PayloadBits,
+// and the protocol layer encodes and decodes the bytes.
 type Message struct {
 	Kind        int
 	Code        codepool.CodeID // pool code in use, or SessionCode
-	PayloadBits int             // pre-ECC payload length in bits
-	Payload     any
+	PayloadBits int             // pre-ECC payload length in bits; sets the airtime
+	Frame       []byte          // the encoded wire frame
 }
 
 // Handler receives messages that survived jamming. from is the transmitter
@@ -60,7 +61,7 @@ func (f InjectorFunc) Decide(from, to int, msg Message) FaultDecision { return f
 
 // Interceptor sits on the air between transmitter and receivers: it sees
 // every transmission that survived jamming and returns the message that is
-// actually delivered — possibly with a mutated payload (Byzantine frame
+// actually delivered — possibly with a mutated Frame (Byzantine frame
 // corruption), and possibly after recording it for later reinjection. It
 // runs before the FaultInjector, so channel faults apply to the mutated
 // frame. Implementations must be deterministic given their RNG stream.

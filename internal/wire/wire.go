@@ -36,8 +36,9 @@ import (
 // Version is the frame format version emitted by Encode.
 const Version = 1
 
-// Message kinds, shared with the protocol engine (internal/core aliases
-// these so the wire value is the single source of truth).
+// Message kinds, the frame's kind byte. The protocol engine and the
+// adversaries use these constants directly; internal/radio carries them
+// as plain ints.
 const (
 	KindHello = iota + 1
 	KindConfirm
@@ -143,6 +144,40 @@ func LimitsFromParams(p analysis.Params) Limits {
 	hopBytes := 2 + (2 + 2*l.MaxNeighbors) + (2 + 3*(2+l.MaxSigField))
 	l.MaxFrame = 6 + l.MaxHops*hopBytes + 2*(2+l.MaxNonce) + 64
 	return l
+}
+
+// PayloadBits is the paper's pre-ECC size in bits of a message, computed
+// from the Table I field widths (the medium turns it into airtime as
+// (1+μ)·bits·N/R):
+//
+//	HELLO, CONFIRM, SESS-HELLO, SESS-CONFIRM  l_t + l_id
+//	AUTH1, AUTH2                              l_id + l_n + l_mac
+//	MNDP-REQ                                  l_n + l_ν + Σ_hops (l_id + |ℒ|·l_id + l_sig)
+//	MNDP-RESP                                 2·l_n + l_ν + l_id + Σ_hops (l_id + |ℒ|·l_id + l_sig)
+//
+// The size depends only on the payload's type and hop records, so AUTH1
+// and AUTH2 (both Auth) and the two session messages (both Session) need
+// no kind. A value of any other type has no size: 0.
+func PayloadBits(p analysis.Params, payload any) int {
+	hops := func(hs []Hop) int {
+		bits := 0
+		for _, h := range hs {
+			bits += p.LenID + len(h.Neighbors)*p.LenID + p.LenSig
+		}
+		return bits
+	}
+	switch m := payload.(type) {
+	case Hello, Confirm, Session:
+		return p.LenType + p.LenID
+	case Auth:
+		return p.LenID + p.LenNonce + p.LenMAC
+	case MNDPRequest:
+		return p.LenNonce + p.LenNu + hops(m.Hops)
+	case MNDPResponse:
+		return 2*p.LenNonce + p.LenNu + p.LenID + hops(m.Path)
+	default:
+		return 0
+	}
 }
 
 // Hello is the D-NDP HELLO: {HELLO, ID_A}, spread with one of A's pool

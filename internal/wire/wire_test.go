@@ -8,6 +8,8 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/ibc"
+	"repro/internal/radio"
+	"repro/internal/sim"
 )
 
 // samplePayloads returns one representative payload per message kind,
@@ -238,6 +240,52 @@ func TestLimitsFromParams(t *testing.T) {
 	}
 	if lim.MaxNeighbors > 1<<16 {
 		t.Fatalf("MaxNeighbors = %d exceeds u16 count", lim.MaxNeighbors)
+	}
+}
+
+// TestPayloadBitsMatchTableI pins every kind's size to the sum of its
+// Table I field widths (l_t = 5, l_id = 16, l_n = 20, l_mac = 160,
+// l_ν = 4, l_sig = 672) over samplePayloads, and ties the sizes to the
+// analysis formulas the figures use: the coded AUTH length l_f and the
+// HELLO airtime t_h.
+func TestPayloadBitsMatchTableI(t *testing.T) {
+	p := analysis.Defaults()
+	want := map[int]int{
+		KindHello:          5 + 16,
+		KindConfirm:        5 + 16,
+		KindSessionHello:   5 + 16,
+		KindSessionConfirm: 5 + 16,
+		KindAuth1:          16 + 20 + 160,
+		KindAuth2:          16 + 20 + 160,
+		// nonce, ν, then per hop: ID, neighbor list (3 IDs, then none), signature
+		KindMNDPRequest: 20 + 4 + (16 + 3*16 + 672) + (16 + 0*16 + 672),
+		// two nonces, ν, origin ID, then the responder's hop (1 neighbor)
+		KindMNDPResponse: 2*20 + 4 + 16 + (16 + 1*16 + 672),
+	}
+	for kind, payload := range samplePayloads() {
+		if got := PayloadBits(p, payload); got != want[kind] {
+			t.Errorf("%s: PayloadBits = %d, want %d", KindName(kind), got, want[kind])
+		}
+	}
+	if got := PayloadBits(p, "not a message"); got != 0 {
+		t.Errorf("PayloadBits of a non-message = %d, want 0", got)
+	}
+	if got := (1 + p.Mu) * float64(PayloadBits(p, Auth{})); got != p.AuthBits() {
+		t.Errorf("(1+μ)·AUTH = %v bits, analysis.AuthBits() = %v", got, p.AuthBits())
+	}
+	m, err := radio.NewMedium(radio.MediumConfig{
+		Engine:   sim.NewEngine(),
+		Jammer:   radio.NoJammer{},
+		Adjacent: func(int) []int { return nil },
+		ChipLen:  p.ChipLen,
+		ChipRate: p.ChipRate,
+		Mu:       p.Mu,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := float64(m.Airtime(PayloadBits(p, Hello{}))); got != p.THello() {
+		t.Errorf("HELLO airtime = %v s, analysis.THello() = %v s", got, p.THello())
 	}
 }
 
