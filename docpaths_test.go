@@ -1,6 +1,9 @@
 package jrsnd_test
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -13,10 +16,13 @@ import (
 // TestDocPathsExist keeps the docs from pointing at code that is gone:
 // every `go run ./<dir>` and `go test -run Example_<name>` in README.md,
 // and every internal/ or cmd/ entry of DESIGN.md §5, must name a
-// directory or example that exists, and every test, fuzz target,
-// benchmark or example that README.md, DESIGN.md, EXPERIMENTS.md or
-// docs/*.md cites must be a prefix of a function some _test.go defines
-// (so BenchmarkAblationRedundancy{On,Off} still counts).
+// directory or example that exists; every test, fuzz target, benchmark
+// or example that README.md, DESIGN.md, EXPERIMENTS.md or docs/*.md
+// cites must be a prefix of a function some _test.go defines (so
+// BenchmarkAblationRedundancy{On,Off} still counts); and every field
+// those docs cite of the engine's option structs, as
+// `NetworkConfig.Field` or as a key in a `RetryConfig{Field, …}`
+// literal, must still be declared in internal/core.
 func TestDocPathsExist(t *testing.T) {
 	readme := readDoc(t, "README.md")
 	runs := regexp.MustCompile(`go run \./([^\s]+)`).FindAllStringSubmatch(readme, -1)
@@ -59,13 +65,76 @@ func TestDocPathsExist(t *testing.T) {
 		t.Fatal(err)
 	}
 	cited := regexp.MustCompile(`\b(?:Test|Fuzz|Benchmark|Example)[A-Z_]\w*`)
+	fields := optionFields(t)
+	fieldRef := regexp.MustCompile(`\b(NetworkConfig|RetryConfig|DefenseConfig)\.(\w+)`)
+	literal := regexp.MustCompile(`\b(NetworkConfig|RetryConfig|DefenseConfig)\{([^}]*)\}`)
+	key := regexp.MustCompile(`^\s*([A-Z]\w*)\s*(?::|$)`)
 	for _, doc := range append([]string{"README.md", "DESIGN.md", "EXPERIMENTS.md"}, docs...) {
-		for _, name := range cited.FindAllString(readDoc(t, doc), -1) {
+		text := readDoc(t, doc)
+		for _, name := range cited.FindAllString(text, -1) {
 			if !slices.ContainsFunc(defined, func(fn string) bool { return strings.HasPrefix(fn, name) }) {
 				t.Errorf("%s cites %s, which no _test.go function is named after", doc, name)
 			}
 		}
+		var refs [][2]string
+		for _, m := range fieldRef.FindAllStringSubmatch(text, -1) {
+			refs = append(refs, [2]string{m[1], m[2]})
+		}
+		for _, m := range literal.FindAllStringSubmatch(text, -1) {
+			for _, item := range strings.Split(m[2], ",") {
+				if k := key.FindStringSubmatch(item); k != nil {
+					refs = append(refs, [2]string{m[1], k[1]})
+				}
+			}
+		}
+		for _, r := range refs {
+			if !fields[r[0]][r[1]] {
+				t.Errorf("%s cites %s.%s, which internal/core does not declare", doc, r[0], r[1])
+			}
+		}
 	}
+}
+
+// optionFields parses internal/core and returns the field names of the
+// engine's option structs: NetworkConfig, RetryConfig and DefenseConfig.
+func optionFields(t *testing.T) map[string]map[string]bool {
+	t.Helper()
+	fields := map[string]map[string]bool{"NetworkConfig": {}, "RetryConfig": {}, "DefenseConfig": {}}
+	files, err := filepath.Glob(filepath.Join("internal", "core", "*.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	for _, path := range files {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			spec, ok := n.(*ast.TypeSpec)
+			if !ok {
+				return true
+			}
+			names, want := fields[spec.Name.Name]
+			if st, isStruct := spec.Type.(*ast.StructType); want && isStruct {
+				for _, field := range st.Fields.List {
+					for _, id := range field.Names {
+						names[id.Name] = true
+					}
+				}
+			}
+			return false
+		})
+	}
+	for typ, names := range fields {
+		if len(names) == 0 {
+			t.Fatalf("internal/core declares no struct %s with fields", typ)
+		}
+	}
+	return fields
 }
 
 // TestMakeFuzzCoversEveryTarget keeps `make fuzz` complete: every

@@ -36,17 +36,6 @@ func HelloRoundsAntennas(p Params, k int) int {
 	return int(math.Ceil((lambda + 1) * float64(p.M+1) / float64(p.M)))
 }
 
-// MonitorCapacity is the number of session codes a node can monitor in
-// real time with k receive chains, assuming one chain per code as in the
-// CDMA-receiver literature the paper cites ([12]). It is the natural
-// budget for the monitor-expiry policy in the protocol engine.
-func MonitorCapacity(k int) int {
-	if k < 1 {
-		return 1
-	}
-	return k
-}
-
 // AdaptiveNu returns the smallest hop bound ν in [1, maxNu] whose
 // predicted combined probability P̂ = P̂_D + (1−P̂_D)·P̂_M(ν) reaches
 // target, plus that prediction. P̂_M(ν) extends the Theorem 3 recurrence:

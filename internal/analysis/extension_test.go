@@ -56,15 +56,6 @@ func TestHelloRoundsAntennas(t *testing.T) {
 	}
 }
 
-func TestMonitorCapacity(t *testing.T) {
-	if MonitorCapacity(0) != 1 || MonitorCapacity(-3) != 1 {
-		t.Fatal("capacity must clamp to 1")
-	}
-	if MonitorCapacity(4) != 4 {
-		t.Fatal("capacity must equal k")
-	}
-}
-
 func TestMNDPBoundNu(t *testing.T) {
 	const g = 22.6
 	if MNDPBoundNu(0.5, g, 1) != 0 {

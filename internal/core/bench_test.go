@@ -10,9 +10,9 @@ import (
 // uniformly on a 1200 m × 1200 m field, 12 codes per node, each code
 // shared by 10 nodes, nothing compromised, reactive jammer. The seed is
 // fixed, so every iteration runs the same protocol trace. Building stays
-// outside the timer: NewNetwork formats names through fmt, whose
-// sync.Pool refills depend on GC timing, so its allocation count varies
-// from run to run, while a protocol round's does not.
+// outside the timer: a round is what the suite gates, and NewNetwork's
+// allocation count still moves by a few objects in a few builds out of a
+// hundred, which the exact allocs/op gate would flag.
 func benchNetwork(b *testing.B) *Network {
 	b.Helper()
 	p := analysis.Defaults()

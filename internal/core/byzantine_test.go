@@ -143,7 +143,7 @@ func TestFloodRateLimited(t *testing.T) {
 	if got := reg.Snapshot().Counters["jrsnd_core_ratelimited_total"]; got < 1 {
 		t.Fatalf("ratelimited = %v, want >= 1", got)
 	}
-	burst := net.cfg.Defense.HalfOpenBurst
+	burst := halfOpenBurst
 	for i := 0; i < 3; i++ {
 		nd := net.Node(i)
 		// Per victim: at most `burst` flood records (+ small refill) from the

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"repro/internal/analysis"
 	"repro/internal/ibc"
 	"repro/internal/sim"
@@ -29,51 +27,29 @@ import (
 // Both defenses hold volatile per-node state and are wiped by a crash,
 // like every other protocol table.
 
+// The half-open token bucket admits an honest node's handshake burst (one
+// HELLO record plus one AUTH1 record per round) with an order of magnitude
+// of headroom: halfOpenRate records per virtual second sustained, and
+// halfOpenBurst back-to-back before the rate applies.
+const (
+	halfOpenRate  = 16
+	halfOpenBurst = 8
+)
+
 // DefenseConfig enables the replay window and half-open rate limiter.
 // A nil config (the NetworkConfig default) disables both, preserving the
-// seed engine's behavior.
+// seed engine's behavior. Build one with DefaultDefenseConfig.
 type DefenseConfig struct {
-	// ReplayWindow is how many verified AUTH nonces are remembered per
+	// replayWindow is how many verified AUTH nonces are remembered per
 	// peer ID before the oldest is forgotten.
-	ReplayWindow int
-	// HalfOpenRate is the sustained rate (records per virtual second) at
-	// which one transmitter may create new handshake records here.
-	HalfOpenRate float64
-	// HalfOpenBurst is the bucket depth: how many records one transmitter
-	// may create back-to-back before the rate applies.
-	HalfOpenBurst int
+	replayWindow int
 }
 
 // DefaultDefenseConfig sizes the defenses for the Table I parameter set:
 // the replay window comfortably covers a full x-sub-session redundancy
-// round (≤ m codes) per peer, and the bucket admits an honest node's
-// handshake burst (one HELLO record plus one AUTH1 record per round)
-// with an order of magnitude of headroom.
+// round (≤ m codes) per peer.
 func DefaultDefenseConfig(p analysis.Params) *DefenseConfig {
-	window := 4 * p.M
-	if window < 64 {
-		window = 64
-	}
-	return &DefenseConfig{
-		ReplayWindow:  window,
-		HalfOpenRate:  16,
-		HalfOpenBurst: 8,
-	}
-}
-
-func (d *DefenseConfig) validate() error {
-	if d == nil {
-		return nil
-	}
-	switch {
-	case d.ReplayWindow < 1:
-		return fmt.Errorf("ReplayWindow %d must be >= 1", d.ReplayWindow)
-	case d.HalfOpenRate <= 0:
-		return fmt.Errorf("HalfOpenRate %v must be positive", d.HalfOpenRate)
-	case d.HalfOpenBurst < 1:
-		return fmt.Errorf("HalfOpenBurst %d must be >= 1", d.HalfOpenBurst)
-	}
-	return nil
+	return &DefenseConfig{replayWindow: max(4*p.M, 64)}
 }
 
 // nonceWindow is a per-peer sliding window of verified AUTH nonces: a set
@@ -109,24 +85,19 @@ func (w *nonceWindow) record(nonce []byte) {
 	w.seen[key] = true
 }
 
-// tokenBucket is a deterministic virtual-time token bucket.
+// tokenBucket is a deterministic virtual-time token bucket of depth
+// halfOpenBurst, refilled at halfOpenRate.
 type tokenBucket struct {
 	tokens float64
 	last   sim.Time
-	rate   float64
-	burst  float64
-}
-
-func newTokenBucket(rate float64, burst int, now sim.Time) *tokenBucket {
-	return &tokenBucket{tokens: float64(burst), last: now, rate: rate, burst: float64(burst)}
 }
 
 // allow refills by elapsed virtual time and spends one token if available.
 func (b *tokenBucket) allow(now sim.Time) bool {
 	if now > b.last {
-		b.tokens += float64(now-b.last) * b.rate
-		if b.tokens > b.burst {
-			b.tokens = b.burst
+		b.tokens += float64(now-b.last) * halfOpenRate
+		if b.tokens > halfOpenBurst {
+			b.tokens = halfOpenBurst
 		}
 		b.last = now
 	}
@@ -168,7 +139,7 @@ func (nd *Node) recordNonce(peer ibc.NodeID, nonce []byte) {
 	}
 	w := nd.seenNonces[peer]
 	if w == nil {
-		w = newNonceWindow(nd.net.cfg.Defense.ReplayWindow)
+		w = newNonceWindow(nd.net.cfg.Defense.replayWindow)
 		nd.seenNonces[peer] = w
 	}
 	w.record(nonce)
@@ -181,11 +152,10 @@ func (nd *Node) admitHalfOpen(from int) bool {
 	if !nd.defenseOn() || from == nd.index {
 		return true
 	}
-	d := nd.net.cfg.Defense
 	now := nd.net.engine.Now()
 	b := nd.buckets[from]
 	if b == nil {
-		b = newTokenBucket(d.HalfOpenRate, d.HalfOpenBurst, now)
+		b = &tokenBucket{tokens: halfOpenBurst, last: now}
 		nd.buckets[from] = b
 	}
 	if b.allow(now) {

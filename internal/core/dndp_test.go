@@ -71,6 +71,27 @@ func TestDNDPTwoNodesDiscoverWithoutJamming(t *testing.T) {
 	}
 }
 
+func TestDNDPCliqueDiscoversEveryPair(t *testing.T) {
+	net, err := NewNetwork(NetworkConfig{
+		Params:    smallParams(5, 4),
+		Seed:      93,
+		Jammer:    JamNone,
+		Positions: clusterPositions(5),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := net.RunDNDP(1); err != nil {
+		t.Fatal(err)
+	}
+	// Full clique: everyone monitors everyone.
+	for i := 0; i < 5; i++ {
+		if got := len(net.Node(i).Neighbors()); got != 4 {
+			t.Fatalf("node %d has %d neighbors, want 4", i, got)
+		}
+	}
+}
+
 func TestDNDPOutOfRangeNodesDoNotDiscover(t *testing.T) {
 	net, err := NewNetwork(NetworkConfig{
 		Params: smallParams(2, 5),
@@ -399,6 +420,9 @@ func TestNetworkConfigValidation(t *testing.T) {
 	}
 	if _, err := NewNetwork(NetworkConfig{Params: p, Seed: 1, Jammer: JammerKind(99)}); err == nil {
 		t.Fatal("accepted unknown jammer kind")
+	}
+	if _, err := NewNetwork(NetworkConfig{Params: p, Seed: 1, Jammer: JamNone, Defense: &DefenseConfig{}}); err == nil {
+		t.Fatal("accepted a DefenseConfig not built by DefaultDefenseConfig")
 	}
 }
 

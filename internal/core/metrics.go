@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"repro/internal/metrics"
 	"repro/internal/wire"
 )
@@ -26,7 +24,6 @@ type coreMetrics struct {
 	revokedLocal   *metrics.Counter
 	revokedGlobal  *metrics.Counter
 	expiries       *metrics.Counter
-	evictions      *metrics.Counter
 
 	// Robustness instruments: retry/backoff state machine and churn.
 	retries        *metrics.Counter
@@ -79,8 +76,6 @@ func newCoreMetrics(reg *metrics.Registry) *coreMetrics {
 			"authority-driven network-wide code revocations"),
 		expiries: reg.Counter("jrsnd_core_neighbor_expiries_total",
 			"logical neighbors dropped by the monitor timeout"),
-		evictions: reg.Counter("jrsnd_core_monitor_evictions_total",
-			"sessions evicted by the monitor-capacity budget (§IV-A)"),
 		retries: reg.Counter("jrsnd_core_handshake_retries_total",
 			"D-NDP re-initiations by the retry/backoff state machine"),
 		fallbacks: reg.Counter("jrsnd_core_mndp_fallbacks_total",
@@ -100,13 +95,15 @@ func newCoreMetrics(reg *metrics.Registry) *coreMetrics {
 		ratelimited: reg.Counter("jrsnd_core_ratelimited_total",
 			"handshake-record creations refused by the per-transmitter half-open budget"),
 	}
+	// Labels are concatenated rather than formatted with fmt: this runs
+	// for every NewNetwork, metrics on or off, and no name needs quoting.
 	for _, k := range messageKinds {
-		label := fmt.Sprintf("{kind=%q}", wire.KindName(k))
+		label := `{kind="` + wire.KindName(k) + `"}`
 		m.tx[k] = reg.Counter("jrsnd_core_tx_total"+label, "protocol transmissions by message kind")
 		m.jammed[k] = reg.Counter("jrsnd_core_jammed_total"+label, "jammed transmissions by message kind")
 	}
 	for _, via := range []DiscoveryMethod{ViaDNDP, ViaMNDP} {
-		m.discoveries[via] = reg.Counter(fmt.Sprintf("jrsnd_core_discoveries_total{via=%q}", via),
+		m.discoveries[via] = reg.Counter(`jrsnd_core_discoveries_total{via="`+via.String()+`"}`,
 			"mutual discoveries by protocol")
 	}
 	return m

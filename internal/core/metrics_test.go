@@ -140,10 +140,6 @@ func TestCoreInstrumentsPinned(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Monitor-budget eviction.
-	run(build(NetworkConfig{Params: smallParams(3, 4), Seed: 92, Jammer: JamNone,
-		Positions: clusterPositions(3), MonitorBudget: 1}))
-
 	// Global revocation, then the §V-D DoS flood driving local revocation.
 	revoke := build(NetworkConfig{Params: smallParams(3, 4), Seed: 101, Jammer: JamNone,
 		Positions: clusterPositions(3)})
@@ -176,7 +172,7 @@ func TestCoreInstrumentsPinned(t *testing.T) {
 	snap := reg.Snapshot()
 	wantCounters := map[string]uint64{
 		`jrsnd_core_decode_errors_total`:               28,
-		`jrsnd_core_discoveries_total{via="D-NDP"}`:    28,
+		`jrsnd_core_discoveries_total{via="D-NDP"}`:    24,
 		`jrsnd_core_discoveries_total{via="M-NDP"}`:    1,
 		`jrsnd_core_halfopen_gc_total`:                 69,
 		`jrsnd_core_handshake_retries_total`:           22,
@@ -191,7 +187,6 @@ func TestCoreInstrumentsPinned(t *testing.T) {
 		`jrsnd_core_jammed_total{kind="SESS-HELLO"}`:   0,
 		`jrsnd_core_mndp_fallbacks_total`:              2,
 		`jrsnd_core_mndp_forwards_total`:               4,
-		`jrsnd_core_monitor_evictions_total`:           5,
 		`jrsnd_core_neighbor_expiries_total`:           4,
 		`jrsnd_core_node_crashes_total`:                1,
 		`jrsnd_core_node_restarts_total`:               1,
@@ -200,17 +195,17 @@ func TestCoreInstrumentsPinned(t *testing.T) {
 		`jrsnd_core_revocations_global_total`:          1,
 		`jrsnd_core_revocations_local_total`:           12,
 		`jrsnd_core_silent_expiries_total`:             2,
-		`jrsnd_core_tx_total{kind="AUTH1"}`:            239,
-		`jrsnd_core_tx_total{kind="AUTH2"}`:            140,
-		`jrsnd_core_tx_total{kind="CONFIRM"}`:          489,
-		`jrsnd_core_tx_total{kind="HELLO"}`:            266,
+		`jrsnd_core_tx_total{kind="AUTH1"}`:            223,
+		`jrsnd_core_tx_total{kind="AUTH2"}`:            124,
+		`jrsnd_core_tx_total{kind="CONFIRM"}`:          473,
+		`jrsnd_core_tx_total{kind="HELLO"}`:            254,
 		`jrsnd_core_tx_total{kind="MNDP-REQ"}`:         5,
 		`jrsnd_core_tx_total{kind="MNDP-RESP"}`:        5,
 		`jrsnd_core_tx_total{kind="SESS-CONFIRM"}`:     3,
 		`jrsnd_core_tx_total{kind="SESS-HELLO"}`:       5,
 		`jrsnd_sim_events_cancelled_total`:             0,
-		`jrsnd_sim_events_fired_total`:                 2077,
-		`jrsnd_sim_events_scheduled_total`:             2077,
+		`jrsnd_sim_events_fired_total`:                 1978,
+		`jrsnd_sim_events_scheduled_total`:             1978,
 	}
 	if !maps.Equal(snap.Counters, wantCounters) {
 		t.Errorf("counters = %v\nwant       %v", snap.Counters, wantCounters)
@@ -225,7 +220,7 @@ func TestCoreInstrumentsPinned(t *testing.T) {
 		}
 	}
 	wantHistograms := map[string]uint64{
-		"jrsnd_core_discovery_latency_seconds": 29,
+		"jrsnd_core_discovery_latency_seconds": 25,
 		"jrsnd_core_mndp_fanout":               4,
 	}
 	gotHistograms := map[string]uint64{}

@@ -17,11 +17,11 @@ import (
 // intermediate nodes verify the signature chain, forward to logical
 // neighbors not yet covered, and candidate responders derive the pairwise
 // key and session code, return a signed response along the reverse path,
-// and beacon {HELLO} spread with the derived session code. If origin and
-// responder really are physical neighbors the beacon is heard, a CONFIRM
-// completes the mutual discovery. Without the beacon step (ablation
-// AcceptWithoutBeacon) nodes up to ν hops away are accepted sight unseen —
-// the false positives the paper warns about.
+// and beacon {HELLO} spread with the derived session code. Only if origin
+// and responder really are physical neighbors is the beacon heard and a
+// CONFIRM completes the mutual discovery, so a responder ν hops away is
+// never accepted — the false positives the paper warns about. The optional
+// GPS filter stops such far nodes from answering at all.
 
 // initiateMNDP starts one M-NDP round toward every logical neighbor.
 func (nd *Node) initiateMNDP() {
@@ -274,11 +274,6 @@ func (nd *Node) respondToRequest(req wire.MNDPRequest) {
 		}
 		_ = nd.net.send(nd.index, next, wire.KindMNDPResponse, radio.SessionCode, resp)
 		nd.net.spanEnd(sp, nd.index, int(origin), "responded")
-		if nd.net.cfg.AcceptWithoutBeacon {
-			nd.acceptNeighbor(origin, ViaMNDP, key)
-			delete(nd.mndpIn, origin)
-			return
-		}
 		nd.beaconSessionHello(origin)
 	})
 }
@@ -373,11 +368,6 @@ func (nd *Node) processResponse(resp wire.MNDPResponse) {
 		nd.stats.KeyComputations++
 		pending := &mndpPending{peer: responder, key: key, initiatedAt: nd.net.engine.Now()}
 		nd.mndpOut[responder] = pending
-		if nd.net.cfg.AcceptWithoutBeacon {
-			nd.acceptNeighbor(responder, ViaMNDP, key)
-			delete(nd.mndpOut, responder)
-			return
-		}
 		nd.scheduleMNDPReap(nd.mndpOut, responder, pending)
 	})
 }

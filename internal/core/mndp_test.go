@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/field"
+	"repro/internal/metrics"
 )
 
 // findMNDPTopology searches seeds for a network where nodes 0 and 1 are
@@ -91,27 +92,27 @@ func TestMNDPDiscoversViaCommonNeighbor(t *testing.T) {
 	}
 }
 
-func TestMNDPHonorsHopBound(t *testing.T) {
-	// Chain: 0-1-2-3 where only adjacent nodes are in range; node 0 and
-	// node 2 are NOT physical neighbors, so even though requests reach
-	// them, the beacon exchange cannot complete. With AcceptWithoutBeacon
-	// the (0,2) pair *would* be falsely accepted (next test).
+// chainConfig is the 0-1-2-3 chain at 250 m spacing (300 m range), so
+// only adjacent chain nodes are physical neighbors; every node holds every
+// code, so D-NDP secures each chain edge. The other nodes sit far away.
+func chainConfig(seed int64) NetworkConfig {
 	p := mndpParams(20)
-	p.L = 20 // all nodes share all codes → D-NDP succeeds on every edge
+	p.L = 20
 	p.M = 3
 	positions := make([]field.Point, 20)
 	for i := 0; i < 4; i++ {
-		positions[i] = field.Point{X: 200 + float64(i)*250, Y: 200} // 250 m spacing < 300 range
+		positions[i] = field.Point{X: 200 + float64(i)*250, Y: 200}
 	}
 	for i := 4; i < 20; i++ {
 		positions[i] = field.Point{X: 1800, Y: 1500 + float64(i)*20}
 	}
-	net, err := NewNetwork(NetworkConfig{
-		Params:    p,
-		Seed:      11,
-		Jammer:    JamNone,
-		Positions: positions,
-	})
+	return NetworkConfig{Params: p, Seed: seed, Jammer: JamNone, Positions: positions}
+}
+
+func TestMNDPHonorsHopBound(t *testing.T) {
+	// Node 0 and node 2 are NOT physical neighbors, so even though
+	// requests reach them, the beacon exchange cannot complete.
+	net, err := NewNetwork(chainConfig(11))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,73 +134,49 @@ func TestMNDPHonorsHopBound(t *testing.T) {
 	}
 }
 
-func TestMNDPFalsePositivesWithoutBeacon(t *testing.T) {
-	// Ablation: accepting on the signed response alone produces the §V-C
-	// false positives — ν-hop nodes become "neighbors" without being in
-	// range.
-	p := mndpParams(20)
-	p.L = 20
-	p.M = 3
-	positions := make([]field.Point, 20)
-	for i := 0; i < 4; i++ {
-		positions[i] = field.Point{X: 200 + float64(i)*250, Y: 200}
-	}
-	for i := 4; i < 20; i++ {
-		positions[i] = field.Point{X: 1800, Y: 1500 + float64(i)*20}
-	}
-	net, err := NewNetwork(NetworkConfig{
-		Params:              p,
-		Seed:                12,
-		Jammer:              JamNone,
-		Positions:           positions,
-		AcceptWithoutBeacon: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := net.RunDNDP(1); err != nil {
-		t.Fatal(err)
-	}
-	if err := net.RunMNDP(1); err != nil {
-		t.Fatal(err)
-	}
-	if !net.DiscoveredPair(0, 2) {
-		t.Fatal("expected false positive (0,2) with AcceptWithoutBeacon")
-	}
-}
-
 func TestMNDPGPSFilterSuppressesFarResponders(t *testing.T) {
-	// Same chain, naive acceptance, but the GPS filter makes far nodes
-	// decline to respond — no false positives even without the beacon.
-	p := mndpParams(20)
-	p.L = 20
-	p.M = 3
-	positions := make([]field.Point, 20)
-	for i := 0; i < 4; i++ {
-		positions[i] = field.Point{X: 200 + float64(i)*250, Y: 200}
-	}
-	for i := 4; i < 20; i++ {
-		positions[i] = field.Point{X: 1800, Y: 1500 + float64(i)*20}
-	}
-	net, err := NewNetwork(NetworkConfig{
-		Params:              p,
-		Seed:                13,
-		Jammer:              JamNone,
-		Positions:           positions,
-		AcceptWithoutBeacon: true,
-		GPSFilter:           true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := net.RunDNDP(1); err != nil {
-		t.Fatal(err)
-	}
-	if err := net.RunMNDP(1); err != nil {
-		t.Fatal(err)
-	}
-	if net.DiscoveredPair(0, 2) {
-		t.Fatal("GPS filter failed to suppress the out-of-range responder")
+	// On the chain, node 2 is two hops but 500 m from node 0. Without the
+	// filter each answers the other's request: it derives the key, holds a
+	// half-open M-NDP record and beacons in vain. With the filter neither
+	// answers, so no response, beacon or key computation happens at all.
+	// The beacon keeps (0,2) undiscovered either way.
+	for _, filter := range []bool{false, true} {
+		reg := metrics.New()
+		cfg := chainConfig(13)
+		cfg.GPSFilter = filter
+		cfg.Metrics = reg
+		net, err := NewNetwork(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := net.RunDNDP(1); err != nil {
+			t.Fatal(err)
+		}
+		far := net.Node(2)
+		keysBefore := far.Stats().KeyComputations
+		if err := net.RunMNDP(1); err != nil {
+			t.Fatal(err)
+		}
+		counters := reg.Snapshot().Counters
+		for _, c := range []struct {
+			what string
+			n    uint64
+		}{
+			{"MNDP-RESP sent", counters[`jrsnd_core_tx_total{kind="MNDP-RESP"}`]},
+			{"SESS-HELLO sent", counters[`jrsnd_core_tx_total{kind="SESS-HELLO"}`]},
+			{"node 2 keys", uint64(far.Stats().KeyComputations - keysBefore)},
+			{"node 2 half-open M-NDP", uint64(len(far.mndpIn) + len(far.mndpOut))},
+		} {
+			if filter && c.n != 0 {
+				t.Errorf("filter on: %s = %d, want 0", c.what, c.n)
+			}
+			if !filter && c.n == 0 {
+				t.Errorf("filter off: %s = 0, want > 0", c.what)
+			}
+		}
+		if net.DiscoveredPair(0, 2) {
+			t.Fatalf("filter %v: out-of-range pair (0,2) discovered", filter)
+		}
 	}
 }
 

@@ -12,6 +12,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"strconv"
 
 	"repro/internal/analysis"
 	"repro/internal/codepool"
@@ -125,12 +126,6 @@ type NetworkConfig struct {
 	// M-NDP requests only when the origin's claimed position is within
 	// transmission range.
 	GPSFilter bool
-	// AcceptWithoutBeacon models the naive M-NDP variant that accepts a
-	// peer upon the signed response alone, skipping the session-code
-	// HELLO/CONFIRM beacon. It exhibits the false positives the paper
-	// warns about. No registered experiment sets it; only the M-NDP
-	// false-positive and GPS-filter tests do.
-	AcceptWithoutBeacon bool
 	// DisableRedundancy turns off the x-sub-session redundancy design of
 	// §V-B (responders pick a single shared code instead of all of them);
 	// for the ablation experiment.
@@ -149,12 +144,6 @@ type NetworkConfig struct {
 	// revocation/expiry counters, and the sim-engine event counters. A nil
 	// registry disables instrumentation at near-zero hot-path cost.
 	Metrics *metrics.Registry
-	// MonitorBudget caps how many session codes a node can monitor in
-	// real time (§IV-A: real-time de-spreading needs one correlator chain
-	// per code; see analysis.MonitorCapacity). When a new neighbor would
-	// exceed the budget, the node stops monitoring its oldest session —
-	// evicting that logical neighbor. 0 means unlimited.
-	MonitorBudget int
 	// Retry enables the handshake retry/backoff state machine (per-session
 	// timeouts, half-open GC, randomized-backoff D-NDP retries, M-NDP
 	// fallback). Nil keeps the paper's happy-path behavior.
@@ -204,10 +193,7 @@ type Network struct {
 
 	compromisedCodes *codepool.CodeSet
 
-	// one-directional acceptances; a pair is discovered when both exist
-	accepted map[[2]ibc.NodeID]sim.Time
 	pairs    []PairDiscovery
-	pairLive map[[2]ibc.NodeID]bool // currently-recorded mutual pairs
 	initTime map[ibc.NodeID]sim.Time
 }
 
@@ -224,8 +210,8 @@ func NewNetwork(cfg NetworkConfig) (*Network, error) {
 	if err := cfg.Retry.validate(); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	if err := cfg.Defense.validate(); err != nil {
-		return nil, fmt.Errorf("core: %w", err)
+	if cfg.Defense != nil && cfg.Defense.replayWindow < 1 {
+		return nil, fmt.Errorf("core: Defense must come from DefaultDefenseConfig")
 	}
 	if cfg.ClockSkewSpread < 0 || cfg.ClockSkewSpread >= 1 {
 		return nil, fmt.Errorf("core: ClockSkewSpread %v outside [0, 1)", cfg.ClockSkewSpread)
@@ -277,8 +263,6 @@ func NewNetwork(cfg NetworkConfig) (*Network, error) {
 		graph:            graph,
 		jammer:           jammer,
 		compromisedCodes: compromised,
-		accepted:         map[[2]ibc.NodeID]sim.Time{},
-		pairLive:         map[[2]ibc.NodeID]bool{},
 		initTime:         map[ibc.NodeID]sim.Time{},
 		limits:           wire.LimitsFromParams(p),
 	}
@@ -367,13 +351,12 @@ func (n *Network) newNode(idx int, keyRng *rand.Rand) (*Node, error) {
 		codeSet:      codeSet,
 		priv:         priv,
 		revoker:      revoker,
-		rng:          n.streams.Get(fmt.Sprintf("node-%d", idx)),
+		rng:          n.streams.Get("node-" + strconv.Itoa(idx)),
 		neighbors:    map[ibc.NodeID]*Neighbor{},
 		responders:   map[ibc.NodeID]*dndpResponderState{},
 		seenRequests: map[string]bool{},
 		mndpOut:      map[ibc.NodeID]*mndpPending{},
 		mndpIn:       map[ibc.NodeID]*mndpPending{},
-		mndpStart:    map[ibc.NodeID]sim.Time{},
 		skew:         skew,
 		seenNonces:   map[ibc.NodeID]*nonceWindow{},
 		buckets:      map[int]*tokenBucket{},
@@ -525,16 +508,12 @@ func (n *Network) CrashNode(i int) error {
 	nd.down = true
 	n.medium.SetRadio(i, false)
 	n.endNodeSpans(nd, "crashed")
-	for peer := range nd.neighbors {
-		n.dropAccepted(nd.id, peer)
-	}
 	nd.neighbors = map[ibc.NodeID]*Neighbor{}
 	nd.responders = map[ibc.NodeID]*dndpResponderState{}
 	nd.initiator = nil
 	nd.seenRequests = map[string]bool{}
 	nd.mndpOut = map[ibc.NodeID]*mndpPending{}
 	nd.mndpIn = map[ibc.NodeID]*mndpPending{}
-	nd.mndpStart = map[ibc.NodeID]sim.Time{}
 	nd.dndpAttempts = 0
 	nd.mndpFallback = false
 	nd.resetDefenses()
@@ -614,10 +593,11 @@ func (n *Network) ExpireStaleNeighbors() int {
 
 // ExpireSilentSessions models the §IV-A inactivity monitor timeout on the
 // session itself: any logical-neighbor entry whose peer never reciprocated
-// (the peer's acceptance record is absent — its side crashed mid-handshake
-// or the closing message was destroyed) is dropped. Together with the
-// half-open GC this restores the symmetry invariant after arbitrary fault
-// schedules. It returns the number of one-sided entries dropped.
+// (the peer's neighbor table lacks this node — its side crashed
+// mid-handshake or the closing message was destroyed) is dropped.
+// Together with the half-open GC this restores the symmetry invariant
+// after arbitrary fault schedules. It returns the number of one-sided
+// entries dropped.
 func (n *Network) ExpireSilentSessions() int {
 	dropped := 0
 	for _, nd := range n.nodes {
@@ -625,11 +605,10 @@ func (n *Network) ExpireSilentSessions() int {
 			continue
 		}
 		for _, peer := range nd.neighborIDs() {
-			if _, ok := n.accepted[[2]ibc.NodeID{peer, nd.id}]; ok {
+			if n.nodes[peer].IsLogicalNeighbor(nd.id) {
 				continue
 			}
 			delete(nd.neighbors, peer)
-			n.dropAccepted(nd.id, peer)
 			dropped++
 			n.m.silentExpiries.Inc()
 			n.emit(trace.Event{
@@ -720,26 +699,16 @@ func pairKey(a, b ibc.NodeID) [2]ibc.NodeID {
 	return [2]ibc.NodeID{a, b}
 }
 
-// dropAccepted clears a one-directional acceptance and the live-pair mark
-// (used by monitor-budget eviction and expiry).
-func (n *Network) dropAccepted(self, peer ibc.NodeID) {
-	delete(n.accepted, [2]ibc.NodeID{self, peer})
-	delete(n.pairLive, pairKey(self, peer))
-}
-
-// recordDiscovery notes a one-directional acceptance; when both directions
-// exist the pair is recorded as mutually discovered.
+// recordDiscovery is called once self has newly accepted peer; if peer
+// already holds self as a logical neighbor, the pair is recorded as
+// mutually discovered. Neighbor tables hold only authenticated peers,
+// whose IDs are node indices.
 func (n *Network) recordDiscovery(self, peer ibc.NodeID, via DiscoveryMethod) {
+	if !n.nodes[peer].IsLogicalNeighbor(self) {
+		return
+	}
 	now := n.engine.Now()
-	n.accepted[[2]ibc.NodeID{self, peer}] = now
-	if _, ok := n.accepted[[2]ibc.NodeID{peer, self}]; !ok {
-		return
-	}
 	key := pairKey(self, peer)
-	if n.pairLive[key] {
-		return
-	}
-	n.pairLive[key] = true
 	a, b := key[0], key[1]
 	latency := sim.Time(0)
 	if t0, ok := n.initTime[a]; ok {

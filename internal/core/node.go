@@ -118,7 +118,6 @@ type Node struct {
 	seenRequests map[string]bool             // (origin, nonce) dedup
 	mndpOut      map[ibc.NodeID]*mndpPending // awaiting beacon from peer
 	mndpIn       map[ibc.NodeID]*mndpPending // sent beacon, awaiting confirm
-	mndpStart    map[ibc.NodeID]sim.Time     // my own M-NDP initiation time
 
 	// Retry/backoff state machine (active when NetworkConfig.Retry is set).
 	dndpAttempts int  // D-NDP initiations so far (budget accounting)
@@ -186,14 +185,10 @@ func sortedPeers[V any](m map[ibc.NodeID]V) []ibc.NodeID {
 	return out
 }
 
-// acceptNeighbor installs peer as an authenticated logical neighbor,
-// evicting the oldest session first when the monitor budget is exhausted.
+// acceptNeighbor installs peer as an authenticated logical neighbor.
 func (nd *Node) acceptNeighbor(peer ibc.NodeID, via DiscoveryMethod, key [32]byte) {
 	if _, ok := nd.neighbors[peer]; ok {
 		return
-	}
-	if budget := nd.net.cfg.MonitorBudget; budget > 0 && len(nd.neighbors) >= budget {
-		nd.evictOldestNeighbor()
 	}
 	nd.neighbors[peer] = &Neighbor{
 		ID:           peer,
@@ -212,8 +207,8 @@ func (nd *Node) acceptNeighbor(peer ibc.NodeID, via DiscoveryMethod, key [32]byt
 }
 
 // forgetPeer drops every piece of state nd keeps about peer: the logical
-// neighbor, both handshake roles, M-NDP progress in either direction and
-// the acceptance record, so a later encounter runs discovery afresh.
+// neighbor, both handshake roles and M-NDP progress in either direction,
+// so a later encounter runs discovery afresh.
 func (nd *Node) forgetPeer(peer ibc.NodeID) {
 	delete(nd.neighbors, peer)
 	delete(nd.responders, peer)
@@ -222,35 +217,6 @@ func (nd *Node) forgetPeer(peer ibc.NodeID) {
 	if nd.initiator != nil {
 		delete(nd.initiator.peers, peer)
 	}
-	nd.net.dropAccepted(nd.id, peer)
-}
-
-// evictOldestNeighbor stops monitoring the least-recently-established
-// session (the §IV-A capacity limit) and drops the corresponding logical
-// neighbor on this side.
-func (nd *Node) evictOldestNeighbor() {
-	var victim ibc.NodeID
-	first := true
-	var oldest sim.Time
-	for id, nb := range nd.neighbors {
-		if first || nb.DiscoveredAt < oldest || (nb.DiscoveredAt == oldest && id < victim) {
-			victim = id
-			oldest = nb.DiscoveredAt
-			first = false
-		}
-	}
-	if first {
-		return
-	}
-	nd.forgetPeer(victim)
-	nd.net.m.evictions.Inc()
-	nd.net.emit(trace.Event{
-		At:     float64(nd.net.engine.Now()),
-		Kind:   trace.KindExpiry,
-		Node:   nd.index,
-		Peer:   int(victim),
-		Detail: "monitor budget exceeded: oldest session evicted",
-	})
 }
 
 // newNonce draws a fresh nonce of the configured length.

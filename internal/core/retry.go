@@ -21,6 +21,11 @@ import (
 // no shared code can ever work) — the node degrades gracefully to M-NDP
 // through the logical neighbors it does have.
 
+// maxDNDPAttempts is the D-NDP initiation budget per node, the first
+// attempt included. Once it is spent toward a physical neighbor, the node
+// falls back to one M-NDP round through its established logical neighbors.
+const maxDNDPAttempts = 4
+
 // RetryConfig enables the handshake retry/backoff state machine. The zero
 // value is invalid; use DefaultRetryConfig for parameter-derived defaults.
 type RetryConfig struct {
@@ -28,19 +33,10 @@ type RetryConfig struct {
 	// (D-NDP responder/initiator-peer records, M-NDP pendings) that has not
 	// completed within this span is reclaimed, and the D-NDP initiator
 	// re-evaluates its neighborhood this long after each HELLO sweep. It
-	// must exceed the worst-case handshake span or retries thrash.
+	// must exceed the worst-case handshake span or retries thrash. Half of
+	// it scales the randomized exponential backoff: retry k (k = 1 is the
+	// first) waits a delay drawn uniformly from [0, SessionTimeout/2·2^(k-1)).
 	SessionTimeout sim.Time
-	// MaxAttempts is the total D-NDP initiation budget per node (the first
-	// attempt included). Must be >= 1.
-	MaxAttempts int
-	// BackoffBase scales the randomized exponential backoff before retry
-	// k (k = 1 is the first retry): the delay is drawn uniformly from
-	// [0, BackoffBase·2^(k-1)).
-	BackoffBase sim.Time
-	// FallbackToMNDP degrades gracefully once the D-NDP budget toward a
-	// physical neighbor is exhausted: the node runs one M-NDP round through
-	// its established logical neighbors.
-	FallbackToMNDP bool
 }
 
 // DefaultRetryConfig derives a retry configuration from the parameter set:
@@ -50,13 +46,7 @@ type RetryConfig struct {
 func DefaultRetryConfig(p analysis.Params) *RetryConfig {
 	span := float64(p.M)*p.THello() + 2*p.TProcess() + p.Lambda()*p.THello() +
 		2*p.TKey + float64(p.Nu+1)*p.TVer + p.TSig
-	timeout := sim.Time(4*span + 0.1)
-	return &RetryConfig{
-		SessionTimeout: timeout,
-		MaxAttempts:    4,
-		BackoffBase:    timeout / 2,
-		FallbackToMNDP: true,
-	}
+	return &RetryConfig{SessionTimeout: sim.Time(4*span + 0.1)}
 }
 
 // validate rejects configurations the state machine cannot run with.
@@ -66,12 +56,6 @@ func (c *RetryConfig) validate() error {
 	}
 	if c.SessionTimeout <= 0 {
 		return fmt.Errorf("retry: SessionTimeout %v must be positive", c.SessionTimeout)
-	}
-	if c.MaxAttempts < 1 {
-		return fmt.Errorf("retry: MaxAttempts %d must be >= 1", c.MaxAttempts)
-	}
-	if c.BackoffBase < 0 {
-		return fmt.Errorf("retry: BackoffBase %v must be >= 0", c.BackoffBase)
 	}
 	return nil
 }
@@ -118,20 +102,16 @@ func (nd *Node) dndpRetryCheck() {
 	if missingAny == 0 {
 		return
 	}
-	if missingShared > 0 && nd.dndpAttempts < cfg.MaxAttempts {
+	if missingShared > 0 && nd.dndpAttempts < maxDNDPAttempts {
 		retry := nd.dndpAttempts // k-th retry, 1-based
-		shift := retry - 1
-		if shift > 16 {
-			shift = 16 // cap the exponential window; beyond this jitter dominates anyway
-		}
-		backoff := sim.Time(nd.rng.Float64()) * cfg.BackoffBase * sim.Time(uint64(1)<<uint(shift))
+		backoff := sim.Time(nd.rng.Float64()) * (cfg.SessionTimeout / 2) * sim.Time(uint64(1)<<uint(retry-1))
 		nd.net.m.retries.Inc()
 		nd.net.emit(trace.Event{
 			At:     float64(nd.net.engine.Now()),
 			Kind:   trace.KindRetry,
 			Node:   nd.index,
 			Peer:   -1,
-			Detail: fmt.Sprintf("D-NDP retry %d/%d after backoff %.4fs (%d peers undiscovered)", retry, cfg.MaxAttempts-1, float64(backoff), missingShared),
+			Detail: fmt.Sprintf("D-NDP retry %d/%d after backoff %.4fs (%d peers undiscovered)", retry, maxDNDPAttempts-1, float64(backoff), missingShared),
 		})
 		nd.net.engine.MustSchedule(backoff, nd.initiateDNDP) // a no-op if nd is down by then
 		return
@@ -139,7 +119,7 @@ func (nd *Node) dndpRetryCheck() {
 	// Budget exhausted toward at least one physical neighbor (or no shared
 	// code can ever complete D-NDP): graceful degradation to M-NDP through
 	// the logical neighbors we do have.
-	if cfg.FallbackToMNDP && !nd.mndpFallback && len(nd.neighbors) > 0 {
+	if !nd.mndpFallback && len(nd.neighbors) > 0 {
 		nd.mndpFallback = true
 		nd.net.m.fallbacks.Inc()
 		nd.net.emit(trace.Event{
