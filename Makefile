@@ -29,8 +29,9 @@ tier1: build
 	$(MAKE) benchgate
 
 # benchgate measures the hot-path benchmarks (sim scheduler, DSSS receive
-# path, authd handlers, transport, field hop search, codepool, and the
-# core event engine's D-NDP/M-NDP rounds) against the checked-in
+# path, authd handlers, transport, field hop search, codepool, the ibc
+# key/signature/session-code primitives, and the core event engine's
+# D-NDP/M-NDP rounds) against the checked-in
 # BENCH_*.json baselines and fails on a >2x slowdown or on any allocs/op
 # above the baseline.
 # Re-baseline deliberately with `go run ./cmd/jrsnd-benchgate -update`.

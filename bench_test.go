@@ -21,7 +21,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/experiment"
 	"repro/internal/field"
-	"repro/internal/ibc"
 	"repro/internal/rs"
 )
 
@@ -128,54 +127,6 @@ func BenchmarkRSDecodeWithErasures(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := codec.Decode(enc, len(msg), erasures); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkBlomSharedKey(b *testing.B) {
-	auth, err := ibc.NewAuthority(ibc.AuthorityConfig{Rand: rand.New(rand.NewSource(8))})
-	if err != nil {
-		b.Fatal(err)
-	}
-	key, err := auth.Issue(1, rand.New(rand.NewSource(9)))
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		key.SharedKey(ibc.NodeID(i%60000 + 2))
-	}
-}
-
-func BenchmarkIDSignVerify(b *testing.B) {
-	auth, err := ibc.NewAuthority(ibc.AuthorityConfig{Rand: rand.New(rand.NewSource(10))})
-	if err != nil {
-		b.Fatal(err)
-	}
-	key, err := auth.Issue(1, rand.New(rand.NewSource(11)))
-	if err != nil {
-		b.Fatal(err)
-	}
-	msg := []byte("m-ndp request")
-	sig := key.Sign(msg)
-	root := auth.RootPublicKey()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := ibc.Verify(root, 1, msg, sig); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkSessionCodeDerivation(b *testing.B) {
-	var key [32]byte
-	key[0] = 7
-	nA := []byte{1, 2, 3}
-	nB := []byte{4, 5, 6}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ibc.SessionCode(key, nA, nB, 512); err != nil {
 			b.Fatal(err)
 		}
 	}

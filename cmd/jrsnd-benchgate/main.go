@@ -1,6 +1,7 @@
 // Command jrsnd-benchgate is the benchmark-regression gate: it runs the
 // Go benchmarks of the hot-path packages (sim, dsss, authd, transport,
-// the figure campaign's field and codepool kernels, and the event-driven
+// the figure campaign's field and codepool kernels, the ID-based key,
+// signature and session-code primitives in ibc, and the event-driven
 // protocol engine's D-NDP and M-NDP rounds in core), reduces each
 // benchmark to its best observed ns/op and allocs/op across -count
 // repetitions, and compares the result against the checked-in per-suite
@@ -53,10 +54,11 @@ var suites = map[string]suite{
 	"transport": {Pkg: "./internal/transport", Baseline: "BENCH_transport.json"},
 	"field":     {Pkg: "./internal/field", Baseline: "BENCH_field.json"},
 	"codepool":  {Pkg: "./internal/codepool", Baseline: "BENCH_codepool.json"},
+	"ibc":       {Pkg: "./internal/ibc", Baseline: "BENCH_ibc.json"},
 	"core":      {Pkg: "./internal/core", Baseline: "BENCH_core.json"},
 }
 
-var suiteOrder = []string{"sim", "dsss", "authd", "transport", "field", "codepool", "core"}
+var suiteOrder = []string{"sim", "dsss", "authd", "transport", "field", "codepool", "ibc", "core"}
 
 // benchResult is one benchmark's reduced measurement.
 type benchResult struct {

@@ -122,13 +122,7 @@ func (nd *Node) replaySeen(peer ibc.NodeID, nonce []byte) bool {
 		return false
 	}
 	nd.net.m.replaysDropped.Inc()
-	nd.net.emit(trace.Event{
-		At:     float64(nd.net.engine.Now()),
-		Kind:   trace.KindDrop,
-		Node:   nd.index,
-		Peer:   int(peer),
-		Detail: "replayed AUTH nonce inside the replay window",
-	})
+	nd.net.emit(trace.KindDrop, nd.index, int(peer), "replayed AUTH nonce inside the replay window")
 	return true
 }
 
@@ -162,13 +156,7 @@ func (nd *Node) admitHalfOpen(from int) bool {
 		return true
 	}
 	nd.net.m.ratelimited.Inc()
-	nd.net.emit(trace.Event{
-		At:     float64(now),
-		Kind:   trace.KindDrop,
-		Node:   nd.index,
-		Peer:   from,
-		Detail: "half-open budget exceeded: handshake record refused",
-	})
+	nd.net.emit(trace.KindDrop, nd.index, from, "half-open budget exceeded: handshake record refused")
 	return false
 }
 

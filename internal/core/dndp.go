@@ -65,9 +65,8 @@ func (nd *Node) initiateDNDP() {
 		nd.net.spanEnd(prev.attemptSpan, nd.index, -1, "superseded by new attempt")
 	}
 	nd.initiator = &dndpInitiatorState{
-		nonce:     nd.newNonce(),
-		startedAt: now,
-		peers:     map[ibc.NodeID]*dndpInitiatorPeer{},
+		nonce: nd.newNonce(),
+		peers: map[ibc.NodeID]*dndpInitiatorPeer{},
 	}
 	nd.initiator.attemptSpan = nd.net.spanStart(nd.net.engine.RunSpan(), nd.index, -1, "dndp.attempt")
 	if _, ok := nd.net.initTime[nd.id]; !ok {
@@ -116,16 +115,9 @@ func (nd *Node) onHello(from int, code codepool.CodeID, p wire.Hello) {
 	}
 	rs := nd.responders[p.Initiator]
 	if rs == nil {
-		if !nd.admitHalfOpen(from) {
+		if rs = nd.openResponder(from, p.Initiator); rs == nil {
 			return // transmitter exceeded its half-open budget
 		}
-		rs = &dndpResponderState{
-			helloSeen:  map[codepool.CodeID]bool{},
-			auth2Codes: map[codepool.CodeID]bool{},
-			firstHello: nd.net.engine.Now(),
-		}
-		nd.responders[p.Initiator] = rs
-		nd.scheduleResponderReap(p.Initiator, rs)
 	}
 	if rs.accepted {
 		return
@@ -150,6 +142,33 @@ func (nd *Node) onHello(from int, code codepool.CodeID, p wire.Hello) {
 	}
 	rs.bufferSpan = nd.net.spanStart(nd.net.attemptSpanOf(initiator), nd.index, int(initiator), "dndp.hello_buffer")
 	nd.net.engine.MustSchedule(delay, func() { nd.sendConfirm(initiator) })
+}
+
+// openResponder creates the responder record for initiator, charged to
+// transmitter from's half-open budget; with retries on, the session
+// timeout reaps it if it has not reached acceptance by then (e.g. its
+// CONFIRM or the peer's AUTH1 was destroyed). It returns nil when the
+// budget refuses the record.
+func (nd *Node) openResponder(from int, initiator ibc.NodeID) *dndpResponderState {
+	if !nd.admitHalfOpen(from) {
+		return nil
+	}
+	rs := &dndpResponderState{
+		helloSeen:  map[codepool.CodeID]bool{},
+		auth2Codes: map[codepool.CodeID]bool{},
+		firstHello: nd.net.engine.Now(),
+	}
+	nd.responders[initiator] = rs
+	if nd.retryEnabled() {
+		nd.reapAfterTimeout(func() bool {
+			if nd.responders[initiator] != rs || rs.accepted {
+				return false
+			}
+			delete(nd.responders, initiator)
+			return true
+		})
+	}
+	return rs
 }
 
 // sendConfirm transmits the CONFIRM on every code the HELLO arrived on
@@ -201,7 +220,20 @@ func (nd *Node) onConfirm(code codepool.CodeID, p wire.Confirm) {
 	if peer == nil {
 		peer = &dndpInitiatorPeer{firstConfirm: nd.net.engine.Now()}
 		st.peers[p.Responder] = peer
-		nd.scheduleInitiatorPeerReap(st, p.Responder, peer)
+		if nd.retryEnabled() {
+			// The round's retry check reaps half-open peers too; this
+			// per-record timer covers peers created after the final check.
+			// The closure captures copies: capturing the reassigned peer
+			// would heap-allocate it on every CONFIRM, retries on or off.
+			responder, ps := p.Responder, peer
+			nd.reapAfterTimeout(func() bool {
+				if nd.initiator != st || st.peers[responder] != ps || ps.done {
+					return false // a newer round owns the peer table, or done
+				}
+				delete(st.peers, responder)
+				return true
+			})
+		}
 	}
 	if peer.done {
 		return
@@ -252,15 +284,33 @@ func (nd *Node) sendAuth1(responder ibc.NodeID) {
 		peer.haveKey = true
 		nd.stats.KeyComputations++
 	}
-	mac := ibc.MAC(peer.key, nd.net.params.LenMAC/8, idBytes(nd.id), st.nonce)
+	auth1 := nd.authMessage(responder, peer.key, st.nonce)
 	for _, c := range peer.confirmCodes {
-		_ = nd.net.send(nd.index, -1, wire.KindAuth1, c, wire.Auth{
-			Sender: nd.id,
-			Peer:   responder,
-			Nonce:  append([]byte(nil), st.nonce...),
-			MAC:    mac,
-		})
+		_ = nd.net.send(nd.index, -1, wire.KindAuth1, c, auth1)
 	}
+}
+
+// authMessage builds nd's authentication message to peer, AUTH1 or AUTH2:
+// {ID, n, f_K(ID|n)}.
+func (nd *Node) authMessage(peer ibc.NodeID, key [32]byte, nonce []byte) wire.Auth {
+	return wire.Auth{
+		Sender: nd.id,
+		Peer:   peer,
+		Nonce:  append([]byte(nil), nonce...),
+		MAC:    ibc.MAC(key, nd.net.params.LenMAC/8, idBytes(nd.id), nonce),
+	}
+}
+
+// checkAuth verifies an authentication message's f_K(ID|n) under key. An
+// invalid MAC feeds the §V-D revocation counter of the code it came on.
+func (nd *Node) checkAuth(key [32]byte, p wire.Auth, code codepool.CodeID) bool {
+	nd.stats.MACVerifications++
+	if ibc.VerifyMAC(key, p.MAC, idBytes(p.Sender), p.Nonce) {
+		return true
+	}
+	nd.stats.MACFailures++
+	nd.reportInvalid(code)
+	return false
 }
 
 // onAuth1 is the responder's verification step: compute K_BA (first copy
@@ -283,16 +333,9 @@ func (nd *Node) onAuth1(from int, code codepool.CodeID, p wire.Auth) {
 		if nd.replaySeen(p.Sender, p.Nonce) {
 			return
 		}
-		if !nd.admitHalfOpen(from) {
+		if rs = nd.openResponder(from, p.Sender); rs == nil {
 			return
 		}
-		rs = &dndpResponderState{
-			helloSeen:  map[codepool.CodeID]bool{},
-			auth2Codes: map[codepool.CodeID]bool{},
-			firstHello: nd.net.engine.Now(),
-		}
-		nd.responders[p.Sender] = rs
-		nd.scheduleResponderReap(p.Sender, rs)
 	}
 	delay := sim.Time(0)
 	if !rs.haveKey {
@@ -320,10 +363,7 @@ func (nd *Node) verifyAuth1(sender ibc.NodeID, p wire.Auth, code codepool.CodeID
 		rs.haveKey = true
 		nd.stats.KeyComputations++
 	}
-	nd.stats.MACVerifications++
-	if !ibc.VerifyMAC(rs.key, p.MAC, idBytes(sender), p.Nonce) {
-		nd.stats.MACFailures++
-		nd.reportInvalid(code)
+	if !nd.checkAuth(rs.key, p, code) {
 		nd.net.spanEnd(sp, nd.index, int(sender), "mac invalid")
 		return
 	}
@@ -349,13 +389,7 @@ func (nd *Node) verifyAuth1(sender ibc.NodeID, p wire.Auth, code codepool.CodeID
 		// open is a handshake the jammer destroyed on the last message.
 		rs.confirmSpan = nd.net.spanStart(nd.net.attemptSpanOf(sender), nd.index, int(sender), "dndp.confirm")
 	}
-	mac := ibc.MAC(rs.key, nd.net.params.LenMAC/8, idBytes(nd.id), rs.nonce)
-	_ = nd.net.send(nd.index, -1, wire.KindAuth2, code, wire.Auth{
-		Sender: nd.id,
-		Peer:   sender,
-		Nonce:  append([]byte(nil), rs.nonce...),
-		MAC:    mac,
-	})
+	_ = nd.net.send(nd.index, -1, wire.KindAuth2, code, nd.authMessage(sender, rs.key, rs.nonce))
 }
 
 // onAuth2 is the initiator's final step: verify the responder's MAC and
@@ -372,10 +406,7 @@ func (nd *Node) onAuth2(code codepool.CodeID, p wire.Auth) {
 	if peer == nil || !peer.haveKey || peer.done {
 		return
 	}
-	nd.stats.MACVerifications++
-	if !ibc.VerifyMAC(peer.key, p.MAC, idBytes(p.Sender), p.Nonce) {
-		nd.stats.MACFailures++
-		nd.reportInvalid(code)
+	if !nd.checkAuth(peer.key, p, code) {
 		nd.net.endConfirmSpan(p.Sender, nd.id, "mac invalid")
 		return
 	}

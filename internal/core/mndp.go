@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"encoding/binary"
 	"slices"
 
@@ -22,31 +21,37 @@ import (
 // CONFIRM completes the mutual discovery, so a responder ν hops away is
 // never accepted — the false positives the paper warns about. The optional
 // GPS filter stops such far nodes from answering at all.
+//
+// Requests and responses carry one signed hop chain: "each node verifies
+// the previous signatures and adds its own ID, logical neighbor list and
+// signature" (§V-C). A request's chain is its Hops (origin first, then
+// forwarders), a response's its Path (responder first, then relays). Hop i
+// signs the transcript of the message header followed by the hop records
+// of hops 0..i, all big-endian:
+//
+//	request header   "mndp-req" ‖ nonce ‖ int32 ν
+//	response header  "mndp-resp" ‖ uint16 origin ‖ origin nonce ‖ nonce ‖ int32 ν
+//	hop record       uint16 ID ‖ int32 neighbor count ‖ uint16 per neighbor
+//
+// The GPS claim and the return route travel unsigned. verifyChain checks
+// a received chain and extendChain adds the next signed link, for both
+// message kinds.
 
 // initiateMNDP starts one M-NDP round toward every logical neighbor.
 func (nd *Node) initiateMNDP() {
 	if nd.down || nd.compromised || len(nd.neighbors) == 0 {
 		return
 	}
-	now := nd.net.engine.Now()
-	nd.net.initTime[nd.id] = now
-	nonce := nd.newNonce()
-	p := nd.net.params
-	req := wire.MNDPRequest{
-		Nonce: nonce,
-		Nu:    p.Nu,
-		Hops:  []wire.Hop{{ID: nd.id, Neighbors: nd.neighborIDs()}},
-	}
+	nd.net.initTime[nd.id] = nd.net.engine.Now()
+	req := wire.MNDPRequest{Nonce: nd.newNonce(), Nu: nd.net.params.Nu}
 	pos := nd.net.positions[nd.index]
 	req.OriginPosX, req.OriginPosY = pos.X, pos.Y
 	req.HasOriginPos = nd.net.cfg.GPSFilter
-	nd.seenRequests[requestKey(nd.id, nonce)] = true
-	nd.net.engine.MustSchedule(nd.sigDelay(), func() {
-		if nd.down {
-			return
-		}
-		req.Hops[0].Sig = nd.signRequest(req, 0)
-		nd.forwardRequest(req)
+	nd.seenRequests[requestKey(nd.id, req.Nonce)] = true
+	nd.extendChain(requestHeader(req), nil, func(hops []wire.Hop) {
+		signed := req
+		signed.Hops = hops
+		nd.forwardRequest(signed)
 	})
 }
 
@@ -65,50 +70,74 @@ func (nd *Node) verDelay(k int) sim.Time {
 	return sim.Time(float64(k) * nd.net.params.TVer * nd.skew)
 }
 
-// signRequest signs the request contents up to and including hop i.
-func (nd *Node) signRequest(req wire.MNDPRequest, uptoHop int) ibc.Signature {
-	return nd.priv.Sign(encodeRequest(req, uptoHop))
+// requestHeader and responseHeader return the part of every transcript
+// that precedes the hop records. The result is clipped, so each
+// transcript appended to it gets its own array.
+func requestHeader(req wire.MNDPRequest) []byte {
+	b := append([]byte("mndp-req"), req.Nonce...)
+	return slices.Clip(binary.BigEndian.AppendUint32(b, uint32(req.Nu)))
 }
 
-// encodeRequest canonically encodes the request fields covered by hop i's
-// signature: nonce, ν, and every hop's ID and neighbor list up to i.
-func encodeRequest(req wire.MNDPRequest, uptoHop int) []byte {
-	var buf bytes.Buffer
-	buf.WriteString("mndp-req")
-	buf.Write(req.Nonce)
-	_ = binary.Write(&buf, binary.BigEndian, int32(req.Nu))
-	for i := 0; i <= uptoHop && i < len(req.Hops); i++ {
-		_ = binary.Write(&buf, binary.BigEndian, uint16(req.Hops[i].ID))
-		_ = binary.Write(&buf, binary.BigEndian, int32(len(req.Hops[i].Neighbors)))
-		for _, nb := range req.Hops[i].Neighbors {
-			_ = binary.Write(&buf, binary.BigEndian, uint16(nb))
-		}
-	}
-	return buf.Bytes()
+func responseHeader(resp wire.MNDPResponse) []byte {
+	b := binary.BigEndian.AppendUint16([]byte("mndp-resp"), uint16(resp.Origin))
+	b = append(append(b, resp.OriginNonce...), resp.Nonce...)
+	return slices.Clip(binary.BigEndian.AppendUint32(b, uint32(resp.Nu)))
 }
 
-// encodeResponse canonically encodes the response fields covered by the
-// signature of path hop uptoHop: origin, nonces, ν, and every path hop's
-// ID and neighbor list up to and including that hop (Path[0] is the
-// responder; later entries are relays, each signing the response so far —
-// "each node verifies the previous signatures and adds its own ID, logical
-// neighbor list and signature", §V-C).
-func encodeResponse(resp wire.MNDPResponse, uptoHop int) []byte {
-	var buf bytes.Buffer
-	buf.WriteString("mndp-resp")
-	_ = binary.Write(&buf, binary.BigEndian, uint16(resp.Origin))
-	buf.Write(resp.OriginNonce)
-	buf.Write(resp.Nonce)
-	_ = binary.Write(&buf, binary.BigEndian, int32(resp.Nu))
-	for i := 0; i <= uptoHop && i < len(resp.Path); i++ {
-		h := resp.Path[i]
-		_ = binary.Write(&buf, binary.BigEndian, uint16(h.ID))
-		_ = binary.Write(&buf, binary.BigEndian, int32(len(h.Neighbors)))
-		for _, nb := range h.Neighbors {
-			_ = binary.Write(&buf, binary.BigEndian, uint16(nb))
+// appendHop appends h's hop record to a transcript.
+func appendHop(b []byte, h wire.Hop) []byte {
+	b = binary.BigEndian.AppendUint16(b, uint16(h.ID))
+	b = binary.BigEndian.AppendUint32(b, uint32(len(h.Neighbors)))
+	for _, nb := range h.Neighbors {
+		b = binary.BigEndian.AppendUint16(b, uint16(nb))
+	}
+	return b
+}
+
+// transcript is what the last of hops signs: the header, then every hop
+// record in order.
+func transcript(header []byte, hops []wire.Hop) []byte {
+	for _, h := range hops {
+		header = appendHop(header, h)
+	}
+	return header
+}
+
+// verifyChain checks a received chain: every hop's signature over its
+// transcript (t_ver each, already charged by the caller), then path
+// validity — each hop must be a declared logical neighbor of the one
+// before it (the origin's final check "whether C ∈ ℒ_B").
+func (nd *Node) verifyChain(header []byte, hops []wire.Hop) bool {
+	t := header
+	for _, h := range hops {
+		t = appendHop(t, h)
+		nd.stats.SigVerifications++
+		if err := ibc.Verify(nd.net.rootPub, h.ID, t, h.Sig); err != nil {
+			nd.stats.SigFailures++
+			return false
 		}
 	}
-	return buf.Bytes()
+	for i := 1; i < len(hops); i++ {
+		if !slices.Contains(hops[i-1].Neighbors, hops[i].ID) {
+			return false
+		}
+	}
+	return true
+}
+
+// extendChain adds nd's link to a chain: it appends nd's hop record (ID
+// and logical-neighbor list) to a copy of hops, waits t_sig, signs the
+// transcript up to the new hop and hands the extended chain on — unless
+// nd has crashed meanwhile.
+func (nd *Node) extendChain(header []byte, hops []wire.Hop, handOn func(hops []wire.Hop)) {
+	chain := append(slices.Clip(hops), wire.Hop{ID: nd.id, Neighbors: nd.neighborIDs()})
+	nd.net.engine.MustSchedule(nd.sigDelay(), func() {
+		if nd.down {
+			return
+		}
+		chain[len(chain)-1].Sig = nd.priv.Sign(transcript(header, chain))
+		handOn(chain)
+	})
 }
 
 func requestKey(origin ibc.NodeID, nonce []byte) string {
@@ -183,21 +212,9 @@ func (nd *Node) onMNDPRequest(from int, req wire.MNDPRequest) {
 }
 
 func (nd *Node) processRequest(req wire.MNDPRequest) {
-	// 1. Signatures of the origin and every forwarder.
-	for i, h := range req.Hops {
-		nd.stats.SigVerifications++
-		if err := ibc.Verify(nd.net.rootPub, h.ID, encodeRequest(req, i), h.Sig); err != nil {
-			nd.stats.SigFailures++
-			nd.reportInvalid(radio.SessionCode)
-			return
-		}
-	}
-	// 2. Path validity: each forwarder must be a declared neighbor of the
-	// previous hop, and the last hop a logical neighbor of ours.
-	for i := 1; i < len(req.Hops); i++ {
-		if !slices.Contains(req.Hops[i-1].Neighbors, req.Hops[i].ID) {
-			return
-		}
+	header := requestHeader(req)
+	if !nd.verifyChain(header, req.Hops) {
+		return
 	}
 	origin := req.Hops[0].ID
 	// Respond only when the origin is not already a logical neighbor;
@@ -215,19 +232,11 @@ func (nd *Node) processRequest(req wire.MNDPRequest) {
 	if respond {
 		nd.respondToRequest(req)
 	}
-
-	// 3. Forward while the hop budget allows.
+	// Forward while the hop budget allows.
 	if len(req.Hops) < req.Nu {
-		fwd := req
-		fwd.Hops = append(append([]wire.Hop(nil), req.Hops...), wire.Hop{
-			ID:        nd.id,
-			Neighbors: nd.neighborIDs(),
-		})
-		nd.net.engine.MustSchedule(nd.sigDelay(), func() {
-			if nd.down {
-				return
-			}
-			fwd.Hops[len(fwd.Hops)-1].Sig = nd.signRequest(fwd, len(fwd.Hops)-1)
+		nd.extendChain(header, req.Hops, func(hops []wire.Hop) {
+			fwd := req
+			fwd.Hops = hops
 			nd.forwardRequest(fwd)
 		})
 	}
@@ -241,10 +250,9 @@ func (nd *Node) respondToRequest(req wire.MNDPRequest) {
 	if _, pending := nd.mndpIn[origin]; pending {
 		return
 	}
-	nonce := nd.newNonce()
 	resp := wire.MNDPResponse{
 		Origin:      origin,
-		Nonce:       nonce,
+		Nonce:       nd.newNonce(),
 		OriginNonce: append([]byte(nil), req.Nonce...),
 		Nu:          req.Nu,
 	}
@@ -260,22 +268,43 @@ func (nd *Node) respondToRequest(req wire.MNDPRequest) {
 			nd.net.spanEnd(sp, nd.index, int(origin), "down")
 			return
 		}
-		key := nd.priv.SharedKey(origin)
-		nd.stats.KeyComputations++
-		pending := &mndpPending{peer: origin, key: key, initiatedAt: nd.net.engine.Now()}
-		nd.mndpIn[origin] = pending
-		nd.scheduleMNDPReap(nd.mndpIn, origin, pending)
+		nd.openMNDPPending(nd.mndpIn, origin)
 		resp.Path = []wire.Hop{{ID: nd.id, Neighbors: nd.neighborIDs()}}
-		resp.Path[0].Sig = nd.priv.Sign(encodeResponse(resp, 0))
-		next := int(origin)
-		if len(resp.ReturnRoute) > 0 {
-			next = int(resp.ReturnRoute[0])
-			resp.ReturnRoute = resp.ReturnRoute[1:]
-		}
-		_ = nd.net.send(nd.index, next, wire.KindMNDPResponse, radio.SessionCode, resp)
+		resp.Path[0].Sig = nd.priv.Sign(transcript(responseHeader(resp), resp.Path))
+		nd.sendResponse(resp)
 		nd.net.spanEnd(sp, nd.index, int(origin), "responded")
 		nd.beaconSessionHello(origin)
 	})
+}
+
+// sendResponse unicasts resp to the next relay on its return route, or to
+// the origin once the route is used up.
+func (nd *Node) sendResponse(resp wire.MNDPResponse) {
+	next := int(resp.Origin)
+	if len(resp.ReturnRoute) > 0 {
+		next = int(resp.ReturnRoute[0])
+		resp.ReturnRoute = resp.ReturnRoute[1:]
+	}
+	_ = nd.net.send(nd.index, next, wire.KindMNDPResponse, radio.SessionCode, resp)
+}
+
+// openMNDPPending derives the pairwise key with peer and records the
+// exchange in table (mndpOut at the origin, mndpIn at the responder) until
+// the session beacon completes it or, with retries on, the session
+// timeout reaps it.
+func (nd *Node) openMNDPPending(table map[ibc.NodeID]*mndpPending, peer ibc.NodeID) {
+	p := &mndpPending{key: nd.priv.SharedKey(peer), initiatedAt: nd.net.engine.Now()}
+	nd.stats.KeyComputations++
+	table[peer] = p
+	if nd.retryEnabled() {
+		nd.reapAfterTimeout(func() bool {
+			if table[peer] != p {
+				return false
+			}
+			delete(table, peer)
+			return true
+		})
+	}
 }
 
 // beaconSessionHello broadcasts {HELLO, ID} spread with the derived session
@@ -313,47 +342,22 @@ func (nd *Node) onMNDPResponse(from int, resp wire.MNDPResponse) {
 }
 
 func (nd *Node) processResponse(resp wire.MNDPResponse) {
-	// Verify the whole signature chain: the responder's plus every
-	// relay's.
-	responder := resp.Path[0].ID
-	for i, h := range resp.Path {
-		nd.stats.SigVerifications++
-		if err := ibc.Verify(nd.net.rootPub, h.ID, encodeResponse(resp, i), h.Sig); err != nil {
-			nd.stats.SigFailures++
-			nd.reportInvalid(radio.SessionCode)
-			return
-		}
-	}
-	// Path validity: every relay must be a declared logical neighbor of
-	// the previous path entry (origin's final check "whether C ∈ ℒ_B").
-	for i := 1; i < len(resp.Path); i++ {
-		if !slices.Contains(resp.Path[i-1].Neighbors, resp.Path[i].ID) {
-			return
-		}
+	header := responseHeader(resp)
+	if !nd.verifyChain(header, resp.Path) {
+		return
 	}
 	if resp.Origin != nd.id {
-		// Relay toward the origin: append our own signed hop record.
-		next := int(resp.Origin)
-		fwd := resp
-		if len(resp.ReturnRoute) > 0 {
-			next = int(resp.ReturnRoute[0])
-			fwd.ReturnRoute = resp.ReturnRoute[1:]
-		}
-		fwd.Path = append(append([]wire.Hop(nil), resp.Path...), wire.Hop{
-			ID:        nd.id,
-			Neighbors: nd.neighborIDs(),
-		})
-		nd.net.engine.MustSchedule(nd.sigDelay(), func() {
-			if nd.down {
-				return
-			}
-			fwd.Path[len(fwd.Path)-1].Sig = nd.priv.Sign(encodeResponse(fwd, len(fwd.Path)-1))
-			_ = nd.net.send(nd.index, next, wire.KindMNDPResponse, radio.SessionCode, fwd)
+		// Relay toward the origin with our own signed hop record.
+		nd.extendChain(header, resp.Path, func(path []wire.Hop) {
+			fwd := resp
+			fwd.Path = path
+			nd.sendResponse(fwd)
 		})
 		return
 	}
 	// Origin: derive the pairwise key and session code, then listen for
 	// the responder's beacon.
+	responder := resp.Path[0].ID
 	if nd.IsLogicalNeighbor(responder) {
 		return
 	}
@@ -364,11 +368,7 @@ func (nd *Node) processResponse(resp wire.MNDPResponse) {
 		if nd.down {
 			return
 		}
-		key := nd.priv.SharedKey(responder)
-		nd.stats.KeyComputations++
-		pending := &mndpPending{peer: responder, key: key, initiatedAt: nd.net.engine.Now()}
-		nd.mndpOut[responder] = pending
-		nd.scheduleMNDPReap(nd.mndpOut, responder, pending)
+		nd.openMNDPPending(nd.mndpOut, responder)
 	})
 }
 

@@ -287,13 +287,7 @@ func NewNetwork(cfg NetworkConfig) (*Network, error) {
 			if jammed {
 				kind = trace.KindJammed
 			}
-			n.sink.Emit(trace.Event{
-				At:     float64(engine.Now()),
-				Kind:   kind,
-				Node:   from,
-				Peer:   to,
-				Detail: fmt.Sprintf("%s code=%d bits=%d", wire.KindName(msg.Kind), msg.Code, msg.PayloadBits),
-			})
+			n.emit(kind, from, to, fmt.Sprintf("%s code=%d bits=%d", wire.KindName(msg.Kind), msg.Code, msg.PayloadBits))
 		}
 	}
 	n.medium, err = radio.NewMedium(radio.MediumConfig{
@@ -363,10 +357,12 @@ func (n *Network) newNode(idx int, keyRng *rand.Rand) (*Node, error) {
 	}, nil
 }
 
-// emit forwards a protocol event to the configured trace sink, if any.
-func (n *Network) emit(e trace.Event) {
+// emit stamps a protocol event with the current virtual time and forwards
+// it to the configured trace sink, if any. Node and peer are -1 when not
+// applicable.
+func (n *Network) emit(kind trace.Kind, node, peer int, detail string) {
 	if n.sink != nil {
-		n.sink.Emit(e)
+		n.sink.Emit(trace.Event{At: float64(n.engine.Now()), Kind: kind, Node: node, Peer: peer, Detail: detail})
 	}
 }
 
@@ -422,13 +418,7 @@ func (n *Network) RevokeGlobally(code codepool.CodeID) (int, error) {
 	}
 	if held > 0 {
 		n.m.revokedGlobal.Inc()
-		n.emit(trace.Event{
-			At:     float64(n.engine.Now()),
-			Kind:   trace.KindRevocation,
-			Node:   -1,
-			Peer:   -1,
-			Detail: fmt.Sprintf("authority revoked code %d network-wide (%d holders)", code, held),
-		})
+		n.emit(trace.KindRevocation, -1, -1, fmt.Sprintf("authority revoked code %d network-wide (%d holders)", code, held))
 	}
 	return held, nil
 }
@@ -519,13 +509,7 @@ func (n *Network) CrashNode(i int) error {
 	nd.resetDefenses()
 	delete(n.initTime, nd.id)
 	n.m.crashes.Inc()
-	n.emit(trace.Event{
-		At:     float64(n.engine.Now()),
-		Kind:   trace.KindCrash,
-		Node:   i,
-		Peer:   -1,
-		Detail: "node crashed: volatile state lost",
-	})
+	n.emit(trace.KindCrash, i, -1, "node crashed: volatile state lost")
 	return nil
 }
 
@@ -543,13 +527,7 @@ func (n *Network) RestartNode(i int) error {
 	nd.down = false
 	n.medium.SetRadio(i, true)
 	n.m.restarts.Inc()
-	n.emit(trace.Event{
-		At:     float64(n.engine.Now()),
-		Kind:   trace.KindRestart,
-		Node:   i,
-		Peer:   -1,
-		Detail: "node restarted with empty state",
-	})
+	n.emit(trace.KindRestart, i, -1, "node restarted with empty state")
 	return nil
 }
 
@@ -579,13 +557,7 @@ func (n *Network) ExpireStaleNeighbors() int {
 			nd.forgetPeer(peer)
 			droppedPairs[pairKey(nd.id, peer)] = true
 			n.m.expiries.Inc()
-			n.emit(trace.Event{
-				At:     float64(n.engine.Now()),
-				Kind:   trace.KindExpiry,
-				Node:   nd.index,
-				Peer:   int(peer),
-				Detail: "monitor timeout: peer out of range or silent",
-			})
+			n.emit(trace.KindExpiry, nd.index, int(peer), "monitor timeout: peer out of range or silent")
 		}
 	}
 	return len(droppedPairs)
@@ -611,13 +583,7 @@ func (n *Network) ExpireSilentSessions() int {
 			delete(nd.neighbors, peer)
 			dropped++
 			n.m.silentExpiries.Inc()
-			n.emit(trace.Event{
-				At:     float64(n.engine.Now()),
-				Kind:   trace.KindExpiry,
-				Node:   nd.index,
-				Peer:   int(peer),
-				Detail: "inactivity timeout: peer never reciprocated",
-			})
+			n.emit(trace.KindExpiry, nd.index, int(peer), "inactivity timeout: peer never reciprocated")
 		}
 	}
 	return dropped
@@ -804,13 +770,7 @@ func (nd *Node) handle(from int, msg radio.Message) {
 	kind, payload, err := wire.Decode(msg.Frame, nd.net.limits)
 	if err != nil {
 		nd.net.m.decodeErrors.Inc()
-		nd.net.emit(trace.Event{
-			At:     float64(nd.net.engine.Now()),
-			Kind:   trace.KindDrop,
-			Node:   nd.index,
-			Peer:   from,
-			Detail: fmt.Sprintf("frame rejected by decoder: %v", err),
-		})
+		nd.net.emit(trace.KindDrop, nd.index, from, fmt.Sprintf("frame rejected by decoder: %v", err))
 		return
 	}
 	switch kind {

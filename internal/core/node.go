@@ -53,9 +53,8 @@ type NodeStats struct {
 
 // dndpInitiatorState tracks one of the node's own HELLO rounds.
 type dndpInitiatorState struct {
-	nonce     []byte
-	startedAt sim.Time
-	peers     map[ibc.NodeID]*dndpInitiatorPeer
+	nonce []byte
+	peers map[ibc.NodeID]*dndpInitiatorPeer
 	// attemptSpan is the open dndp.attempt root span (0 when tracing is
 	// off); every phase of this round parents to it.
 	attemptSpan trace.SpanID
@@ -92,7 +91,6 @@ type dndpResponderState struct {
 // mndpPending tracks an M-NDP exchange awaiting the session HELLO/CONFIRM
 // beacon.
 type mndpPending struct {
-	peer        ibc.NodeID
 	key         [32]byte
 	initiatedAt sim.Time
 }
@@ -196,13 +194,7 @@ func (nd *Node) acceptNeighbor(peer ibc.NodeID, via DiscoveryMethod, key [32]byt
 		DiscoveredAt: nd.net.engine.Now(),
 		SessionKey:   key,
 	}
-	nd.net.emit(trace.Event{
-		At:     float64(nd.net.engine.Now()),
-		Kind:   trace.KindDiscovery,
-		Node:   nd.index,
-		Peer:   int(peer),
-		Detail: "via " + via.String(),
-	})
+	nd.net.emit(trace.KindDiscovery, nd.index, int(peer), "via "+via.String())
 	nd.net.recordDiscovery(nd.id, peer, via)
 }
 
@@ -244,12 +236,6 @@ func (nd *Node) reportInvalid(c codepool.CodeID) {
 	nd.net.m.invalidReports.Inc()
 	if nd.revoker.ReportInvalid(c) {
 		nd.net.m.revokedLocal.Inc()
-		nd.net.emit(trace.Event{
-			At:     float64(nd.net.engine.Now()),
-			Kind:   trace.KindRevocation,
-			Node:   nd.index,
-			Peer:   -1,
-			Detail: fmt.Sprintf("code %d locally revoked (γ=%d exceeded)", c, nd.revoker.Gamma()),
-		})
+		nd.net.emit(trace.KindRevocation, nd.index, -1, fmt.Sprintf("code %d locally revoked (γ=%d exceeded)", c, nd.revoker.Gamma()))
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/analysis"
-	"repro/internal/ibc"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -106,13 +105,7 @@ func (nd *Node) dndpRetryCheck() {
 		retry := nd.dndpAttempts // k-th retry, 1-based
 		backoff := sim.Time(nd.rng.Float64()) * (cfg.SessionTimeout / 2) * sim.Time(uint64(1)<<uint(retry-1))
 		nd.net.m.retries.Inc()
-		nd.net.emit(trace.Event{
-			At:     float64(nd.net.engine.Now()),
-			Kind:   trace.KindRetry,
-			Node:   nd.index,
-			Peer:   -1,
-			Detail: fmt.Sprintf("D-NDP retry %d/%d after backoff %.4fs (%d peers undiscovered)", retry, maxDNDPAttempts-1, float64(backoff), missingShared),
-		})
+		nd.net.emit(trace.KindRetry, nd.index, -1, fmt.Sprintf("D-NDP retry %d/%d after backoff %.4fs (%d peers undiscovered)", retry, maxDNDPAttempts-1, float64(backoff), missingShared))
 		nd.net.engine.MustSchedule(backoff, nd.initiateDNDP) // a no-op if nd is down by then
 		return
 	}
@@ -122,13 +115,7 @@ func (nd *Node) dndpRetryCheck() {
 	if !nd.mndpFallback && len(nd.neighbors) > 0 {
 		nd.mndpFallback = true
 		nd.net.m.fallbacks.Inc()
-		nd.net.emit(trace.Event{
-			At:     float64(nd.net.engine.Now()),
-			Kind:   trace.KindRetry,
-			Node:   nd.index,
-			Peer:   -1,
-			Detail: fmt.Sprintf("D-NDP budget exhausted, falling back to M-NDP (%d peers undiscovered)", missingAny),
-		})
+		nd.net.emit(trace.KindRetry, nd.index, -1, fmt.Sprintf("D-NDP budget exhausted, falling back to M-NDP (%d peers undiscovered)", missingAny))
 		nd.initiateMNDP()
 	}
 }
@@ -161,52 +148,14 @@ func (nd *Node) sharesUsableCode(peer *Node) bool {
 	return false
 }
 
-// scheduleResponderReap garbage-collects a responder record that never
-// reached acceptance within the session timeout (e.g. its CONFIRM or the
-// peer's AUTH1 was destroyed).
-func (nd *Node) scheduleResponderReap(initiator ibc.NodeID, rs *dndpResponderState) {
-	cfg := nd.net.cfg.Retry
-	if cfg == nil {
-		return
-	}
-	nd.net.engine.MustSchedule(cfg.SessionTimeout, func() {
-		if cur := nd.responders[initiator]; cur == rs && !cur.accepted {
-			delete(nd.responders, initiator)
-			nd.net.m.halfOpenGC.Inc()
-		}
-	})
-}
-
-// scheduleInitiatorPeerReap garbage-collects an initiator-side peer record
-// that never completed mutual auth within the session timeout (e.g. the
-// AUTH2 was destroyed). The round's periodic retry check reaps these too;
-// this per-record timer covers peers created after the final check.
-func (nd *Node) scheduleInitiatorPeerReap(st *dndpInitiatorState, responder ibc.NodeID, ps *dndpInitiatorPeer) {
-	cfg := nd.net.cfg.Retry
-	if cfg == nil {
-		return
-	}
-	nd.net.engine.MustSchedule(cfg.SessionTimeout, func() {
-		if nd.initiator != st {
-			return // a newer round owns the peer table now
-		}
-		if cur := st.peers[responder]; cur == ps && !cur.done {
-			delete(st.peers, responder)
-			nd.net.m.halfOpenGC.Inc()
-		}
-	})
-}
-
-// scheduleMNDPReap garbage-collects a pending M-NDP exchange (beacon sent
-// or awaited) that never completed within the session timeout.
-func (nd *Node) scheduleMNDPReap(table map[ibc.NodeID]*mndpPending, peer ibc.NodeID, p *mndpPending) {
-	cfg := nd.net.cfg.Retry
-	if cfg == nil {
-		return
-	}
-	nd.net.engine.MustSchedule(cfg.SessionTimeout, func() {
-		if cur, ok := table[peer]; ok && cur == p {
-			delete(table, peer)
+// reapAfterTimeout is the one half-open garbage collector: once the
+// session timeout has passed, reap removes its handshake record if the
+// record is still half-open and reports whether it did, which counts one
+// half-open GC. Call it only with retries enabled, and build the reap
+// closure only there, so retry-off runs allocate nothing for it.
+func (nd *Node) reapAfterTimeout(reap func() bool) {
+	nd.net.engine.MustSchedule(nd.net.cfg.Retry.SessionTimeout, func() {
+		if reap() {
 			nd.net.m.halfOpenGC.Inc()
 		}
 	})

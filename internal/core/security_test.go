@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/hex"
 	"testing"
 
 	"repro/internal/ibc"
@@ -94,7 +95,7 @@ func TestMNDPRejectsTamperedNeighborList(t *testing.T) {
 		Nu:    2,
 		Hops:  []wire.Hop{{ID: origin.id, Neighbors: origin.neighborIDs()}},
 	}
-	req.Hops[0].Sig = origin.signRequest(req, 0)
+	req.Hops[0].Sig = origin.priv.Sign(transcript(requestHeader(req), req.Hops[:1]))
 	req.Hops[0].Neighbors = append(req.Hops[0].Neighbors, 999) // tamper
 
 	before := victim.Stats()
@@ -115,7 +116,7 @@ func TestMNDPDedupSuppressesReplay(t *testing.T) {
 		Nu:    2,
 		Hops:  []wire.Hop{{ID: origin.id, Neighbors: origin.neighborIDs()}},
 	}
-	req.Hops[0].Sig = origin.signRequest(req, 0)
+	req.Hops[0].Sig = origin.priv.Sign(transcript(requestHeader(req), req.Hops[:1]))
 
 	inject(t, net, 2, 0, wire.KindMNDPRequest, req)
 	firstVerifications := victim.Stats().SigVerifications
@@ -141,9 +142,9 @@ func TestMNDPRejectsInvalidPathChain(t *testing.T) {
 		Nu:    3,
 		Hops:  []wire.Hop{{ID: origin.id, Neighbors: []ibc.NodeID{3}}}, // no relay
 	}
-	req.Hops[0].Sig = origin.signRequest(req, 0)
+	req.Hops[0].Sig = origin.priv.Sign(transcript(requestHeader(req), req.Hops[:1]))
 	req.Hops = append(req.Hops, wire.Hop{ID: relay.id, Neighbors: relay.neighborIDs()})
-	req.Hops[1].Sig = relay.signRequest(req, 1)
+	req.Hops[1].Sig = relay.priv.Sign(transcript(requestHeader(req), req.Hops[:2]))
 
 	inject(t, net, 1, 0, wire.KindMNDPRequest, req)
 	if len(victim.mndpIn) != 0 {
@@ -199,10 +200,10 @@ func TestMNDPRejectsTamperedResponseRelayHop(t *testing.T) {
 		Nu:          2,
 		Path:        []wire.Hop{{ID: responder.id, Neighbors: responder.neighborIDs()}},
 	}
-	resp.Path[0].Sig = responder.priv.Sign(encodeResponse(resp, 0))
+	resp.Path[0].Sig = responder.priv.Sign(transcript(responseHeader(resp), resp.Path[:1]))
 	// …relayed with a correctly signed relay hop…
 	resp.Path = append(resp.Path, wire.Hop{ID: relay.id, Neighbors: relay.neighborIDs()})
-	resp.Path[1].Sig = relay.priv.Sign(encodeResponse(resp, 1))
+	resp.Path[1].Sig = relay.priv.Sign(transcript(responseHeader(resp), resp.Path[:2]))
 	// …then the relay's neighbor list is tampered after signing.
 	resp.Path[1].Neighbors = append(resp.Path[1].Neighbors, 777)
 
@@ -233,9 +234,9 @@ func TestMNDPResponsePathChainChecked(t *testing.T) {
 		Nu:          2,
 		Path:        []wire.Hop{{ID: responder.id, Neighbors: []ibc.NodeID{2}}}, // no relay
 	}
-	resp.Path[0].Sig = responder.priv.Sign(encodeResponse(resp, 0))
+	resp.Path[0].Sig = responder.priv.Sign(transcript(responseHeader(resp), resp.Path[:1]))
 	resp.Path = append(resp.Path, wire.Hop{ID: relay.id, Neighbors: relay.neighborIDs()})
-	resp.Path[1].Sig = relay.priv.Sign(encodeResponse(resp, 1))
+	resp.Path[1].Sig = relay.priv.Sign(transcript(responseHeader(resp), resp.Path[:2]))
 
 	inject(t, net, 1, 0, wire.KindMNDPResponse, resp)
 	if origin.Stats().SigFailures != 0 {
@@ -265,10 +266,61 @@ func TestMNDPIgnoresRequestsFromStrangers(t *testing.T) {
 		Nu:    2,
 		Hops:  []wire.Hop{{ID: origin.id, Neighbors: nil}},
 	}
-	req.Hops[0].Sig = origin.signRequest(req, 0)
+	req.Hops[0].Sig = origin.priv.Sign(transcript(requestHeader(req), req.Hops[:1]))
 	victim := net.Node(0)
 	inject(t, net, 2, 0, wire.KindMNDPRequest, req)
 	if victim.Stats().SigVerifications != 0 {
 		t.Fatal("victim verified a request from a stranger")
+	}
+}
+
+// TestMNDPTranscriptsPinned pins the bytes each M-NDP signature covers:
+// a request at hops 0–2 and a response signed by its responder and two
+// relays. Signatures are deterministic ed25519 over these transcripts, so
+// this pin is what keeps every signed M-NDP frame byte-identical. The
+// GPS claim and the return route travel unsigned.
+func TestMNDPTranscriptsPinned(t *testing.T) {
+	req := wire.MNDPRequest{
+		Nonce: []byte{0xa1, 0xb2, 0xc3},
+		Nu:    3,
+		Hops: []wire.Hop{
+			{ID: 7, Neighbors: []ibc.NodeID{1, 2, 0x0304}},
+			{ID: 0x0102},
+			{ID: 2, Neighbors: []ibc.NodeID{7}},
+		},
+		OriginPosX: 12.5, OriginPosY: 3, HasOriginPos: true,
+	}
+	reqTranscript := func(i int) []byte { return transcript(requestHeader(req), req.Hops[:i+1]) }
+	for i, want := range []string{
+		"6d6e64702d726571a1b2c300000003000700000003000100020304",
+		"6d6e64702d726571a1b2c300000003000700000003000100020304010200000000",
+		"6d6e64702d726571a1b2c3000000030007000000030001000203040102000000000002000000010007",
+	} {
+		if got := hex.EncodeToString(reqTranscript(i)); got != want {
+			t.Errorf("request transcript at hop %d = %s, want %s", i, got, want)
+		}
+	}
+
+	resp := wire.MNDPResponse{
+		Origin:      0x0a0b,
+		Nonce:       []byte{5, 6},
+		OriginNonce: []byte{0xa1, 0xb2, 0xc3},
+		Nu:          3,
+		Path: []wire.Hop{
+			{ID: 9, Neighbors: []ibc.NodeID{4}},
+			{ID: 4, Neighbors: []ibc.NodeID{3, 9}},
+			{ID: 3, Neighbors: []ibc.NodeID{4, 0x0a0b}},
+		},
+		ReturnRoute: []ibc.NodeID{3},
+	}
+	respTranscript := func(i int) []byte { return transcript(responseHeader(resp), resp.Path[:i+1]) }
+	for i, want := range []string{
+		"6d6e64702d726573700a0ba1b2c30506000000030009000000010004",
+		"6d6e64702d726573700a0ba1b2c3050600000003000900000001000400040000000200030009",
+		"6d6e64702d726573700a0ba1b2c305060000000300090000000100040004000000020003000900030000000200040a0b",
+	} {
+		if got := hex.EncodeToString(respTranscript(i)); got != want {
+			t.Errorf("response transcript at path hop %d = %s, want %s", i, got, want)
+		}
 	}
 }
