@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 30s
 
-.PHONY: build test tier1 race bench report chaos fuzz vuln authd-smoke authd-bench authd-crash authd-replica lint lint-fixtures prof benchgate node-e2e
+.PHONY: build test tier1 race bench report chaos fuzz vuln authd-smoke authd-bench authd-crash lint lint-fixtures prof benchgate node-e2e
 
 build:
 	$(GO) build ./...
@@ -13,7 +13,7 @@ test: build
 # detector (the trace sinks and metric registry are exercised concurrently;
 # the suite already includes the chaos matrix and the authd smoke tests,
 # so the chaos and authd-smoke targets are not run a second time), then
-# the crash, replication, end-to-end and benchmark harnesses. perfbench is
+# the crash, end-to-end and benchmark harnesses. perfbench is
 # its own module, so the root ./... never compiles it; building and
 # vetting it here catches a library API change that would break the
 # benchmark harness.
@@ -24,14 +24,13 @@ tier1: build
 	$(MAKE) lint-fixtures
 	$(GO) test -race ./...
 	$(MAKE) authd-crash
-	$(MAKE) authd-replica
 	$(MAKE) node-e2e
 	$(MAKE) benchgate
 
 # benchgate measures the hot-path benchmarks (sim scheduler, DSSS receive
 # path, authd handlers, transport, field hop search, codepool, the ibc
-# key/signature/session-code primitives, and the core event engine's
-# D-NDP/M-NDP rounds) against the checked-in
+# key/signature/session-code primitives, the core event engine's
+# D-NDP/M-NDP rounds, and the Reed-Solomon codec) against the checked-in
 # BENCH_*.json baselines and fails on a >2x slowdown or on any allocs/op
 # above the baseline.
 # Re-baseline deliberately with `go run ./cmd/jrsnd-benchgate -update`.
@@ -83,17 +82,6 @@ authd-smoke:
 # mutations. Exits 1 on any violation. See docs/authority.md §9.4.
 authd-crash:
 	$(GO) run ./cmd/jrsnd-authority -crash-harness -crash-cycles 2
-
-# authd-replica runs the replication-fault harness: a three-replica group
-# (primary + two followers, min-sync 1) as real subprocesses, cycling
-# follower kill/restart under load, an asymmetric partition that forces a
-# snapshot catch-up, and a primary kill with gated promotion and client
-# failover; after each fault the whole replica set must converge to one
-# (sequence, fingerprint) and every replica is checked by authd.Ledger's
-# read-only Check, the same ledger authd-crash uses. Exits 1 on any
-# violation. See docs/authority.md §10.4.
-authd-replica:
-	$(GO) run ./cmd/jrsnd-authority -replica-harness -replica-cycles 1
 
 # node-e2e runs the real-socket end-to-end harness: a jrsnd-authority
 # subprocess plus NODES jrsnd-node daemons on loopback UDP, full mutual

@@ -21,7 +21,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/experiment"
 	"repro/internal/field"
-	"repro/internal/rs"
 )
 
 // BenchmarkExperiments runs every registered experiment once per
@@ -88,45 +87,6 @@ func BenchmarkCorrelate512(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := chips.Correlate(u, v); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkRSEncode(b *testing.B) {
-	codec, err := rs.NewCodec(1.0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	msg := make([]byte, 25)
-	rand.New(rand.NewSource(5)).Read(msg)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := codec.Encode(msg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkRSDecodeWithErasures(b *testing.B) {
-	codec, err := rs.NewCodec(1.0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(6))
-	msg := make([]byte, 25)
-	rng.Read(msg)
-	enc, err := codec.Encode(msg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	erasures := rng.Perm(len(enc))[:len(enc)/3]
-	for _, e := range erasures {
-		enc[e] ^= 0x5A
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := codec.Decode(enc, len(msg), erasures); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -52,10 +52,10 @@ const (
 	harnessGamma = 3
 )
 
-// harnessRevokeCode is the one code the crash and replica harnesses
-// report, and their background load runs with MixRevoke 0. So the revoked
-// count GET /v1/epoch returns is exactly this code's revocation bit, which
-// is how checkServer reads revocation over HTTP.
+// harnessRevokeCode is the one code the crash harness reports, and its
+// background load runs with MixRevoke 0. So the revoked count GET
+// /v1/epoch returns is exactly this code's revocation bit, which is how
+// checkServer reads revocation over HTTP.
 const harnessRevokeCode int32 = 3
 
 func runCrashHarness(opts options, out io.Writer) (int, error) {
@@ -273,8 +273,7 @@ func trackedStep(ctx context.Context, cl *authd.Client, led *authd.Ledger, i int
 }
 
 // checkServer runs the ledger's read-only Check against the authority at
-// url over HTTP, so it serves followers too. It reports false if the
-// server did not answer.
+// url over HTTP. It reports false if the server did not answer.
 func checkServer(url string, led *authd.Ledger) bool {
 	cl := &authd.Client{Base: url, ClientID: "ledger-verify"}
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
@@ -296,7 +295,7 @@ func checkServer(url string, led *authd.Ledger) bool {
 	return true
 }
 
-// verifyRecovery checks a freshly recovered primary: checkServer, then,
+// verifyRecovery checks a freshly recovered server: checkServer, then,
 // once the code is past γ, one more tracked report, which the ledger
 // flags if it claims RevokedNow a second time.
 func verifyRecovery(url string, led *authd.Ledger) {
@@ -312,7 +311,7 @@ func verifyRecovery(url string, led *authd.Ledger) {
 }
 
 // startChild launches `exe` as a durable harness-sized server on an
-// ephemeral port (unless extra overrides -addr) and returns it serving.
+// ephemeral port, with extra flags appended, and returns it serving.
 func startChild(exe, dir string, snapEvery int, seed int64, extra []string) (*subproc.Proc, error) {
 	args := []string{
 		"-addr", "127.0.0.1:0",

@@ -15,23 +15,11 @@
 // process (exit 137) at a named durability step, and -crash-harness runs
 // the full kill-restart matrix against a real subprocess under load.
 //
-// With -follow the process serves as a follower replica: it streams the
-// primary's acknowledged WAL over /v1/replicate, applies records through
-// the recovery path with per-record fingerprint verification, redirects
-// mutations to the primary (421 + X-JRSND-Primary), and can be promoted
-// with POST /v1/promote. -replica-harness runs the replication-fault
-// harness: replica kill/restart under load, an asymmetric partition that
-// forces a snapshot catch-up, and primary kill + gated promotion +
-// client failover, verifying the acknowledged-state ledger on every
-// surviving replica.
-//
 //	jrsnd-authority -addr 127.0.0.1:7946 -n 2000 -m 100 -l 40
-//	jrsnd-authority -addr 127.0.0.1:7946 -data-dir /var/lib/jrsnd -min-sync 1
-//	jrsnd-authority -addr 127.0.0.1:7947 -data-dir /var/lib/jrsnd-f1 -follow http://127.0.0.1:7946,http://127.0.0.1:7947
+//	jrsnd-authority -addr 127.0.0.1:7946 -data-dir /var/lib/jrsnd
 //	jrsnd-authority -loadgen -requests 5000 -workers 8
-//	jrsnd-authority -loadgen -target http://127.0.0.1:7946,http://127.0.0.1:7947 -mix 50,25,25
+//	jrsnd-authority -loadgen -target http://127.0.0.1:7946 -mix 50,25,25
 //	jrsnd-authority -crash-harness -crash-cycles 2
-//	jrsnd-authority -replica-harness -replica-cycles 1
 package main
 
 import (
@@ -67,18 +55,11 @@ type options struct {
 	dataDir   string
 	snapEvery int
 
-	follow     string
-	followerID string
-	minSync    int
-
 	crashPoint   string
 	crashAfter   int
 	crashHarness bool
 	crashCycles  int
 	crashDir     string
-
-	replicaHarness bool
-	replicaCycles  int
 
 	loadgen  bool
 	target   string
@@ -102,16 +83,11 @@ func main() {
 	flag.BoolVar(&opts.pprof, "pprof", false, "mount /debug/pprof/ and fold Go runtime gauges into /metrics")
 	flag.StringVar(&opts.dataDir, "data-dir", "", "durable data directory (WAL + snapshots); empty = in-memory")
 	flag.IntVar(&opts.snapEvery, "snapshot-every", 0, "snapshot+truncate after this many mutations (0 = default 4096, negative = off)")
-	flag.StringVar(&opts.follow, "follow", "", "comma-separated replica URLs: serve as a follower replicating from whichever is primary (requires -data-dir)")
-	flag.StringVar(&opts.followerID, "follower-id", "", "stable follower identity for replication acks (default follower-<pid>)")
-	flag.IntVar(&opts.minSync, "min-sync", 0, "followers that must hold a mutation before it is acknowledged (0 = async)")
 	flag.StringVar(&opts.crashPoint, "crash-point", "", "crash-fault injection: os.Exit(137) at this WAL/snapshot point (requires -data-dir)")
 	flag.IntVar(&opts.crashAfter, "crash-after", 1, "crash at the Nth hit of -crash-point")
 	flag.BoolVar(&opts.crashHarness, "crash-harness", false, "run the crash-fault harness: in-process matrix + subprocess kill-restart loop")
 	flag.IntVar(&opts.crashCycles, "crash-cycles", 2, "crash harness: kill-restart cycles per crash point")
 	flag.StringVar(&opts.crashDir, "crash-dir", "", "crash harness: working directory (empty = a temp dir, removed on success)")
-	flag.BoolVar(&opts.replicaHarness, "replica-harness", false, "run the replication-fault harness: replica kill/restart, partitions, primary kill + promotion")
-	flag.IntVar(&opts.replicaCycles, "replica-cycles", 1, "replica harness: fault cycles")
 	flag.BoolVar(&opts.loadgen, "loadgen", false, "run the load generator instead of serving")
 	flag.StringVar(&opts.target, "target", "", "loadgen target URL (empty = boot an in-process server)")
 	flag.IntVar(&opts.workers, "workers", 8, "loadgen concurrent workers")
@@ -131,26 +107,11 @@ func main() {
 // run executes one mode and returns the process exit code. Exit 2 marks
 // bad flag combinations, matching the jrsnd-sim convention.
 func run(opts options, out io.Writer) (int, error) {
-	if opts.replicaHarness {
-		if opts.loadgen || opts.crashHarness || opts.crashPoint != "" || opts.follow != "" {
-			return 2, fmt.Errorf("-replica-harness excludes -loadgen, -crash-harness, -crash-point, and -follow")
-		}
-		return runReplicaHarness(opts, out)
-	}
 	if opts.crashHarness {
 		if opts.loadgen || opts.crashPoint != "" {
 			return 2, fmt.Errorf("-crash-harness excludes -loadgen and -crash-point")
 		}
 		return runCrashHarness(opts, out)
-	}
-	if opts.follow != "" {
-		if opts.loadgen || opts.crashPoint != "" {
-			return 2, fmt.Errorf("-follow excludes -loadgen and -crash-point")
-		}
-		if opts.dataDir == "" {
-			return 2, fmt.Errorf("-follow requires -data-dir")
-		}
-		return runFollower(opts, out)
 	}
 	if opts.crashPoint != "" {
 		if opts.dataDir == "" {
@@ -194,59 +155,7 @@ func serverConfig(opts options) authd.Config {
 			Dir:           opts.dataDir,
 			SnapshotEvery: opts.snapEvery,
 		},
-		Replication: authd.ReplicationConfig{MinSync: opts.minSync},
 	}
-}
-
-// runFollower serves as a follower replica: the managed server replicates
-// from whichever -follow candidate is primary, refuses mutations with a
-// redirect hint, and can be promoted via POST /v1/promote.
-func runFollower(opts options, out io.Writer) (int, error) {
-	id := opts.followerID
-	if id == "" {
-		id = fmt.Sprintf("follower-%d", os.Getpid())
-	}
-	primaries := strings.Split(opts.follow, ",")
-	for i := range primaries {
-		primaries[i] = strings.TrimSpace(primaries[i])
-	}
-	f, err := authd.StartFollower(authd.FollowerConfig{
-		Server:    serverConfig(opts),
-		Primaries: primaries,
-		ID:        id,
-		Logf: func(format string, args ...any) {
-			fmt.Fprintf(out, "jrsnd-authority: "+format+"\n", args...)
-		},
-	})
-	if err != nil {
-		return 1, err
-	}
-	addr, err := f.Start(opts.addr)
-	if err != nil {
-		return 1, err
-	}
-	fmt.Fprintf(out, "jrsnd-authority: serving on http://%s (follower %s, n=%d m=%d l=%d γ=%d)\n",
-		addr, id, opts.n, opts.m, opts.l, opts.gamma)
-
-	stop := make(chan os.Signal, 1)
-	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
-	select {
-	case <-stop:
-	case err := <-f.Fatal():
-		// A fingerprint divergence at apply time: the replica refuses to
-		// serve a second history. Exit 4 so harnesses can tell this from
-		// ordinary failures.
-		fmt.Fprintln(out, "jrsnd-authority: FATAL:", err)
-		return 4, err
-	}
-	fmt.Fprintln(out, "jrsnd-authority: draining…")
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := f.Close(ctx); err != nil {
-		return 1, fmt.Errorf("shutdown: %w", err)
-	}
-	fmt.Fprintln(out, "jrsnd-authority: stopped")
-	return 0, nil
 }
 
 func runServer(opts options, out io.Writer) (int, error) {
@@ -338,7 +247,7 @@ func runLoadgen(opts options, out io.Writer) (int, error) {
 		fmt.Fprintf(out, "loadgen: booted in-process server on %s\n", target)
 	}
 
-	lc := authd.LoadConfig{
+	report, err := authd.RunLoad(context.Background(), authd.LoadConfig{
 		Target:       target,
 		Workers:      opts.workers,
 		Requests:     opts.requests,
@@ -347,13 +256,7 @@ func runLoadgen(opts options, out io.Writer) (int, error) {
 		MixRevoke:    mr,
 		Batch:        opts.batch,
 		Seed:         opts.seed,
-	}
-	if strings.Contains(target, ",") {
-		// A replica set: workers fail over across the replicas and follow
-		// not-primary redirects to wherever mutations are accepted.
-		lc.Target, lc.Targets = "", strings.Split(target, ",")
-	}
-	report, err := authd.RunLoad(context.Background(), lc)
+	})
 	if err != nil {
 		return 1, err
 	}

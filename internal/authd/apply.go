@@ -8,13 +8,13 @@ import (
 )
 
 // The authority's state machine: one apply function per mutation kind.
-// The live mutators (provision, join, revoke in authd.go), boot replay and
-// replication (applyRecord in recover.go) change state only through these
-// functions, and each returns the observation digest the fingerprint chain
-// folds (replicate.go) — so a replayed or replicated record runs the very
-// transition, and computes the very digest, that served the original
-// request. Callers hold poolMu: its read side for provisions and revokes,
-// its write side for joins.
+// The live mutators (provision, join, revoke in authd.go) and boot replay
+// (applyRecord in recover.go) change state only through these functions,
+// and each returns the observation digest the fingerprint chain folds
+// (see fpFold below) — so a replayed record runs the very transition, and
+// computes the very digest, that served the original request. Callers
+// hold poolMu: its read side for provisions and revokes, its write side
+// for joins.
 
 // insertAssignment registers node's pool code set as its assignment: the
 // one place an assignment record is built, shared by the mutations below
@@ -82,4 +82,73 @@ func (s *Server) commit(rec walRecord, obs uint64) (uint64, error) {
 		return 0, nil
 	}
 	return s.wal.append(rec, obs)
+}
+
+// Fingerprint chain: one 64-bit FNV-1a value folded, at append time, over
+// each record's sequence, kind and observation digest (wal.appendLocked;
+// replayWAL folds the recovered records the same way). Every snapshot
+// stores the chain at its sequence, and stateFingerprint includes it, so
+// a recovery that rebuilt a different state than the live server held
+// shows up as a different chain. The basis is the chain's value on an
+// empty history.
+const (
+	fpBasis   = 14695981039346656037
+	fpPrime64 = 1099511628211
+)
+
+// fpFold folds one 64-bit value into the chain, byte by byte.
+func fpFold(h, v uint64) uint64 {
+	for i := 0; i < 8; i++ {
+		h ^= v & 0xff
+		h *= fpPrime64
+		v >>= 8
+	}
+	return h
+}
+
+// fpRecord extends the chain by one logged record.
+func fpRecord(h, seq uint64, kind walKind, obs uint64) uint64 {
+	h = fpFold(h, seq)
+	h = fpFold(h, uint64(kind))
+	return fpFold(h, obs)
+}
+
+// Observation digests: an order-independent 64-bit reduction of what one
+// mutation did to the state, computed identically by the live mutation
+// path and by replay. Only order-independent facts are folded — concurrent
+// provisions and revokes append to the WAL in an order the lock does not
+// fix, so a per-record observation must not depend on its neighbors.
+// Joins run under the pool write lock and may fold the epoch they
+// produced.
+
+func obsProvision(start int, assigned []Assignment) uint64 {
+	h := fpFold(uint64(fpBasis), uint64(walProvision))
+	h = fpFold(h, uint64(start))
+	h = fpFold(h, uint64(len(assigned)))
+	for _, a := range assigned {
+		for _, c := range a.Codes {
+			h = fpFold(h, uint64(uint32(c)))
+		}
+	}
+	return h
+}
+
+func obsJoin(node int, expanded bool, epochAfter int, codes []codepool.CodeID) uint64 {
+	h := fpFold(uint64(fpBasis), uint64(walJoin))
+	h = fpFold(h, uint64(node))
+	if expanded {
+		h = fpFold(h, 1)
+	} else {
+		h = fpFold(h, 0)
+	}
+	h = fpFold(h, uint64(epochAfter))
+	for _, c := range codes {
+		h = fpFold(h, uint64(uint32(c)))
+	}
+	return h
+}
+
+func obsRevoke(code int32) uint64 {
+	h := fpFold(uint64(fpBasis), uint64(walRevoke))
+	return fpFold(h, uint64(uint32(code)))
 }

@@ -95,14 +95,6 @@ type Config struct {
 	// acknowledged and New replays the directory's history on boot. The
 	// zero value keeps the server fully in-memory.
 	Durable Durability
-	// Follower starts the server in the follower role: mutating routes
-	// answer 421 (ErrNotPrimary, with an X-JRSND-Primary hint) and state
-	// changes arrive only through applyReplicated. Reads serve normally.
-	// Usually managed by a Follower (follower.go) rather than set
-	// directly. Requires Durable.
-	Follower bool
-	// Replication sets the primary's acknowledgment policy (replicate.go).
-	Replication ReplicationConfig
 
 	// now is the wall clock, injectable for rate-limiter tests.
 	now func() time.Time
@@ -143,22 +135,11 @@ type Server struct {
 	// cut of memory *and* log.
 	wal        *wal
 	dataDir    string
-	crashHook  CrashHook     // crash-fault injection; nil in production
-	snapMu     sync.Mutex    // serializes Snapshot
-	snapSeq    atomic.Uint64 // last WAL sequence the durable snapshot covers
-	snapEvery  int           // auto-snapshot cadence in mutations; <=0 off
-	mutations  atomic.Int64  // acknowledged mutations since the last snapshot
-	lastSnapAt atomic.Int64  // unix ns of the last durable snapshot (boot time if none)
-
-	// Replication (replicate.go). repl is non-nil exactly when the server
-	// is durable; it carries the fingerprint chain, the streamable record
-	// buffer, and follower acknowledgment watermarks.
-	repl         *replTracker
-	followerRole atomic.Bool  // true while in the follower role
-	primaryHint  atomic.Value // string: upstream primary URL (follower role)
-	replLag      atomic.Int64 // last observed records behind the primary
-	promoteHook  func()       // set by Follower: stop the pull loop before promotion
-	pauseHook    func(bool)   // set by Follower: pause/resume the pull loop
+	crashHook  CrashHook    // crash-fault injection; nil in production
+	snapMu     sync.Mutex   // serializes Snapshot
+	snapEvery  int          // auto-snapshot cadence in mutations; <=0 off
+	mutations  atomic.Int64 // acknowledged mutations since the last snapshot
+	lastSnapAt atomic.Int64 // unix ns of the last durable snapshot (boot time if none)
 
 	httpSrv *http.Server
 	// inflight counts admitted requests. drainMu orders every admission
@@ -231,19 +212,10 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Rate > 0 {
 		s.rl = newLimiter(shards, cfg.Rate, cfg.Burst, cfg.now)
 	}
-	if cfg.Follower && cfg.Durable.Dir == "" {
-		return nil, fmt.Errorf("authd: the follower role requires a durable data directory")
-	}
 	if cfg.Durable.Dir != "" {
 		if err := s.openDurable(cfg.Durable); err != nil {
 			return nil, err
 		}
-	}
-	if cfg.Follower {
-		s.followerRole.Store(true)
-		s.m.roleFollower.Set(1)
-	} else {
-		s.m.rolePrimary.Set(1)
 	}
 	s.mux = http.NewServeMux()
 	s.routes()

@@ -55,3 +55,14 @@ func TestClientBackoffInjectedRandWins(t *testing.T) {
 		t.Fatal("injected Rand is not honored")
 	}
 }
+
+// TestClientBackoffSchedulePinned pins the default jitter source: the
+// seed hashes Base‖0x00‖ClientID, so this pair's first eight draws must
+// never move.
+func TestClientBackoffSchedulePinned(t *testing.T) {
+	c := &Client{Base: "http://127.0.0.1:7946", ClientID: "node-7"}
+	want := []time.Duration{12345676, 22595253, 94721413, 6516465, 449403011, 1412722547, 847808329, 487314117}
+	if got := drawSchedule(c, 8); !reflect.DeepEqual(got, want) {
+		t.Fatalf("jitter schedule moved:\n got %#v\nwant %#v", got, want)
+	}
+}

@@ -87,7 +87,7 @@ func BenchmarkRevoke(b *testing.B) {
 // jrsnd-benchgate against BENCH_authd_go.json.
 func BenchmarkWALAppend(b *testing.B) {
 	reg := metrics.New()
-	w, err := openWAL(filepath.Join(b.TempDir(), "wal.log"), 0, nil, nil,
+	w, err := openWAL(filepath.Join(b.TempDir(), "wal.log"), 0, fpBasis, nil,
 		reg.Counter("bench_appends", "b"), reg.Counter("bench_fsyncs", "b"))
 	if err != nil {
 		b.Fatal(err)
@@ -109,7 +109,7 @@ func BenchmarkWALAppend(b *testing.B) {
 // jrsnd-benchgate against BENCH_authd_go.json.
 func BenchmarkWALAppendGroupCommit(b *testing.B) {
 	reg := metrics.New()
-	w, err := openWAL(filepath.Join(b.TempDir(), "wal.log"), 0, nil, nil,
+	w, err := openWAL(filepath.Join(b.TempDir(), "wal.log"), 0, fpBasis, nil,
 		reg.Counter("bench_gc_appends", "b"), reg.Counter("bench_gc_fsyncs", "b"))
 	if err != nil {
 		b.Fatal(err)

@@ -15,11 +15,10 @@ import (
 	"time"
 )
 
-// ErrUnavailable: every configured endpoint was tried and none produced a
-// definitive answer (transport failures, 5xx, or not-primary redirects all
-// the way down). Distinct from a structured refusal — the caller may be
-// mid-failover and can retry later.
-var ErrUnavailable = errors.New("authd: no replica available")
+// ErrUnavailable: every attempt ended in a transport failure or a 5xx, so
+// the server produced no definitive answer. Distinct from a structured
+// refusal — the server may be restarting and the caller can retry later.
+var ErrUnavailable = errors.New("authd: server unavailable")
 
 // Client is the retrying library client for the authority service. Its
 // retry loop reuses the engine's full-jitter backoff shape (core/retry.go):
@@ -27,20 +26,9 @@ var ErrUnavailable = errors.New("authd: no replica available")
 // capped at BackoffCap. Retries fire on transport errors, 429, and 5xx;
 // structured failures (400/404/409/413) surface immediately as the typed
 // errors of this package.
-//
-// Failover: with Endpoints set, the client walks a deterministic seeded
-// permutation of the replica set, rotating to the next endpoint on a
-// transport error or 5xx. A 421 (ErrNotPrimary) from a follower carries
-// the X-JRSND-Primary hint, which the client pins for its next attempt —
-// so a mutation sent to a follower lands on the primary one retry later.
 type Client struct {
 	// Base is the server's base URL, e.g. "http://127.0.0.1:7946".
-	// Ignored when Endpoints is set.
 	Base string
-	// Endpoints lists every replica's base URL. When non-empty the client
-	// fails over across them; reads are served by whichever endpoint
-	// answers, mutations follow 421 redirects to the primary.
-	Endpoints []string
 	// ClientID is sent as X-Client-ID so the server's rate limiter keys
 	// on a stable identity rather than the ephemeral remote port.
 	ClientID string
@@ -50,20 +38,16 @@ type Client struct {
 	BackoffBase time.Duration
 	// BackoffCap bounds one delay; 0 = 2 s.
 	BackoffCap time.Duration
-	// Rand drives the jitter and the endpoint probe order; nil derives a
-	// source from (endpoints, ClientID) at first use, so two clients with
-	// equal config draw identical backoff schedules and probe orders and
-	// tests stay reproducible without injection.
+	// Rand drives the jitter; nil derives a source from (Base, ClientID)
+	// at first use, so two clients with equal config draw identical
+	// backoff schedules and tests stay reproducible without injection.
 	Rand *rand.Rand
 
-	mu       sync.Mutex // guards Rand, order, cur, override
-	order    []int      // seeded permutation of Endpoints
-	cur      int        // index into order
-	override string     // primary hint pinned from a 421 redirect
+	mu sync.Mutex // guards Rand
 }
 
 // sharedTransport is the package-wide keep-alive transport every Client
-// and Follower rides on. One transport means one connection pool:
+// rides on. One transport means one connection pool:
 // sequential requests to the same authority reuse a warm TCP connection
 // instead of re-dialing per call (the stdlib default of 2 idle conns per
 // host collapses under the loadgen's 8 workers and understates service
@@ -111,71 +95,21 @@ func (c *Client) jitter(k int) time.Duration {
 	return d
 }
 
-// ensureRandLocked seeds Rand from (endpoints, ClientID); caller holds mu.
+// ensureRandLocked seeds Rand from Base‖0x00‖ClientID; caller holds mu.
 func (c *Client) ensureRandLocked() {
 	if c.Rand != nil {
 		return
 	}
 	h := fnv.New64a()
 	h.Write([]byte(c.Base))
-	for _, ep := range c.Endpoints {
-		h.Write([]byte{0})
-		h.Write([]byte(ep))
-	}
 	h.Write([]byte{0})
 	h.Write([]byte(c.ClientID))
 	c.Rand = rand.New(rand.NewSource(int64(h.Sum64())))
 }
 
-// currentBase picks the URL for the next attempt: a pinned primary hint
-// wins; otherwise the current position in the seeded permutation of
-// Endpoints; otherwise Base.
-func (c *Client) currentBase() string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.override != "" {
-		return c.override
-	}
-	if len(c.Endpoints) == 0 {
-		return c.Base
-	}
-	if len(c.order) != len(c.Endpoints) {
-		c.ensureRandLocked()
-		c.order = c.Rand.Perm(len(c.Endpoints))
-		c.cur = 0
-	}
-	return c.Endpoints[c.order[c.cur]]
-}
-
-// rotate abandons the endpoint that just failed: a failed pinned hint is
-// dropped back to the permutation; otherwise the permutation advances.
-func (c *Client) rotate(failed string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.override != "" {
-		if c.override == failed {
-			c.override = ""
-		}
-		return
-	}
-	if len(c.order) > 0 {
-		c.cur = (c.cur + 1) % len(c.order)
-	}
-}
-
-// pin records the primary hint from a 421 redirect for the next attempt.
-func (c *Client) pin(primary string) {
-	c.mu.Lock()
-	c.override = primary
-	c.mu.Unlock()
-}
-
 // retryable reports whether a response status deserves another attempt.
-// 421 retries because the client re-aims at the hinted primary.
 func retryable(status int) bool {
-	return status == http.StatusTooManyRequests ||
-		status == http.StatusMisdirectedRequest ||
-		status >= 500
+	return status == http.StatusTooManyRequests || status >= 500
 }
 
 // apiError converts a non-2xx response into the typed taxonomy.
@@ -196,8 +130,6 @@ func apiError(status int, body []byte) error {
 		return fmt.Errorf("%w: %s", ErrTooLarge, msg)
 	case http.StatusBadRequest:
 		return fmt.Errorf("%w: %s", ErrField, msg)
-	case http.StatusMisdirectedRequest:
-		return fmt.Errorf("%w: %s", ErrNotPrimary, msg)
 	default:
 		return fmt.Errorf("authd: server status %d: %s", status, msg)
 	}
@@ -224,8 +156,7 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any) error
 			case <-time.After(c.jitter(attempt - 1)): //jrsnd:allow wallclock real sleep between retries against a live HTTP server; never runs under the simulator
 			}
 		}
-		base := c.currentBase()
-		req, err := http.NewRequestWithContext(ctx, method, base+path, bytes.NewReader(reqBody))
+		req, err := http.NewRequestWithContext(ctx, method, c.Base+path, bytes.NewReader(reqBody))
 		if err != nil {
 			return fmt.Errorf("authd: build request: %w", err)
 		}
@@ -240,16 +171,12 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any) error
 			if ctx.Err() != nil {
 				return ctx.Err()
 			}
-			// Transport failure: this replica may be dead; try the next.
-			c.rotate(base)
 			lastErr, unavailable = err, true
 			continue
 		}
-		hint := resp.Header.Get("X-JRSND-Primary")
 		body, err := io.ReadAll(io.LimitReader(resp.Body, 1<<22))
 		resp.Body.Close()
 		if err != nil {
-			c.rotate(base)
 			lastErr, unavailable = err, true
 			continue
 		}
@@ -266,18 +193,7 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any) error
 		if !retryable(resp.StatusCode) {
 			return lastErr
 		}
-		switch {
-		case resp.StatusCode == http.StatusMisdirectedRequest:
-			// A follower refused the mutation. Pin its primary hint; with
-			// no hint, walk the permutation until the primary turns up.
-			unavailable = true
-			if hint != "" {
-				c.pin(hint)
-			} else {
-				c.rotate(base)
-			}
-		case resp.StatusCode >= 500:
-			c.rotate(base)
+		if resp.StatusCode >= 500 {
 			unavailable = true
 		}
 	}

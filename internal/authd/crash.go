@@ -305,11 +305,10 @@ func (s *Server) stateFingerprint() string {
 		seq = s.wal.lastSeq()
 	}
 	b = fmt.Appendf(b, "epoch=%d cursor=%d seq=%d\n", s.Epoch(), s.nextSlot.Load(), seq)
-	if s.repl != nil {
-		// The replication fingerprint chain is durable-relevant state too:
-		// two replicas recovered from the same history must agree on it, or
-		// the divergence check would misfire after a restart.
-		b = fmt.Appendf(b, "fp=%016x\n", s.repl.chainFP())
+	if s.wal != nil {
+		// The fingerprint chain is durable state too: every snapshot
+		// stores it, so two recoveries of one directory must agree on it.
+		b = fmt.Appendf(b, "fp=%016x\n", s.wal.chainFP())
 	}
 	for _, e := range s.reg.dump() {
 		b = fmt.Appendf(b, "node %d via %s tag %q codes %v\n", e.Node, e.Rec.Via, e.Rec.Tag, e.Rec.Codes)

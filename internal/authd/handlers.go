@@ -9,8 +9,6 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"os"
-	"path/filepath"
 	"strconv"
 	"time"
 
@@ -32,8 +30,7 @@ type Assignment struct {
 }
 
 // ProvisionResponse answers POST /v1/provision. Seq is the WAL sequence
-// of the acknowledged mutation (0 on an in-memory server); failover
-// harnesses use it to reason about which replicas must hold the record.
+// of the acknowledged mutation (0 on an in-memory server).
 type ProvisionResponse struct {
 	Nodes []Assignment `json:"nodes"`
 	Epoch int          `json:"epoch"`
@@ -89,15 +86,6 @@ func (s *Server) routes() {
 	s.mux.HandleFunc("/v1/node", s.handle("node", http.MethodGet, false, s.handleNode))
 	s.mux.HandleFunc("/healthz", s.handle("healthz", http.MethodGet, false, s.handleHealthz))
 	s.mux.HandleFunc("/metrics", s.handle("metrics", http.MethodGet, false, s.handleMetrics))
-	// Replication surface (replicate.go): the record stream and snapshot
-	// transfer followers pull from, the status probe clients and
-	// harnesses use to find the primary, and the promotion/partition
-	// controls. Unlimited: followers are infrastructure, not clients.
-	s.mux.HandleFunc("/v1/replicate", s.handle("replicate", http.MethodGet, false, s.handleReplicate))
-	s.mux.HandleFunc("/v1/replicate/snapshot", s.handle("replsnap", http.MethodGet, false, s.handleReplicateSnapshot))
-	s.mux.HandleFunc("/v1/replication", s.handle("replication", http.MethodGet, false, s.handleReplicationStatus))
-	s.mux.HandleFunc("/v1/promote", s.handle("promote", http.MethodPost, false, s.handlePromote))
-	s.mux.HandleFunc("/v1/replpause", s.handle("replpause", http.MethodPost, false, s.handleReplPause))
 	if s.cfg.EnableProfiling {
 		// Continuous-profiling surface, opt-in: the default mux is never
 		// used, so the stdlib's side-effect registration does not apply and
@@ -115,12 +103,10 @@ func (s *Server) routes() {
 // comes back.
 type handlerFunc func(r *http.Request, body []byte) (int, any, error)
 
-// rawResponse bypasses JSON marshaling (the /metrics exposition, the
-// binary replication stream). header carries extra response headers.
+// rawResponse bypasses JSON marshaling (the /metrics exposition).
 type rawResponse struct {
 	contentType string
 	data        []byte
-	header      map[string]string
 }
 
 // clientKey identifies the caller for rate limiting: the self-declared
@@ -161,17 +147,6 @@ func (s *Server) handle(route, method string, limited bool, fn handlerFunc) http
 			s.fail(w, route, http.StatusMethodNotAllowed, fmt.Errorf("authd: %s requires %s", route, method))
 			return
 		}
-		if limited && s.isFollower() {
-			// Mutations only land on the primary: a follower's state is a
-			// replica of its upstream's WAL, so accepting a mutation here
-			// would fork the history. The hint header lets clients jump
-			// straight to the primary instead of probing.
-			if hint := s.getPrimaryHint(); hint != "" {
-				w.Header().Set("X-JRSND-Primary", hint)
-			}
-			s.fail(w, route, http.StatusMisdirectedRequest, ErrNotPrimary)
-			return
-		}
 		if limited && s.rl != nil && !s.rl.allow(clientKey(r)) {
 			s.m.ratelimited.Inc()
 			w.Header().Set("Retry-After", "1")
@@ -203,9 +178,6 @@ func (s *Server) handle(route, method string, limited bool, fn handlerFunc) http
 		s.m.latency[route].Observe(s.cfg.now().Sub(start).Seconds())
 		if raw, ok := payload.(rawResponse); ok {
 			w.Header().Set("Content-Type", raw.contentType)
-			for k, v := range raw.header {
-				w.Header().Set(k, v)
-			}
 			w.WriteHeader(status)
 			_, _ = w.Write(raw.data)
 			return
@@ -229,14 +201,6 @@ func statusFor(err error) int {
 		return http.StatusTooManyRequests
 	case errors.Is(err, ErrNotFound):
 		return http.StatusNotFound
-	case errors.Is(err, ErrNotPrimary):
-		return http.StatusMisdirectedRequest
-	case errors.Is(err, ErrSyncTimeout):
-		return http.StatusServiceUnavailable
-	case errors.Is(err, ErrNoReplication):
-		return http.StatusPreconditionFailed
-	case errors.Is(err, ErrPromotionGate):
-		return http.StatusConflict
 	default:
 		return http.StatusInternalServerError
 	}
@@ -252,7 +216,7 @@ func (s *Server) fail(w http.ResponseWriter, route string, status int, err error
 	_ = json.NewEncoder(w).Encode(errorBody{Error: err.Error()})
 }
 
-func (s *Server) handleProvision(r *http.Request, body []byte) (int, any, error) {
+func (s *Server) handleProvision(_ *http.Request, body []byte) (int, any, error) {
 	req, err := DecodeProvisionRequest(body, s.lim)
 	if err != nil {
 		return 0, nil, err
@@ -265,13 +229,10 @@ func (s *Server) handleProvision(r *http.Request, body []byte) (int, any, error)
 		return 0, nil, err
 	}
 	s.noteMutation()
-	if err := s.waitReplicated(r.Context().Done(), seq); err != nil {
-		return 0, nil, err
-	}
 	return http.StatusOK, ProvisionResponse{Nodes: nodes, Epoch: s.Epoch(), Seq: seq}, nil
 }
 
-func (s *Server) handleJoin(r *http.Request, body []byte) (int, any, error) {
+func (s *Server) handleJoin(_ *http.Request, body []byte) (int, any, error) {
 	req, err := DecodeJoinRequest(body, s.lim)
 	if err != nil {
 		return 0, nil, err
@@ -281,15 +242,12 @@ func (s *Server) handleJoin(r *http.Request, body []byte) (int, any, error) {
 		return 0, nil, err
 	}
 	s.noteMutation()
-	if err := s.waitReplicated(r.Context().Done(), seq); err != nil {
-		return 0, nil, err
-	}
 	epoch := s.Epoch()
 	s.m.epoch.SetMax(float64(epoch))
 	return http.StatusOK, JoinResponse{Node: a.Node, Codes: a.Codes, Epoch: epoch, Expanded: expanded, Seq: seq}, nil
 }
 
-func (s *Server) handleRevoke(r *http.Request, body []byte) (int, any, error) {
+func (s *Server) handleRevoke(_ *http.Request, body []byte) (int, any, error) {
 	req, err := DecodeRevokeRequest(body, s.lim)
 	if err != nil {
 		return 0, nil, err
@@ -299,9 +257,6 @@ func (s *Server) handleRevoke(r *http.Request, body []byte) (int, any, error) {
 		return 0, nil, err
 	}
 	s.noteMutation()
-	if err := s.waitReplicated(r.Context().Done(), res.Seq); err != nil {
-		return 0, nil, err
-	}
 	return http.StatusOK, res, nil
 }
 
@@ -341,146 +296,4 @@ func (s *Server) handleMetrics(_ *http.Request, _ []byte) (int, any, error) {
 		return 0, nil, err
 	}
 	return http.StatusOK, rawResponse{contentType: "text/plain; version=0.0.4", data: buf.Bytes()}, nil
-}
-
-// handleReplicate is the primary side of the replication stream: a
-// follower's long-polling fetch of acknowledged WAL records after a
-// sequence, with the fingerprint handshake described in replicate.go.
-func (s *Server) handleReplicate(r *http.Request, _ []byte) (int, any, error) {
-	if s.repl == nil || s.wal == nil {
-		return 0, nil, ErrNoReplication
-	}
-	if s.isFollower() {
-		return 0, nil, fmt.Errorf("%w: followers do not stream", ErrNotPrimary)
-	}
-	q := r.URL.Query()
-	var after uint64
-	if v := q.Get("after"); v != "" {
-		var err error
-		if after, err = strconv.ParseUint(v, 10, 64); err != nil {
-			return 0, nil, fmt.Errorf("%w: after %q", ErrField, v)
-		}
-	}
-	callerFP := uint64(fpBasis)
-	if v := q.Get("fp"); v != "" {
-		var err error
-		if callerFP, err = strconv.ParseUint(v, 16, 64); err != nil {
-			return 0, nil, fmt.Errorf("%w: fp %q", ErrField, v)
-		}
-	}
-	max := 512
-	if v := q.Get("max"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n <= 0 {
-			return 0, nil, fmt.Errorf("%w: max %q", ErrField, v)
-		}
-		max = n
-		if max > replMaxBatch {
-			max = replMaxBatch
-		}
-	}
-	var wait time.Duration
-	if v := q.Get("wait_ms"); v != "" {
-		ms, err := strconv.Atoi(v)
-		if err != nil || ms < 0 {
-			return 0, nil, fmt.Errorf("%w: wait_ms %q", ErrField, v)
-		}
-		wait = time.Duration(ms) * time.Millisecond
-		if wait > replMaxWait {
-			wait = replMaxWait
-		}
-	}
-
-	// Capture the broadcast channel BEFORE the first fetch: an append
-	// landing between fetch and wait closes the captured channel, so the
-	// long poll can never sleep through a record.
-	ch := s.repl.appendChan()
-	status, ents, lastSeq, snapSeq := s.repl.fetch(after, callerFP, max)
-	if status == replOK {
-		// A fetch carrying after=S is the follower's durable ack of every
-		// record ≤ S — recorded before any long-poll wait so MinSync
-		// waiters unblock immediately.
-		s.repl.recordAck(r.Header.Get("X-JRSND-Follower"), after)
-	}
-	if status == replOK && len(ents) == 0 && wait > 0 {
-		waitAppend(ch, wait)
-		status, ents, lastSeq, snapSeq = s.repl.fetch(after, callerFP, max)
-	}
-	if status == replOK {
-		s.m.replStreamed.Add(uint64(len(ents)))
-	}
-	return http.StatusOK, rawResponse{
-		contentType: "application/octet-stream",
-		data:        encodeReplResponse(status, lastSeq, snapSeq, ents),
-	}, nil
-}
-
-// handleReplicateSnapshot serves the durable snapshot image a lagging or
-// divergent follower bootstraps from — the same checksummed file recovery
-// boots from. If no snapshot exists yet, one is taken on demand.
-func (s *Server) handleReplicateSnapshot(_ *http.Request, _ []byte) (int, any, error) {
-	if s.wal == nil {
-		return 0, nil, ErrNoReplication
-	}
-	path := filepath.Join(s.dataDir, snapFileName)
-	data, err := os.ReadFile(path)
-	if errors.Is(err, os.ErrNotExist) {
-		if err := s.Snapshot(); err != nil {
-			return 0, nil, err
-		}
-		data, err = os.ReadFile(path)
-	}
-	if err != nil {
-		return 0, nil, fmt.Errorf("authd: read snapshot for transfer: %w", err)
-	}
-	s.m.catchupSnapshots.Inc()
-	return http.StatusOK, rawResponse{contentType: "application/octet-stream", data: data}, nil
-}
-
-func (s *Server) handleReplicationStatus(_ *http.Request, _ []byte) (int, any, error) {
-	return http.StatusOK, s.replicationStatus(), nil
-}
-
-// handlePromote turns a follower into the primary, gated on it holding
-// every sequence the caller knows was acknowledged. Idempotent on a
-// server that is already primary.
-func (s *Server) handlePromote(_ *http.Request, body []byte) (int, any, error) {
-	if s.repl == nil || s.wal == nil {
-		return 0, nil, ErrNoReplication
-	}
-	var req PromoteRequest
-	if len(body) > 0 {
-		if err := json.Unmarshal(body, &req); err != nil {
-			return 0, nil, fmt.Errorf("%w: %v", ErrSyntax, err)
-		}
-	}
-	if !s.isFollower() {
-		return http.StatusOK, PromoteResponse{Role: "primary", LastSeq: s.repl.lastSeq()}, nil
-	}
-	if last := s.repl.lastSeq(); last < req.MinSeq {
-		return 0, nil, fmt.Errorf("%w: this follower holds seq %d < required %d; promoting it would lose acknowledged mutations", ErrPromotionGate, last, req.MinSeq)
-	}
-	if s.promoteHook != nil {
-		// Stops the pull loop synchronously: after this returns no further
-		// replicated record can land, so the role flip below is clean.
-		s.promoteHook()
-	}
-	s.BecomePrimary()
-	return http.StatusOK, PromoteResponse{Role: "primary", LastSeq: s.repl.lastSeq()}, nil
-}
-
-// handleReplPause toggles a follower's pull loop — the harness's
-// asymmetric partition control.
-func (s *Server) handleReplPause(_ *http.Request, body []byte) (int, any, error) {
-	var req PauseRequest
-	if len(body) > 0 {
-		if err := json.Unmarshal(body, &req); err != nil {
-			return 0, nil, fmt.Errorf("%w: %v", ErrSyntax, err)
-		}
-	}
-	if s.pauseHook == nil {
-		return 0, nil, fmt.Errorf("%w: no replication pull loop on this server", ErrNoReplication)
-	}
-	s.pauseHook(req.Paused)
-	return http.StatusOK, map[string]bool{"paused": req.Paused}, nil
 }

@@ -11,8 +11,8 @@ import (
 
 // Ledger is a fault harness's memory of what the authority acknowledged,
 // recorded in wire shapes: the ground truth that the in-process crash
-// matrix and the subprocess crash and replica harnesses check a recovered
-// or replicated authority against. The authority may hold *more* (a
+// matrix and the subprocess crash harness check a recovered authority
+// against. The authority may hold *more* (a
 // CrashPostAppend mutation is durable but unacknowledged; at-least-once is
 // the contract), never less.
 //
@@ -136,8 +136,7 @@ type View struct {
 //   - every code acknowledged RevokedNow, or reported more than γ times,
 //     is revoked.
 //
-// Check only reads the authority, so it serves followers as well as
-// primaries.
+// Check only reads the authority, so it can run over HTTP or in process.
 func (l *Ledger) Check(v View) {
 	l.mu.Lock()
 	nodes, reports, revokedNow, maxEpoch := maps.Clone(l.nodes), maps.Clone(l.reports), maps.Clone(l.revokedNow), l.maxEpoch

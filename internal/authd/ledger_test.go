@@ -9,7 +9,7 @@ import (
 )
 
 // TestLedgerCatchesEachViolation seeds one breach of each kind the crash
-// and replica harnesses guard against and requires exactly one violation
+// matrix and harness guard against and requires exactly one violation
 // for it, so a Ledger that stopped reporting would fail here even while
 // the harnesses, which never see a breach, keep passing.
 func TestLedgerCatchesEachViolation(t *testing.T) {

@@ -23,13 +23,6 @@ import (
 type LoadConfig struct {
 	// Target is the server's base URL.
 	Target string
-	// Targets, when set, lists every replica's base URL: workers use the
-	// client's failover (rotate on transport error/5xx, follow 421
-	// redirects to the primary), and an operation that exhausts every
-	// replica is counted as Unavailable — a distinct outcome from an
-	// error, because under a replica-kill harness it is the expected
-	// signal, not a workload bug.
-	Targets []string
 	// Workers is the number of concurrent clients (>= 1).
 	Workers int
 	// Requests is the total operation count across all workers (>= 1).
@@ -60,9 +53,10 @@ type OpStats struct {
 type LoadReport struct {
 	Ops    int `json:"ops"`
 	Errors int `json:"errors"`
-	// Unavailable counts operations that exhausted every replica
-	// (ErrUnavailable) — expected while a kill/partition harness has the
-	// primary down, so they are not folded into Errors.
+	// Unavailable counts operations whose every attempt ended in a
+	// transport failure or a 5xx (ErrUnavailable) — expected while a
+	// crash harness has the server down, so they are not folded into
+	// Errors.
 	Unavailable int                `json:"unavailable,omitempty"`
 	Duration    time.Duration      `json:"duration_ns"`
 	Throughput  float64            `json:"ops_per_sec"`
@@ -85,7 +79,7 @@ type sample struct {
 // outcome, not an error — under a saturating run that is the expected
 // steady state, and the worker keeps going with the rest of its mix.
 func RunLoad(ctx context.Context, cfg LoadConfig) (LoadReport, error) {
-	if cfg.Target == "" && len(cfg.Targets) == 0 {
+	if cfg.Target == "" {
 		return LoadReport{}, fmt.Errorf("authd: loadgen needs a target URL")
 	}
 	if cfg.Workers < 1 {
@@ -108,7 +102,7 @@ func RunLoad(ctx context.Context, cfg LoadConfig) (LoadReport, error) {
 	}
 
 	// The revoke stream needs the pool size to draw valid code IDs.
-	probe := &Client{Base: cfg.Target, Endpoints: cfg.Targets, ClientID: "loadgen-probe"}
+	probe := &Client{Base: cfg.Target, ClientID: "loadgen-probe"}
 	info, err := probe.Epoch(ctx)
 	if err != nil {
 		return LoadReport{}, fmt.Errorf("authd: loadgen probe: %w", err)
@@ -139,10 +133,9 @@ func RunLoad(ctx context.Context, cfg LoadConfig) (LoadReport, error) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(cfg.Seed + int64(worker)*1_000_003))
 			cl := &Client{
-				Base:      cfg.Target,
-				Endpoints: cfg.Targets,
-				ClientID:  fmt.Sprintf("loadgen-%d", worker),
-				Rand:      rand.New(rand.NewSource(cfg.Seed ^ int64(worker))),
+				Base:     cfg.Target,
+				ClientID: fmt.Sprintf("loadgen-%d", worker),
+				Rand:     rand.New(rand.NewSource(cfg.Seed ^ int64(worker))),
 			}
 			for idx := range next {
 				samples[idx] = runOp(ctx, cl, rng, cfg, total, info.PoolSize)

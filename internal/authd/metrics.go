@@ -31,22 +31,10 @@ type serverMetrics struct {
 	snapshots      *metrics.Counter
 	snapshotErrors *metrics.Counter
 	snapshotAge    *metrics.Gauge
-
-	// Replication instruments (replicate.go / follower.go). Registered
-	// unconditionally, like the durability set, so the exposition is
-	// stable across roles.
-	replLagRecords   *metrics.Gauge   // follower: records behind the primary at last fetch
-	rolePrimary      *metrics.Gauge   // 1 when serving as primary
-	roleFollower     *metrics.Gauge   // 1 when serving as follower
-	catchupSnapshots *metrics.Counter // follower: bootstraps via snapshot transfer
-	divergencePanics *metrics.Counter // replicated records whose fingerprint did not match
-	replStreamed     *metrics.Counter // primary: records streamed to followers
-	replApplied      *metrics.Counter // follower: records applied from the stream
 }
 
 // metricRoutes is every route that gets per-route request instruments.
-var metricRoutes = []string{"provision", "join", "revoke", "epoch", "node", "healthz", "metrics",
-	"replicate", "replsnap", "replication", "promote", "replpause"}
+var metricRoutes = []string{"provision", "join", "revoke", "epoch", "node", "healthz", "metrics"}
 
 func newServerMetrics(reg *metrics.Registry) *serverMetrics {
 	m := &serverMetrics{
@@ -81,12 +69,5 @@ func newServerMetrics(reg *metrics.Registry) *serverMetrics {
 	m.snapshots = reg.Counter("jrsnd_authd_snapshots_total", "durable snapshots written")
 	m.snapshotErrors = reg.Counter("jrsnd_authd_snapshot_errors_total", "snapshot attempts that failed")
 	m.snapshotAge = reg.Gauge("jrsnd_authd_snapshot_age_seconds", "seconds since the last durable snapshot (updated at scrape)")
-	m.replLagRecords = reg.Gauge("jrsnd_authd_replication_lag_records", "records this follower was behind its primary at the last fetch")
-	m.rolePrimary = reg.Gauge(`jrsnd_authd_role{role="primary"}`, "1 when this server is the primary")
-	m.roleFollower = reg.Gauge(`jrsnd_authd_role{role="follower"}`, "1 when this server is a follower")
-	m.catchupSnapshots = reg.Counter("jrsnd_authd_catchup_snapshots_total", "follower bootstraps served from a snapshot transfer")
-	m.divergencePanics = reg.Counter("jrsnd_authd_divergence_panics_total", "replicated records rejected for a state-fingerprint mismatch")
-	m.replStreamed = reg.Counter("jrsnd_authd_replication_streamed_records_total", "WAL records streamed to followers")
-	m.replApplied = reg.Counter("jrsnd_authd_replication_applied_records_total", "replicated records applied through the recovery path")
 	return m
 }

@@ -63,15 +63,14 @@ func (s *Server) openDurable(d Durability) error {
 	if err := s.checkMeta(); err != nil {
 		return err
 	}
-	// The replication tracker exists on every durable server — follower
-	// or primary — so the fingerprint chain and the streamable record
-	// buffer are rebuilt by the same recovery that rebuilds the state.
-	s.repl = newReplTracker()
 	// A leftover snapshot.tmp is a snapshot the crash interrupted before
 	// the atomic rename; it was never the live image.
 	_ = os.Remove(filepath.Join(d.Dir, snapTmpName))
 
+	// The fingerprint chain starts from the basis on an empty history, or
+	// from the value the snapshot stored at its sequence.
 	var snapSeq uint64
+	snapFP := uint64(fpBasis)
 	snapData, err := os.ReadFile(filepath.Join(d.Dir, snapFileName))
 	switch {
 	case os.IsNotExist(err):
@@ -86,19 +85,18 @@ func (s *Server) openDurable(d Durability) error {
 		if err := s.restoreSnapshot(st); err != nil {
 			return err
 		}
-		snapSeq = st.Seq
+		snapSeq, snapFP = st.Seq, st.FP
 	}
-	s.snapSeq.Store(snapSeq)
 
 	walPath := filepath.Join(d.Dir, walFileName)
-	lastSeq, err := s.replayWAL(walPath, snapSeq)
+	lastSeq, fp, err := s.replayWAL(walPath, snapSeq, snapFP)
 	if err != nil {
 		return err
 	}
 	if s.lastSnapAt.Load() == 0 {
 		s.lastSnapAt.Store(s.cfg.now().UnixNano())
 	}
-	s.wal, err = openWAL(walPath, lastSeq, s.repl, d.CrashHook, s.m.walAppends, s.m.walFsyncs)
+	s.wal, err = openWAL(walPath, lastSeq, fp, d.CrashHook, s.m.walAppends, s.m.walFsyncs)
 	return err
 }
 
@@ -167,79 +165,72 @@ func (s *Server) restoreSnapshot(st snapshotState) error {
 	}
 	s.nextSlot.Store(int64(st.Cursor))
 	s.lastSnapAt.Store(st.TakenAt)
-	// The snapshot carries the fingerprint chain's value at its sequence;
-	// the replayed WAL suffix extends the chain from there.
-	s.repl.reset(st.Seq, st.FP)
 	return nil
 }
 
 // replayWAL scans the log, truncates a torn tail, applies every record
 // the snapshot does not already cover, and returns the last sequence
-// number on disk (or covered by the snapshot, whichever is later).
-func (s *Server) replayWAL(path string, snapSeq uint64) (uint64, error) {
+// number on disk (or covered by the snapshot, whichever is later) with the
+// fingerprint chain at it, folded on from the snapshot's snapFP.
+func (s *Server) replayWAL(path string, snapSeq, snapFP uint64) (uint64, uint64, error) {
 	data, err := os.ReadFile(path)
 	if os.IsNotExist(err) {
-		return snapSeq, nil
+		return snapSeq, snapFP, nil
 	}
 	if err != nil {
-		return 0, fmt.Errorf("authd: read WAL: %w", err)
+		return 0, 0, fmt.Errorf("authd: read WAL: %w", err)
 	}
 	recs, goodLen, err := scanWAL(data)
 	if err != nil {
-		return 0, err
+		return 0, 0, err
 	}
 	if goodLen < len(data) {
 		// Torn tail: the partial record was never acknowledged. Cut it off
 		// durably before appending anything after it.
 		if err := os.Truncate(path, int64(goodLen)); err != nil {
-			return 0, fmt.Errorf("authd: truncate torn WAL tail: %w", err)
+			return 0, 0, fmt.Errorf("authd: truncate torn WAL tail: %w", err)
 		}
 		s.m.walTornTails.Inc()
 	}
 	if len(recs) == 0 {
-		return snapSeq, nil
+		return snapSeq, snapFP, nil
 	}
 	// The first record must belong to this history: sequence 1 on a
 	// truncated (or fresh) log, or anything at/below snapSeq+1 when a
 	// crash left pre-snapshot records behind. A first record *beyond*
 	// snapSeq+1 means a prefix of acknowledged records is missing.
 	if first := recs[0].Seq; first != 1 && first > snapSeq+1 {
-		return 0, fmt.Errorf("%w: log starts at sequence %d, snapshot covers %d", ErrWALCorrupt, first, snapSeq)
+		return 0, 0, fmt.Errorf("%w: log starts at sequence %d, snapshot covers %d", ErrWALCorrupt, first, snapSeq)
 	}
 	last := recs[len(recs)-1].Seq
 	if last < snapSeq {
 		// Entire log predates the snapshot (crash between rename and
 		// truncate, then more crashes before any new append). Nothing to
 		// apply.
-		return snapSeq, nil
+		return snapSeq, snapFP, nil
 	}
+	fp := snapFP
 	for _, rec := range recs {
 		if rec.Seq <= snapSeq {
 			continue
 		}
 		obs, err := s.applyRecord(rec)
 		if err != nil {
-			return 0, err
+			return 0, 0, err
 		}
-		// Re-encode the record canonically and extend the fingerprint
-		// chain exactly as the live append did, so a recovered server's
-		// chain equals the one it (or its primary) computed before dying.
-		frame, err := appendWALRecord(nil, rec)
-		if err != nil {
-			return 0, err
-		}
-		s.repl.extend(rec.Seq, rec.Kind, frame, obs)
+		// Fold exactly as the live append did, so a recovered server's
+		// chain equals the one it computed before dying.
+		fp = fpRecord(fp, rec.Seq, rec.Kind, obs)
 		s.m.walReplayed.Inc()
 	}
-	return last, nil
+	return last, fp, nil
 }
 
 // applyRecord applies one logged mutation through the apply function
 // the live mutation ran (apply.go): validate the record, apply it, then
 // check what the transition produced against what the log acknowledged.
 // It returns the same observation digest the live mutation computed, so
-// replay and replication chain the same fingerprints as the original
-// execution — which is what makes cross-replica divergence detectable.
+// replay folds the same fingerprint chain as the original execution.
 func (s *Server) applyRecord(rec walRecord) (uint64, error) {
 	at := time.Unix(0, rec.At)
 	switch rec.Kind {

@@ -312,3 +312,45 @@ func TestShutdownClosesWAL(t *testing.T) {
 		t.Fatalf("join after Shutdown: %v, want ErrWALClosed", err)
 	}
 }
+
+// chainOf reads the durable server's (last sequence, fingerprint chain).
+func chainOf(s *Server) (uint64, uint64) {
+	return s.wal.lastSeq(), s.wal.chainFP()
+}
+
+// TestChainSurvivesRecovery: the fingerprint chain is durable state (the
+// snapshot stores it and replay extends it), so reopening a directory must
+// reproduce the live (lastSeq, chain) pair, from the WAL alone and from a
+// snapshot taken mid-history. The literals pin the fold itself.
+func TestChainSurvivesRecovery(t *testing.T) {
+	const wantSeq, wantFP uint64 = 21, 0xc507c1b67f6e2574
+	for _, tc := range []struct {
+		name string
+		snap bool
+	}{{"wal only", false}, {"snapshot mid-history", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			s := durableServer(t, dir, Durability{SnapshotEvery: -1})
+			mutate(t, s, 3, 4, 5)
+			if tc.snap {
+				if err := s.Snapshot(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			mutate(t, s, 2, 3, 4)
+			seq, fp := chainOf(s)
+			if seq != wantSeq || fp != wantFP {
+				t.Fatalf("live chain (%d, %#016x), want (%d, %#016x)", seq, fp, wantSeq, wantFP)
+			}
+			if err := s.Shutdown(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+
+			s2 := durableServer(t, dir, Durability{SnapshotEvery: -1})
+			defer func() { _ = s2.Shutdown(context.Background()) }()
+			if seq2, fp2 := chainOf(s2); seq2 != seq || fp2 != fp {
+				t.Fatalf("reopened chain (%d, %#016x), live (%d, %#016x)", seq2, fp2, seq, fp)
+			}
+		})
+	}
+}

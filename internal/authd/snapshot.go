@@ -39,7 +39,7 @@ import (
 //
 //	u32 n, m, l, γ | i64 seed          — identity; must match the server's
 //	u64 seq                            — WAL sequence this snapshot covers
-//	u64 fp                             — replication fingerprint chain at seq
+//	u64 fp                             — fingerprint chain at seq (apply.go)
 //	u64 cursor                         — raw deployment-slot cursor
 //	i64 takenAt (unix ns)
 //	u32 joinCount                      — §V-A joins to replay
@@ -138,8 +138,8 @@ func encodeSnapshot(st snapshotState) ([]byte, error) {
 // cursor walks a byte slice with bounds checks on every read, in the
 // style of internal/wire's reader: the first error sticks and every
 // accessor after it returns zero, so a decoder reads its layout straight
-// through and checks the error once, at done. The snapshot, WAL-body and
-// replication-response decoders all read through it.
+// through and checks the error once, at done. The snapshot and WAL-body
+// decoders both read through it.
 type cursor struct {
 	data []byte
 	off  int
@@ -329,7 +329,7 @@ func (s *Server) snapshotLocked() (err error) {
 		Seq:  s.wal.lastSeq(),
 		// poolMu's write lock excludes appends, so the chain value is the
 		// fingerprint at exactly Seq.
-		FP:        s.repl.chainFP(),
+		FP:        s.wal.chainFP(),
 		Cursor:    uint64(s.nextSlot.Load()),
 		TakenAt:   now.UnixNano(),
 		JoinCount: s.pool.N() - s.cfg.Params.N,
@@ -365,11 +365,6 @@ func (s *Server) snapshotLocked() (err error) {
 	if err := s.wal.truncate(); err != nil {
 		return err
 	}
-	// Records the snapshot now durably covers leave the replication
-	// buffer; a follower further back than Seq must bootstrap from the
-	// snapshot file instead of the stream.
-	s.repl.compact(st.Seq)
-	s.snapSeq.Store(st.Seq)
 	s.lastSnapAt.Store(st.TakenAt)
 	s.mutations.Store(0)
 	s.m.snapshots.Inc()

@@ -9,9 +9,8 @@ import (
 	"testing"
 )
 
-// Snapshot codec: followers decode snapshot bytes fetched from the
-// primary over HTTP, so every rejection path is pinned here alongside the
-// round trip.
+// Snapshot codec: recovery decodes whatever bytes the data directory
+// holds, so every rejection path is pinned here alongside the round trip.
 
 func sampleSnapshot() snapshotState {
 	return snapshotState{

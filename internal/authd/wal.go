@@ -302,37 +302,38 @@ type wal struct {
 	f      *os.File
 	path   string
 	seq    uint64 // last sequence assigned and handed to the OS (guarded by mu)
+	fp     uint64 // fingerprint chain at seq (guarded by mu; see fpFold)
 	failed error  // sticky failure
 	buf    []byte
 
 	syncMu sync.Mutex
 	synced uint64 // last sequence known fsynced (guarded by syncMu)
 
-	tracker *replTracker // replication buffer to extend per append; may be nil
-	hook    CrashHook    // crash-fault injection; nil in production
+	hook    CrashHook // crash-fault injection; nil in production
 	appends *metrics.Counter
 	fsyncs  *metrics.Counter
 }
 
 // openWAL opens (creating if needed) the log file in append mode. seq is
-// the last sequence number recovery observed (snapshot or replay).
-func openWAL(path string, seq uint64, tracker *replTracker, hook CrashHook, appends, fsyncs *metrics.Counter) (*wal, error) {
+// the last sequence number recovery observed (snapshot or replay) and fp
+// the fingerprint chain at it.
+func openWAL(path string, seq, fp uint64, hook CrashHook, appends, fsyncs *metrics.Counter) (*wal, error) {
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND|os.O_CREATE, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("authd: open WAL: %w", err)
 	}
 	return &wal{
-		f: f, path: path, seq: seq, synced: seq,
-		tracker: tracker, hook: hook, appends: appends, fsyncs: fsyncs,
+		f: f, path: path, seq: seq, fp: fp, synced: seq,
+		hook: hook, appends: appends, fsyncs: fsyncs,
 	}, nil
 }
 
 // append assigns the next sequence number, encodes and writes the record
 // under mu, then joins (or leads) the current fsync group outside mu so
 // concurrent appends coalesce, returning the assigned sequence once the
-// record is durable. obs is the mutation's observation digest, chained
-// into the replication fingerprint at the instant the record gains its
-// place in the order. The caller acknowledges the mutation to the client
+// record is durable. obs is the mutation's observation digest, folded
+// into the fingerprint chain at the instant the record gains its place in
+// the order. The caller acknowledges the mutation to the client
 // strictly after this returns.
 func (w *wal) append(rec walRecord, obs uint64) (uint64, error) {
 	seq, err := w.appendLocked(rec, obs)
@@ -382,13 +383,9 @@ func (w *wal) appendLocked(rec walRecord, obs uint64) (uint64, error) {
 		return 0, w.fail(err)
 	}
 	w.seq = rec.Seq
+	// Folded under mu, so the chain order is the log order.
+	w.fp = fpRecord(w.fp, rec.Seq, rec.Kind, obs)
 	w.appends.Inc()
-	if w.tracker != nil {
-		// Extended under mu, so the fingerprint chain order IS the log
-		// order. Streaming may race the group fsync — followers holding a
-		// record the primary has not yet synced only adds durability.
-		w.tracker.extend(rec.Seq, rec.Kind, frame, obs)
-	}
 	return rec.Seq, nil
 }
 
@@ -444,6 +441,13 @@ func (w *wal) lastSeq() uint64 {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return w.seq
+}
+
+// chainFP returns the fingerprint chain at the last assigned sequence.
+func (w *wal) chainFP() uint64 {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.fp
 }
 
 // truncate discards the on-disk log after a snapshot has durably captured

@@ -23,7 +23,7 @@ func walCounters(t testing.TB) (*metrics.Counter, *metrics.Counter) {
 func testWAL(t testing.TB) *wal {
 	t.Helper()
 	appends, fsyncs := walCounters(t)
-	w, err := openWAL(filepath.Join(t.TempDir(), walFileName), 0, nil, nil, appends, fsyncs)
+	w, err := openWAL(filepath.Join(t.TempDir(), walFileName), 0, fpBasis, nil, appends, fsyncs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +194,7 @@ func TestWALRejectsOversizedTag(t *testing.T) {
 func TestWALGroupFsync(t *testing.T) {
 	const writers, perWriter = 8, 64
 	appends, fsyncs := walCounters(t)
-	w, err := openWAL(filepath.Join(t.TempDir(), walFileName), 0, nil, nil, appends, fsyncs)
+	w, err := openWAL(filepath.Join(t.TempDir(), walFileName), 0, fpBasis, nil, appends, fsyncs)
 	if err != nil {
 		t.Fatal(err)
 	}

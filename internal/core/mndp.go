@@ -268,7 +268,7 @@ func (nd *Node) respondToRequest(req wire.MNDPRequest) {
 			nd.net.spanEnd(sp, nd.index, int(origin), "down")
 			return
 		}
-		nd.openMNDPPending(nd.mndpIn, origin)
+		nd.openMNDPPending(&nd.mndpIn, origin)
 		resp.Path = []wire.Hop{{ID: nd.id, Neighbors: nd.neighborIDs()}}
 		resp.Path[0].Sig = nd.priv.Sign(transcript(responseHeader(resp), resp.Path))
 		nd.sendResponse(resp)
@@ -289,19 +289,21 @@ func (nd *Node) sendResponse(resp wire.MNDPResponse) {
 }
 
 // openMNDPPending derives the pairwise key with peer and records the
-// exchange in table (mndpOut at the origin, mndpIn at the responder) until
-// the session beacon completes it or, with retries on, the session
-// timeout reaps it.
-func (nd *Node) openMNDPPending(table map[ibc.NodeID]*mndpPending, peer ibc.NodeID) {
+// exchange in *table (&nd.mndpOut at the origin, &nd.mndpIn at the
+// responder) until the session beacon completes it or, with retries on,
+// the session timeout reaps it. The reap reads the node's live table
+// through the pointer: CrashNode swaps in fresh maps, and a pending the
+// crash dropped must not be reaped, or counted, again.
+func (nd *Node) openMNDPPending(table *map[ibc.NodeID]*mndpPending, peer ibc.NodeID) {
 	p := &mndpPending{key: nd.priv.SharedKey(peer), initiatedAt: nd.net.engine.Now()}
 	nd.stats.KeyComputations++
-	table[peer] = p
+	(*table)[peer] = p
 	if nd.retryEnabled() {
 		nd.reapAfterTimeout(func() bool {
-			if table[peer] != p {
+			if (*table)[peer] != p {
 				return false
 			}
-			delete(table, peer)
+			delete(*table, peer)
 			return true
 		})
 	}
@@ -368,7 +370,7 @@ func (nd *Node) processResponse(resp wire.MNDPResponse) {
 		if nd.down {
 			return
 		}
-		nd.openMNDPPending(nd.mndpOut, responder)
+		nd.openMNDPPending(&nd.mndpOut, responder)
 	})
 }
 

@@ -367,3 +367,56 @@ func TestExpireSilentSessions(t *testing.T) {
 		t.Fatal("healthy 1-2 session was wrongly reaped")
 	}
 }
+
+// TestCrashDropsMNDPPendingReap: a crash discards the node's M-NDP
+// pendings, so the session timeout must not reap, or count, one the crash
+// already dropped. Node 0 opens a responder-side pending (every frame is
+// lost, so nothing completes it) and, in the crash case, fails at once.
+func TestCrashDropsMNDPPendingReap(t *testing.T) {
+	dropAll := radio.InjectorFunc(func(int, int, radio.Message) radio.FaultDecision {
+		return radio.FaultDecision{Drop: true}
+	})
+	for _, tc := range []struct {
+		name   string
+		crash  bool
+		wantGC uint64
+	}{{"no crash", false, 1}, {"crash", true, 0}} {
+		t.Run(tc.name, func(t *testing.T) {
+			reg := metrics.New()
+			net, err := NewNetwork(NetworkConfig{
+				Params:    smallParams(3, 5),
+				Seed:      7,
+				Jammer:    JamNone,
+				Positions: clusterPositions(3),
+				Retry:     DefaultRetryConfig(smallParams(3, 5)),
+				Faults:    dropAll,
+				Metrics:   reg,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			nd := net.Node(0)
+			nd.respondToRequest(wire.MNDPRequest{
+				Nonce: []byte{1, 2, 3, 4},
+				Nu:    2,
+				Hops:  []wire.Hop{{ID: net.Node(2).ID()}},
+			})
+			for len(nd.mndpIn) == 0 {
+				if !net.engine.Step() {
+					t.Fatal("the M-NDP pending never opened")
+				}
+			}
+			if tc.crash {
+				if err := net.CrashNode(0); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := net.engine.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if got := reg.Snapshot().Counters["jrsnd_core_halfopen_gc_total"]; got != tc.wantGC {
+				t.Fatalf("halfopen_gc_total = %d, want %d", got, tc.wantGC)
+			}
+		})
+	}
+}

@@ -5,11 +5,11 @@ import (
 	"go/types"
 )
 
-// goroutinelifecycle: the service layers (authd replication, the
-// transport peer manager, the daemons and harnesses) are goroutine-heavy,
-// and a goroutine nobody joins or cancels is a leak that -race cannot
-// see: it holds its captures forever and keeps running after Shutdown
-// returned. Every `go` statement in a service package must be provably
+// goroutinelifecycle: the service layers (the authd server and load
+// generator, the transport peer manager, the daemons and harnesses) are
+// goroutine-heavy, and a goroutine nobody joins or cancels is a leak that
+// -race cannot see: it holds its captures forever and keeps running after
+// Shutdown returned. Every `go` statement in a service package must be provably
 // one of:
 //
 //   - joined: the spawned body calls (*sync.WaitGroup).Done and the

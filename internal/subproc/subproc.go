@@ -1,5 +1,5 @@
 // Package subproc manages the server subprocesses of the multi-process
-// harnesses (`make authd-crash`, `make authd-replica`, `make node-e2e`):
+// harnesses (`make authd-crash`, `make node-e2e`):
 // it starts a binary, folds its stdout and stderr into one buffer, waits
 // for the "serving on http://…" line both jrsnd-authority and jrsnd-node
 // print once they accept requests, and stops the process again.

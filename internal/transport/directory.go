@@ -23,7 +23,7 @@ type AuthorityDirectory struct {
 var _ Directory = (*AuthorityDirectory)(nil)
 
 // NewAuthorityDirectory wraps an authority client (which carries its own
-// retry and failover policy) as a Directory.
+// retry policy) as a Directory.
 func NewAuthorityDirectory(client *authd.Client) *AuthorityDirectory {
 	return &AuthorityDirectory{client: client, cache: map[int][]byte{}}
 }
