@@ -29,9 +29,9 @@ tier1: build
 
 # benchgate measures the hot-path benchmarks (sim scheduler, DSSS receive
 # path, authd handlers, transport, field hop search, codepool, the ibc
-# key/signature/session-code primitives, the core event engine's
-# D-NDP/M-NDP rounds, and the Reed-Solomon codec) against the checked-in
-# BENCH_*.json baselines and fails on a >2x slowdown or on any allocs/op
+# key/signature/session-code primitives and memoised Verifier, the core
+# event engine's D-NDP/M-NDP rounds, the Reed-Solomon codec, and chip
+# correlation) against the checked-in BENCH_*.json baselines and fails on a >2x slowdown or on any allocs/op
 # above the baseline.
 # Re-baseline deliberately with `go run ./cmd/jrsnd-benchgate -update`.
 # See docs/observability.md.
@@ -114,7 +114,8 @@ prof:
 # fuzz runs every native fuzz target (wire decoder, handshake transcript,
 # DSSS sync window, chip-channel superposition against its per-chip
 # reference, Reed-Solomon decoder and round trip, authd request decoder,
-# WAL replay/boot path, snapshot decoder, transport datagram dispatch) for
+# WAL replay/boot path, snapshot decoder, transport datagram dispatch, the
+# memoised signature Verifier against the reference ibc.Verify) for
 # FUZZTIME each; TestMakeFuzzCoversEveryTarget fails when a Fuzz function
 # is missing here. Out of tier1: run it before releases or after touching
 # a codec, receive path, or the durability layer.
@@ -129,6 +130,7 @@ fuzz:
 	$(GO) test -run xxx -fuzz FuzzReplayWAL -fuzztime $(FUZZTIME) ./internal/authd
 	$(GO) test -run xxx -fuzz FuzzDecodeSnapshot -fuzztime $(FUZZTIME) ./internal/authd
 	$(GO) test -run xxx -fuzz FuzzDatagram -fuzztime $(FUZZTIME) ./internal/transport
+	$(GO) test -run xxx -fuzz FuzzVerifier -fuzztime $(FUZZTIME) ./internal/ibc
 
 # vuln scans the module against the Go vulnerability database. Out of
 # tier1: needs network access and the govulncheck tool

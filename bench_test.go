@@ -17,7 +17,6 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/baseline"
-	"repro/internal/chips"
 	"repro/internal/core"
 	"repro/internal/experiment"
 	"repro/internal/field"
@@ -79,18 +78,6 @@ func BenchmarkAblationRedundancyOff(b *testing.B) {
 }
 
 // --- Substrate micro-benchmarks ---
-
-func BenchmarkCorrelate512(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	u := chips.NewRandom(rng, 512)
-	v := chips.NewRandom(rng, 512)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := chips.Correlate(u, v); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
 
 func BenchmarkBaselineUFHSimulation(b *testing.B) {
 	u := baseline.DefaultUFH()

@@ -2,10 +2,11 @@
 // Go benchmarks of the hot-path packages (sim, dsss, authd, transport,
 // the figure campaign's field and codepool kernels, the ID-based key,
 // signature and session-code primitives in ibc, the event-driven
-// protocol engine's D-NDP and M-NDP rounds in core, and the Reed–Solomon
-// codec in rs), reduces each benchmark to its best observed ns/op and
-// allocs/op across -count repetitions, and compares the result against
-// the checked-in per-suite baseline (BENCH_sim.json, BENCH_dsss.json, …).
+// protocol engine's D-NDP and M-NDP rounds in core, the Reed–Solomon
+// codec in rs, and chip-sequence correlation in chips), reduces each
+// benchmark to its best observed ns/op and allocs/op across -count
+// repetitions, and compares the result against the checked-in per-suite
+// baseline (BENCH_sim.json, BENCH_dsss.json, …).
 // A benchmark slower than baseline × (1 + tolerance), or allocating more
 // per op than its baseline, is a regression and the gate exits nonzero —
 // wired into `make tier1` so every hot-path change is measured against
@@ -57,9 +58,10 @@ var suites = map[string]suite{
 	"ibc":       {Pkg: "./internal/ibc", Baseline: "BENCH_ibc.json"},
 	"core":      {Pkg: "./internal/core", Baseline: "BENCH_core.json"},
 	"rs":        {Pkg: "./internal/rs", Baseline: "BENCH_rs.json"},
+	"chips":     {Pkg: "./internal/chips", Baseline: "BENCH_chips.json"},
 }
 
-var suiteOrder = []string{"sim", "dsss", "authd", "transport", "field", "codepool", "ibc", "core", "rs"}
+var suiteOrder = []string{"sim", "dsss", "authd", "transport", "field", "codepool", "ibc", "core", "rs", "chips"}
 
 // benchResult is one benchmark's reduced measurement.
 type benchResult struct {

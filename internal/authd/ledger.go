@@ -26,7 +26,6 @@ type Ledger struct {
 	mu         sync.Mutex
 	nodes      map[int][]codepool.CodeID
 	maxEpoch   int
-	maxSeq     uint64         // highest WAL sequence any acknowledged response carried
 	reports    map[int32]int  // acknowledged reports per code
 	revokedNow map[int32]bool // codes acknowledged RevokedNow
 	ackedOps   int            // acknowledged nodes plus acknowledged reports
@@ -46,7 +45,7 @@ func (l *Ledger) Provision(res ProvisionResponse) {
 	for _, a := range res.Nodes {
 		l.ackNode(a.Node, a.Codes)
 	}
-	l.maxEpoch, l.maxSeq = max(l.maxEpoch, res.Epoch), max(l.maxSeq, res.Seq)
+	l.maxEpoch = max(l.maxEpoch, res.Epoch)
 }
 
 // Join records an acknowledged join.
@@ -54,7 +53,7 @@ func (l *Ledger) Join(res JoinResponse) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.ackNode(res.Node, res.Codes)
-	l.maxEpoch, l.maxSeq = max(l.maxEpoch, res.Epoch), max(l.maxSeq, res.Seq)
+	l.maxEpoch = max(l.maxEpoch, res.Epoch)
 }
 
 // Revoke records an acknowledged invalid-code report.
@@ -67,7 +66,6 @@ func (l *Ledger) Revoke(res RevokeResult) {
 		l.violatef("code %d acknowledged RevokedNow again", res.Code)
 	}
 	l.revokedNow[res.Code] = l.revokedNow[res.Code] || res.RevokedNow
-	l.maxSeq = max(l.maxSeq, res.Seq)
 }
 
 func (l *Ledger) ackNode(node int, codes []codepool.CodeID) {
@@ -103,14 +101,6 @@ func (l *Ledger) AckedOps() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.ackedOps
-}
-
-// AckedSeq is the highest WAL sequence any acknowledged response carried:
-// what any client knows was acknowledged.
-func (l *Ledger) AckedSeq() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.maxSeq
 }
 
 // Reports counts the acknowledged reports of code.

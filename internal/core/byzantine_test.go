@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/adversary"
+	"repro/internal/codepool"
 	"repro/internal/metrics"
 	"repro/internal/radio"
 	"repro/internal/sim"
@@ -206,6 +207,61 @@ func TestBitFlipperCountsDecodeErrors(t *testing.T) {
 	snap := reg.Snapshot()
 	if got := snap.Counters["jrsnd_core_decode_errors_total"]; got < 1 {
 		t.Fatalf("decode_errors = %v, want >= 1", got)
+	}
+}
+
+// TestIngressDespreadsBeforeDecoding pins the ingress order: a D-NDP
+// frame is decoded only if the node can de-spread it (§IV-A). A corrupted
+// HELLO on a code the node holds reaches the decoder and is counted as a
+// decode error; the same bytes on a code it does not hold are dropped
+// first, neither decoded nor counted.
+func TestIngressDespreadsBeforeDecoding(t *testing.T) {
+	// l = 2 holders per code, so the pool has codes node 0 does not hold.
+	p := smallParams(4, 5)
+	p.L = 2
+	reg := metrics.New()
+	net, err := NewNetwork(NetworkConfig{Params: p, Seed: 76, Jammer: JamNone, Positions: clusterPositions(4), Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	victim := net.Node(0)
+	held := victim.codes[0]
+	notHeld := codepool.CodeID(-1)
+	for c := codepool.CodeID(0); int(c) < net.pool.S(); c++ {
+		if !victim.codeSet[c] {
+			notHeld = c
+			break
+		}
+	}
+	if notHeld < 0 {
+		t.Fatal("victim holds every code in the pool")
+	}
+	frame, err := wire.Encode(wire.KindHello, wire.Hello{Initiator: 1}, net.limits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame[0] ^= 0xFF // bad version byte: the decoder must reject it
+	decodeErrors := func() uint64 {
+		return reg.Snapshot().Counters["jrsnd_core_decode_errors_total"]
+	}
+
+	victim.handle(1, radio.Message{Kind: wire.KindHello, Code: held, Frame: frame})
+	if got := decodeErrors(); got != 1 {
+		t.Fatalf("corrupted frame on a held code: decode_errors = %v, want 1", got)
+	}
+	victim.handle(1, radio.Message{Kind: wire.KindHello, Code: notHeld, Frame: frame})
+	if got := decodeErrors(); got != 1 {
+		t.Fatalf("corrupted frame on code %d the node does not hold was decoded: decode_errors = %v, want 1", notHeld, got)
+	}
+	// A session frame whose corrupted kind byte decodes as a HELLO still
+	// travels on a session code, so it must not open a D-NDP responder.
+	hello, err := wire.Encode(wire.KindHello, wire.Hello{Initiator: 1}, net.limits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	victim.handle(1, radio.Message{Kind: wire.KindSessionHello, Code: radio.SessionCode, Frame: hello})
+	if len(victim.responders) != 0 {
+		t.Fatal("a HELLO payload on a session code opened a D-NDP responder")
 	}
 }
 

@@ -112,7 +112,7 @@ func (nd *Node) verifyChain(header []byte, hops []wire.Hop) bool {
 	for _, h := range hops {
 		t = appendHop(t, h)
 		nd.stats.SigVerifications++
-		if err := ibc.Verify(nd.net.rootPub, h.ID, t, h.Sig); err != nil {
+		if err := nd.net.verifier.Verify(h.ID, t, h.Sig); err != nil {
 			nd.stats.SigFailures++
 			return false
 		}

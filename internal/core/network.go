@@ -179,7 +179,7 @@ type Network struct {
 	streams   *sim.Streams
 	pool      *codepool.Pool
 	authority *ibc.Authority
-	rootPub   []byte
+	verifier  *ibc.Verifier // every node's signature checks, memoised per deployment
 	medium    *radio.Medium // the shared radio every frame goes through
 	deploy    field.Field
 	positions []field.Point
@@ -257,7 +257,7 @@ func NewNetwork(cfg NetworkConfig) (*Network, error) {
 		streams:          streams,
 		pool:             pool,
 		authority:        authority,
-		rootPub:          authority.RootPublicKey(),
+		verifier:         ibc.NewVerifier(authority.RootPublicKey()),
 		deploy:           deploy,
 		positions:        positions,
 		graph:            graph,
@@ -757,15 +757,19 @@ func (n *Network) send(from, to, kind int, code codepool.CodeID, payload any) er
 	return n.medium.Unicast(from, to, msg)
 }
 
-// handle is the single ingress path: decode the delivered frame under the
-// derived limits, drop a D-NDP frame spread with a code the node cannot
-// de-spread (or has locally revoked, §V-D), then dispatch the typed
-// payload on the *decoded* kind — a corrupted kind byte or payload is a
-// decode error, not a misrouted struct. Rejected frames are counted
-// (`decode_errors`) and traced, never processed.
+// handle is the single ingress path. A receiver gets at the bits of a
+// frame only by de-spreading it (§IV-A), so a D-NDP frame spread with a
+// code the node does not hold (or has locally revoked, §V-D) is dropped
+// before any decoding. The rest are decoded under the derived limits and
+// dispatched on the *decoded* kind — a corrupted kind byte or payload is a
+// decode error, not a misrouted struct. Frames the decoder rejects are
+// counted (`decode_errors`) and traced, never processed.
 func (nd *Node) handle(from int, msg radio.Message) {
 	if nd.compromised || nd.down {
 		return // compromised nodes do not run the honest protocol; crashed radios are off
+	}
+	if !nd.despreads(msg.Kind, msg.Code) {
+		return
 	}
 	kind, payload, err := wire.Decode(msg.Frame, nd.net.limits)
 	if err != nil {
@@ -773,11 +777,8 @@ func (nd *Node) handle(from int, msg radio.Message) {
 		nd.net.emit(trace.KindDrop, nd.index, from, fmt.Sprintf("frame rejected by decoder: %v", err))
 		return
 	}
-	switch kind {
-	case wire.KindHello, wire.KindConfirm, wire.KindAuth1, wire.KindAuth2:
-		if !nd.holdsCode(msg.Code) {
-			return // cannot de-spread, or locally revoked (§V-D)
-		}
+	if kind != msg.Kind && !nd.despreads(kind, msg.Code) {
+		return // a corrupted kind byte made a D-NDP payload of a frame on another code
 	}
 	// wire.Decode returns the payload type that matches the kind.
 	switch kind {
@@ -798,4 +799,15 @@ func (nd *Node) handle(from int, msg radio.Message) {
 	case wire.KindSessionConfirm:
 		nd.onSessionConfirm(from, payload.(wire.Session))
 	}
+}
+
+// despreads reports whether the node can de-spread a frame of the given
+// kind spread with code: the four D-NDP kinds travel on pool codes, which
+// need holdsCode; M-NDP and session frames travel on session codes.
+func (nd *Node) despreads(kind int, code codepool.CodeID) bool {
+	switch kind {
+	case wire.KindHello, wire.KindConfirm, wire.KindAuth1, wire.KindAuth2:
+		return nd.holdsCode(code)
+	}
+	return true
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"sync"
 )
 
 // Authority is the single MANET authority of the paper's network model. It
@@ -64,13 +65,21 @@ func (a *Authority) RootPublicKey() ed25519.PublicKey {
 // PrivateKey is the ID-based private key K_A^{-1} issued to node A: the
 // Blom private row (for non-interactive pairwise keys) plus a certified
 // signing key (for ID-verifiable signatures).
+//
+// The signing key and its certificate are derived from the issued seed at
+// the first Sign: D-NDP never signs, so most simulated nodes never pay for
+// them. ed25519 is deterministic, so the bytes are those an eager Issue
+// would have produced.
 type PrivateKey struct {
 	id      NodeID
 	t       int
 	blomRow []uint64
+
+	seed    [ed25519.SeedSize]byte
+	rootKey ed25519.PrivateKey // certifies the signing key; dropped once it has
+	signer  sync.Once
 	signKey ed25519.PrivateKey
 	cert    []byte // authority signature over (id, signing public key)
-	rootPub ed25519.PublicKey
 }
 
 // Issue generates the ID-based private key for id. Each ID may be issued at
@@ -83,19 +92,26 @@ func (a *Authority) Issue(id NodeID, rng *rand.Rand) (*PrivateKey, error) {
 	if a.issued[id] {
 		return nil, fmt.Errorf("ibc: private key for node %d already issued", id)
 	}
-	seed := make([]byte, ed25519.SeedSize)
-	fillRand(rng, seed)
-	signKey := ed25519.NewKeyFromSeed(seed)
-	cert := ed25519.Sign(a.rootKey, certPayload(id, signKey.Public().(ed25519.PublicKey)))
-	a.issued[id] = true
-	return &PrivateKey{
+	k := &PrivateKey{
 		id:      id,
 		t:       a.blom.t,
 		blomRow: a.blom.privateRow(id),
-		signKey: signKey,
-		cert:    cert,
-		rootPub: a.rootPub,
-	}, nil
+		rootKey: a.rootKey,
+	}
+	fillRand(rng, k.seed[:]) // drawn now, so rng's stream does not depend on who signs
+	a.issued[id] = true
+	return k, nil
+}
+
+// certified returns the signing key and its certificate, deriving both on
+// the first call.
+func (k *PrivateKey) certified() (ed25519.PrivateKey, []byte) {
+	k.signer.Do(func() {
+		k.signKey = ed25519.NewKeyFromSeed(k.seed[:])
+		k.cert = ed25519.Sign(k.rootKey, certPayload(k.id, k.signKey.Public().(ed25519.PublicKey)))
+		k.rootKey = nil
+	})
+	return k.signKey, k.cert
 }
 
 // ID returns the node ID the key was issued for.

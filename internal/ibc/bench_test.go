@@ -48,6 +48,52 @@ func BenchmarkIDSignVerify(b *testing.B) {
 	}
 }
 
+// BenchmarkVerifierWarm times a Verifier memo hit: an input that has
+// verified before, so no ed25519 work is done.
+func BenchmarkVerifierWarm(b *testing.B) {
+	auth, key := benchKey(b, 12, 13)
+	msg := []byte("m-ndp request")
+	sig := key.Sign(msg)
+	v := NewVerifier(auth.RootPublicKey())
+	if err := v.Verify(1, msg, sig); err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := v.Verify(1, msg, sig); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkVerifierCertHit times a Verifier check of a message it has not
+// seen under a certificate it has: the message signature alone, plus the
+// memo insert. The message memo is emptied every len(msgs) checks so each
+// check is a miss; the certificate memo is kept.
+func BenchmarkVerifierCertHit(b *testing.B) {
+	auth, key := benchKey(b, 14, 15)
+	msgs := make([][]byte, 64)
+	sigs := make([]Signature, len(msgs))
+	for i := range msgs {
+		msgs[i] = []byte{'m', 'n', 'd', 'p', byte(i)}
+		sigs[i] = key.Sign(msgs[i])
+	}
+	v := NewVerifier(auth.RootPublicKey())
+	if err := v.Verify(1, []byte("warm"), key.Sign([]byte("warm"))); err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		j := i % len(msgs)
+		if j == 0 {
+			clear(v.sigs)
+		}
+		if err := v.Verify(1, msgs[j], sigs[j]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkSessionCodeDerivation times one session spread code
 // derivation, C_AB = h_K(n_A ⊗ n_B), at 512 chips.
 func BenchmarkSessionCodeDerivation(b *testing.B) {
