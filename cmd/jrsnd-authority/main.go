@@ -179,6 +179,11 @@ func runServer(opts options, out io.Writer) (int, error) {
 	if err != nil {
 		return 1, err
 	}
+	// Catch SIGTERM before the server is reachable: a supervisor that
+	// reads the "serving on" line may signal at once, and an uncaught
+	// SIGTERM kills the process without the drain.
+	stop := make(chan os.Signal, 1)
+	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
 	addr, err := srv.Start(opts.addr)
 	if err != nil {
 		return 1, err
@@ -186,8 +191,6 @@ func runServer(opts options, out io.Writer) (int, error) {
 	fmt.Fprintf(out, "jrsnd-authority: serving on http://%s (n=%d m=%d l=%d γ=%d)\n",
 		addr, opts.n, opts.m, opts.l, opts.gamma)
 
-	stop := make(chan os.Signal, 1)
-	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
 	<-stop
 	fmt.Fprintln(out, "jrsnd-authority: draining…")
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)

@@ -5,6 +5,7 @@ import (
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"maps"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -22,7 +23,9 @@ import (
 // BenchmarkAblationRedundancy{On,Off} still counts); and every field
 // those docs cite of the engine's option structs, as
 // `NetworkConfig.Field` or as a key in a `RetryConfig{Field, …}`
-// literal, must still be declared in internal/core.
+// literal, must still be declared in internal/core, and every field
+// cited as `authd.Config.Field`, `authd.Client.Field` or
+// `authd.Durability.Field` must still be declared in internal/authd.
 func TestDocPathsExist(t *testing.T) {
 	readme := readDoc(t, "README.md")
 	runs := regexp.MustCompile(`go run \./([^\s]+)`).FindAllStringSubmatch(readme, -1)
@@ -65,8 +68,9 @@ func TestDocPathsExist(t *testing.T) {
 		t.Fatal(err)
 	}
 	cited := regexp.MustCompile(`\b(?:Test|Fuzz|Benchmark|Example)[A-Z_]\w*`)
-	fields := optionFields(t)
-	fieldRef := regexp.MustCompile(`\b(NetworkConfig|RetryConfig|DefenseConfig)\.(\w+)`)
+	fields := optionFields(t, "core", "NetworkConfig", "RetryConfig", "DefenseConfig")
+	maps.Copy(fields, optionFields(t, "authd", "Config", "Client", "Durability"))
+	fieldRef := regexp.MustCompile(`\b(NetworkConfig|RetryConfig|DefenseConfig|authd\.(?:Config|Client|Durability))\.(\w+)`)
 	literal := regexp.MustCompile(`\b(NetworkConfig|RetryConfig|DefenseConfig)\{([^}]*)\}`)
 	key := regexp.MustCompile(`^\s*([A-Z]\w*)\s*(?::|$)`)
 	for _, doc := range append([]string{"README.md", "DESIGN.md", "EXPERIMENTS.md"}, docs...) {
@@ -89,18 +93,22 @@ func TestDocPathsExist(t *testing.T) {
 		}
 		for _, r := range refs {
 			if !fields[r[0]][r[1]] {
-				t.Errorf("%s cites %s.%s, which internal/core does not declare", doc, r[0], r[1])
+				t.Errorf("%s cites %s.%s, which is not a field of that struct", doc, r[0], r[1])
 			}
 		}
 	}
 }
 
-// optionFields parses internal/core and returns the field names of the
-// engine's option structs: NetworkConfig, RetryConfig and DefenseConfig.
-func optionFields(t *testing.T) map[string]map[string]bool {
+// optionFields parses internal/<pkg> and returns the field names of the
+// named structs. The engine's (core) structs are keyed by their bare
+// name, as the docs cite them; any other package's by pkg.Name.
+func optionFields(t *testing.T, pkg string, structs ...string) map[string]map[string]bool {
 	t.Helper()
-	fields := map[string]map[string]bool{"NetworkConfig": {}, "RetryConfig": {}, "DefenseConfig": {}}
-	files, err := filepath.Glob(filepath.Join("internal", "core", "*.go"))
+	byName := map[string]map[string]bool{}
+	for _, s := range structs {
+		byName[s] = map[string]bool{}
+	}
+	files, err := filepath.Glob(filepath.Join("internal", pkg, "*.go"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +126,7 @@ func optionFields(t *testing.T) map[string]map[string]bool {
 			if !ok {
 				return true
 			}
-			names, want := fields[spec.Name.Name]
+			names, want := byName[spec.Name.Name]
 			if st, isStruct := spec.Type.(*ast.StructType); want && isStruct {
 				for _, field := range st.Fields.List {
 					for _, id := range field.Names {
@@ -129,10 +137,15 @@ func optionFields(t *testing.T) map[string]map[string]bool {
 			return false
 		})
 	}
-	for typ, names := range fields {
+	fields := map[string]map[string]bool{}
+	for typ, names := range byName {
 		if len(names) == 0 {
-			t.Fatalf("internal/core declares no struct %s with fields", typ)
+			t.Fatalf("internal/%s declares no struct %s with fields", pkg, typ)
 		}
+		if pkg != "core" {
+			typ = pkg + "." + typ
+		}
+		fields[typ] = names
 	}
 	return fields
 }

@@ -14,15 +14,14 @@
 //     codepool.Revoker, preserving its exactly-one-revocation guarantee.
 //
 // plus GET /v1/epoch (distribution-epoch counter and slot accounting),
-// GET /v1/node (sharded assignment lookup), GET /healthz, and
+// GET /v1/node (assignment lookup), GET /healthz, and
 // GET /metrics (Prometheus text via internal/metrics).
 //
-// The service is built for concurrency the way the rest of the repo is
-// built for determinism: mutable per-node state (assignment records,
-// per-client rate-limit buckets) is sharded with per-shard locking so
-// provisioning scales across cores; the codepool itself sits behind a
-// single RWMutex because §V-A joins mutate the shared pool, while the
-// deployment-slot cursor is a lock-free atomic. Request decoding is
+// Concurrency is sized to the traffic the service is measured under,
+// where the WAL fsync dominates: assignment records and per-client
+// rate-limit buckets each live in one map behind one mutex; the codepool
+// sits behind a single RWMutex because §V-A joins mutate the shared
+// pool, while the deployment-slot cursor is a lock-free atomic. Request decoding is
 // strictly bounded in the style of internal/wire — size caps derived
 // from analysis.Params, a typed error taxonomy, no allocation driven by
 // hostile lengths — and every handler increments a registered metrics
@@ -37,7 +36,6 @@ import (
 	"math/rand"
 	"net"
 	"net/http"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -115,8 +113,8 @@ type Server struct {
 
 	rev *codepool.Revoker
 
-	reg *registry // sharded node-ID → assignment records
-	rl  *limiter  // sharded per-client token buckets
+	reg *registry // node-ID → assignment records
+	rl  *limiter  // per-client token buckets
 
 	// nextSlot is the deployment-slot cursor, in [0, N]: a
 	// compare-and-swap claim (claimSlots), so two concurrent provisions
@@ -193,15 +191,13 @@ func New(cfg Config) (*Server, error) {
 		return nil, fmt.Errorf("authd: %w", err)
 	}
 
-	// Shard count for the assignment registry and the rate limiter.
-	shards := nextPow2(2 * runtime.GOMAXPROCS(0))
 	s := &Server{
 		cfg:     cfg,
 		lim:     lim,
 		pool:    pool,
 		joinRng: rand.New(rand.NewSource(cfg.Seed + 1)),
 		rev:     rev,
-		reg:     newRegistry(shards),
+		reg:     newRegistry(),
 		m:       newServerMetrics(cfg.Metrics),
 		tracer:  trace.NewTracer(cfg.Trace),
 		start:   cfg.now(),
@@ -210,7 +206,7 @@ func New(cfg Config) (*Server, error) {
 		s.rc = metrics.NewRuntimeCollector(cfg.Metrics)
 	}
 	if cfg.Rate > 0 {
-		s.rl = newLimiter(shards, cfg.Rate, cfg.Burst, cfg.now)
+		s.rl = newLimiter(cfg.Rate, cfg.Burst, cfg.now)
 	}
 	if cfg.Durable.Dir != "" {
 		if err := s.openDurable(cfg.Durable); err != nil {
@@ -294,8 +290,8 @@ func (s *Server) Epoch() int {
 // provision claims up to count deployment slots and records their
 // assignments, returning the WAL sequence of the logged claim (0 when
 // in-memory). The slot cursor is a compare-and-swap claim, so concurrent
-// calls get disjoint ranges; only the per-slot record insert takes
-// (sharded) locks. Claim, apply and append all run under poolMu's read
+// calls get disjoint ranges; only the per-slot record insert takes the
+// registry lock. Claim, apply and append all run under poolMu's read
 // side, so a snapshot's cut never separates a claimed cursor, its
 // registry records and its log record.
 func (s *Server) provision(count int, tag string) ([]Assignment, uint64, error) {
@@ -306,13 +302,13 @@ func (s *Server) provision(count int, tag string) ([]Assignment, uint64, error) 
 	if err != nil {
 		return nil, 0, err
 	}
-	out, obs, err := s.applyProvision(start, end-start, tag, now)
+	out, err := s.applyProvision(start, end-start, tag, now)
 	if err != nil {
 		return nil, 0, err
 	}
 	seq, err := s.commit(walRecord{
 		Kind: walProvision, Start: start, Count: end - start, Tag: tag, At: now.UnixNano(),
-	}, obs)
+	})
 	if err != nil {
 		return nil, 0, err
 	}
@@ -346,13 +342,13 @@ func (s *Server) join(tag string) (Assignment, bool, uint64, error) {
 	now := s.cfg.now()
 	s.poolMu.Lock()
 	defer s.poolMu.Unlock()
-	a, expanded, obs, err := s.applyJoin(tag, now)
+	a, expanded, err := s.applyJoin(tag, now)
 	if err != nil {
 		return Assignment{}, false, 0, err
 	}
 	seq, err := s.commit(walRecord{
 		Kind: walJoin, Node: a.Node, Expanded: expanded, Tag: tag, At: now.UnixNano(),
-	}, obs)
+	})
 	if err != nil {
 		return Assignment{}, false, 0, err
 	}
@@ -377,8 +373,8 @@ func (s *Server) revoke(code codepool.CodeID) (RevokeResult, error) {
 	if int(code) < 0 || int(code) >= poolSize {
 		return RevokeResult{}, fmt.Errorf("%w: code %d outside pool [0, %d)", ErrField, code, poolSize)
 	}
-	now, obs := s.applyRevoke(code)
-	seq, err := s.commit(walRecord{Kind: walRevoke, Code: int32(code), At: s.cfg.now().UnixNano()}, obs)
+	now := s.applyRevoke(code)
+	seq, err := s.commit(walRecord{Kind: walRevoke, Code: int32(code), At: s.cfg.now().UnixNano()})
 	if err != nil {
 		return RevokeResult{}, err
 	}
@@ -417,12 +413,4 @@ func (s *Server) epochInfo() EpochInfo {
 		Joined:      s.pool.N() - s.cfg.Params.N,
 		Revoked:     s.rev.RevokedCodes(),
 	}
-}
-
-func nextPow2(v int) int {
-	p := 1
-	for p < v {
-		p <<= 1
-	}
-	return p
 }

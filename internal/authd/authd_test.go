@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -69,7 +70,7 @@ func TestProvisionJoinRevokeEndToEnd(t *testing.T) {
 		}
 	}
 
-	// The assignment is visible through the sharded lookup.
+	// The assignment is visible through the registry lookup.
 	info, err := cl.Node(ctx, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -505,8 +506,8 @@ func TestClientRetriesWithFullJitterBackoff(t *testing.T) {
 	}
 }
 
-func TestRegistryShardingInvariants(t *testing.T) {
-	r := newRegistry(4)
+func TestRegistryInvariants(t *testing.T) {
+	r := newRegistry()
 	for node := 0; node < 100; node++ {
 		if err := r.insert(node, record{Via: "provision"}); err != nil {
 			t.Fatal(err)
@@ -520,5 +521,53 @@ func TestRegistryShardingInvariants(t *testing.T) {
 	}
 	if _, ok := r.get(-1); ok {
 		t.Fatal("negative node must not resolve")
+	}
+}
+
+// TestLimiterSweepsIdleBuckets: once the bucket map reaches sweepAt, the
+// next new client sweeps every bucket idle for a full refill. The map
+// shrinks, a bucket still in use survives with its tokens, and a swept
+// client comes back with exactly Burst tokens — no more than it would
+// have had if it had been kept.
+func TestLimiterSweepsIdleBuckets(t *testing.T) {
+	const rate, burst = 2, 3
+	clock := time.Unix(1000, 0)
+	l := newLimiter(rate, burst, func() time.Time { return clock })
+	spend := func(client string) int {
+		n := 0
+		for l.allow(client) {
+			n++
+		}
+		return n
+	}
+	for i := 0; i < sweepAt-1; i++ {
+		if !l.allow(fmt.Sprintf("idle-%d", i)) {
+			t.Fatalf("fresh client %d refused", i)
+		}
+	}
+	if got := spend("hot"); got != burst {
+		t.Fatalf("hot client spent %d tokens, want %d", got, burst)
+	}
+	if got := len(l.buckets); got != sweepAt {
+		t.Fatalf("%d buckets before the sweep, want %d", got, sweepAt)
+	}
+
+	// A full refill later, hot refills and spends one token, so it is no
+	// longer idle; the next new client then triggers the sweep.
+	clock = clock.Add(time.Duration(float64(burst) / rate * float64(time.Second)))
+	if !l.allow("hot") {
+		t.Fatal("hot client refused after a full refill")
+	}
+	if !l.allow("newcomer") {
+		t.Fatal("newcomer refused")
+	}
+	if got := len(l.buckets); got != 2 {
+		t.Fatalf("%d buckets after the sweep, want 2 (hot, newcomer)", got)
+	}
+	if got := spend("hot"); got != burst-1 {
+		t.Fatalf("surviving hot bucket had %d tokens, want %d", got, burst-1)
+	}
+	if got := spend("idle-0"); got != burst {
+		t.Fatalf("swept client got %d tokens back, want exactly %d", got, burst)
 	}
 }

@@ -11,8 +11,8 @@ import (
 	"repro/internal/metrics"
 )
 
-// Service-level micro-benches: one full handler pass (decode → sharded
-// state → encode) without network, so the numbers isolate the service
+// Service-level micro-benches: one full handler pass (decode → state →
+// encode) without network, so the numbers isolate the service
 // from the kernel's loopback stack. The loadgen (`jrsnd-authority
 // -loadgen`, the benchmark's `authority` workload) measures the same
 // paths over real HTTP.
@@ -87,7 +87,7 @@ func BenchmarkRevoke(b *testing.B) {
 // jrsnd-benchgate against BENCH_authd_go.json.
 func BenchmarkWALAppend(b *testing.B) {
 	reg := metrics.New()
-	w, err := openWAL(filepath.Join(b.TempDir(), "wal.log"), 0, fpBasis, nil,
+	w, err := openWAL(filepath.Join(b.TempDir(), "wal.log"), 0, nil,
 		reg.Counter("bench_appends", "b"), reg.Counter("bench_fsyncs", "b"))
 	if err != nil {
 		b.Fatal(err)
@@ -97,7 +97,7 @@ func BenchmarkWALAppend(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := w.append(rec, 0); err != nil {
+		if _, err := w.append(rec); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -109,7 +109,7 @@ func BenchmarkWALAppend(b *testing.B) {
 // jrsnd-benchgate against BENCH_authd_go.json.
 func BenchmarkWALAppendGroupCommit(b *testing.B) {
 	reg := metrics.New()
-	w, err := openWAL(filepath.Join(b.TempDir(), "wal.log"), 0, fpBasis, nil,
+	w, err := openWAL(filepath.Join(b.TempDir(), "wal.log"), 0, nil,
 		reg.Counter("bench_gc_appends", "b"), reg.Counter("bench_gc_fsyncs", "b"))
 	if err != nil {
 		b.Fatal(err)
@@ -124,7 +124,7 @@ func BenchmarkWALAppendGroupCommit(b *testing.B) {
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
-			if _, err := w.append(rec, 0); err != nil {
+			if _, err := w.append(rec); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -23,7 +23,7 @@ var ErrUnavailable = errors.New("authd: server unavailable")
 // Client is the retrying library client for the authority service. Its
 // retry loop reuses the engine's full-jitter backoff shape (core/retry.go):
 // the delay before retry k is drawn uniformly from [0, BackoffBase·2^(k-1)),
-// capped at BackoffCap. Retries fire on transport errors, 429, and 5xx;
+// capped at backoffCap. Retries fire on transport errors, 429, and 5xx;
 // structured failures (400/404/409/413) surface immediately as the typed
 // errors of this package.
 type Client struct {
@@ -36,8 +36,6 @@ type Client struct {
 	MaxAttempts int
 	// BackoffBase scales the full-jitter delay; 0 = 50 ms.
 	BackoffBase time.Duration
-	// BackoffCap bounds one delay; 0 = 2 s.
-	BackoffCap time.Duration
 	// Rand drives the jitter; nil derives a source from (Base, ClientID)
 	// at first use, so two clients with equal config draw identical
 	// backoff schedules and tests stay reproducible without injection.
@@ -67,6 +65,9 @@ var sharedHTTPClient = &http.Client{
 	Transport: sharedTransport,
 }
 
+// backoffCap bounds one retry delay.
+const backoffCap = 2 * time.Second
+
 func (c *Client) attempts() int {
 	if c.MaxAttempts > 0 {
 		return c.MaxAttempts
@@ -80,13 +81,9 @@ func (c *Client) jitter(k int) time.Duration {
 	if base <= 0 {
 		base = 50 * time.Millisecond
 	}
-	cap := c.BackoffCap
-	if cap <= 0 {
-		cap = 2 * time.Second
-	}
 	window := base << (k - 1)
-	if window > cap || window <= 0 {
-		window = cap
+	if window > backoffCap || window <= 0 {
+		window = backoffCap
 	}
 	c.mu.Lock()
 	c.ensureRandLocked()

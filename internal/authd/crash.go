@@ -305,11 +305,6 @@ func (s *Server) stateFingerprint() string {
 		seq = s.wal.lastSeq()
 	}
 	b = fmt.Appendf(b, "epoch=%d cursor=%d seq=%d\n", s.Epoch(), s.nextSlot.Load(), seq)
-	if s.wal != nil {
-		// The fingerprint chain is durable state too: every snapshot
-		// stores it, so two recoveries of one directory must agree on it.
-		b = fmt.Appendf(b, "fp=%016x\n", s.wal.chainFP())
-	}
 	for _, e := range s.reg.dump() {
 		b = fmt.Appendf(b, "node %d via %s tag %q codes %v\n", e.Node, e.Rec.Via, e.Rec.Tag, e.Rec.Codes)
 	}

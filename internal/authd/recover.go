@@ -67,10 +67,7 @@ func (s *Server) openDurable(d Durability) error {
 	// the atomic rename; it was never the live image.
 	_ = os.Remove(filepath.Join(d.Dir, snapTmpName))
 
-	// The fingerprint chain starts from the basis on an empty history, or
-	// from the value the snapshot stored at its sequence.
 	var snapSeq uint64
-	snapFP := uint64(fpBasis)
 	snapData, err := os.ReadFile(filepath.Join(d.Dir, snapFileName))
 	switch {
 	case os.IsNotExist(err):
@@ -85,18 +82,18 @@ func (s *Server) openDurable(d Durability) error {
 		if err := s.restoreSnapshot(st); err != nil {
 			return err
 		}
-		snapSeq, snapFP = st.Seq, st.FP
+		snapSeq = st.Seq
 	}
 
 	walPath := filepath.Join(d.Dir, walFileName)
-	lastSeq, fp, err := s.replayWAL(walPath, snapSeq, snapFP)
+	lastSeq, err := s.replayWAL(walPath, snapSeq)
 	if err != nil {
 		return err
 	}
 	if s.lastSnapAt.Load() == 0 {
 		s.lastSnapAt.Store(s.cfg.now().UnixNano())
 	}
-	s.wal, err = openWAL(walPath, lastSeq, fp, d.CrashHook, s.m.walAppends, s.m.walFsyncs)
+	s.wal, err = openWAL(walPath, lastSeq, d.CrashHook, s.m.walAppends, s.m.walFsyncs)
 	return err
 }
 
@@ -170,98 +167,89 @@ func (s *Server) restoreSnapshot(st snapshotState) error {
 
 // replayWAL scans the log, truncates a torn tail, applies every record
 // the snapshot does not already cover, and returns the last sequence
-// number on disk (or covered by the snapshot, whichever is later) with the
-// fingerprint chain at it, folded on from the snapshot's snapFP.
-func (s *Server) replayWAL(path string, snapSeq, snapFP uint64) (uint64, uint64, error) {
+// number on disk (or covered by the snapshot, whichever is later).
+func (s *Server) replayWAL(path string, snapSeq uint64) (uint64, error) {
 	data, err := os.ReadFile(path)
 	if os.IsNotExist(err) {
-		return snapSeq, snapFP, nil
+		return snapSeq, nil
 	}
 	if err != nil {
-		return 0, 0, fmt.Errorf("authd: read WAL: %w", err)
+		return 0, fmt.Errorf("authd: read WAL: %w", err)
 	}
 	recs, goodLen, err := scanWAL(data)
 	if err != nil {
-		return 0, 0, err
+		return 0, err
 	}
 	if goodLen < len(data) {
 		// Torn tail: the partial record was never acknowledged. Cut it off
 		// durably before appending anything after it.
 		if err := os.Truncate(path, int64(goodLen)); err != nil {
-			return 0, 0, fmt.Errorf("authd: truncate torn WAL tail: %w", err)
+			return 0, fmt.Errorf("authd: truncate torn WAL tail: %w", err)
 		}
 		s.m.walTornTails.Inc()
 	}
 	if len(recs) == 0 {
-		return snapSeq, snapFP, nil
+		return snapSeq, nil
 	}
 	// The first record must belong to this history: sequence 1 on a
 	// truncated (or fresh) log, or anything at/below snapSeq+1 when a
 	// crash left pre-snapshot records behind. A first record *beyond*
 	// snapSeq+1 means a prefix of acknowledged records is missing.
 	if first := recs[0].Seq; first != 1 && first > snapSeq+1 {
-		return 0, 0, fmt.Errorf("%w: log starts at sequence %d, snapshot covers %d", ErrWALCorrupt, first, snapSeq)
+		return 0, fmt.Errorf("%w: log starts at sequence %d, snapshot covers %d", ErrWALCorrupt, first, snapSeq)
 	}
 	last := recs[len(recs)-1].Seq
 	if last < snapSeq {
 		// Entire log predates the snapshot (crash between rename and
 		// truncate, then more crashes before any new append). Nothing to
 		// apply.
-		return snapSeq, snapFP, nil
+		return snapSeq, nil
 	}
-	fp := snapFP
 	for _, rec := range recs {
 		if rec.Seq <= snapSeq {
 			continue
 		}
-		obs, err := s.applyRecord(rec)
-		if err != nil {
-			return 0, 0, err
+		if err := s.applyRecord(rec); err != nil {
+			return 0, err
 		}
-		// Fold exactly as the live append did, so a recovered server's
-		// chain equals the one it computed before dying.
-		fp = fpRecord(fp, rec.Seq, rec.Kind, obs)
 		s.m.walReplayed.Inc()
 	}
-	return last, fp, nil
+	return last, nil
 }
 
 // applyRecord applies one logged mutation through the apply function
 // the live mutation ran (apply.go): validate the record, apply it, then
 // check what the transition produced against what the log acknowledged.
-// It returns the same observation digest the live mutation computed, so
-// replay folds the same fingerprint chain as the original execution.
-func (s *Server) applyRecord(rec walRecord) (uint64, error) {
+func (s *Server) applyRecord(rec walRecord) error {
 	at := time.Unix(0, rec.At)
 	switch rec.Kind {
 	case walProvision:
 		if end := rec.Start + rec.Count; rec.Start < 0 || end > s.cfg.Params.N {
-			return 0, fmt.Errorf("%w: seq %d provisions [%d, %d) outside n=%d", ErrWALCorrupt, rec.Seq, rec.Start, end, s.cfg.Params.N)
+			return fmt.Errorf("%w: seq %d provisions [%d, %d) outside n=%d", ErrWALCorrupt, rec.Seq, rec.Start, end, s.cfg.Params.N)
 		}
-		_, obs, err := s.applyProvision(rec.Start, rec.Count, rec.Tag, at)
-		if err != nil {
-			return 0, fmt.Errorf("%w: seq %d: %v", ErrWALCorrupt, rec.Seq, err)
+		if _, err := s.applyProvision(rec.Start, rec.Count, rec.Tag, at); err != nil {
+			return fmt.Errorf("%w: seq %d: %v", ErrWALCorrupt, rec.Seq, err)
 		}
-		return obs, nil
+		return nil
 	case walJoin:
-		a, expanded, obs, err := s.applyJoin(rec.Tag, at)
+		a, expanded, err := s.applyJoin(rec.Tag, at)
 		if err != nil {
-			return 0, fmt.Errorf("%w: seq %d join replay: %v", ErrWALCorrupt, rec.Seq, err)
+			return fmt.Errorf("%w: seq %d join replay: %v", ErrWALCorrupt, rec.Seq, err)
 		}
 		if a.Node != rec.Node {
-			return 0, fmt.Errorf("%w: seq %d join replay diverged: produced node %d, log acknowledged %d", ErrWALCorrupt, rec.Seq, a.Node, rec.Node)
+			return fmt.Errorf("%w: seq %d join replay diverged: produced node %d, log acknowledged %d", ErrWALCorrupt, rec.Seq, a.Node, rec.Node)
 		}
 		if expanded != rec.Expanded {
-			return 0, fmt.Errorf("%w: seq %d join replay diverged: expansion %v, log says %v", ErrWALCorrupt, rec.Seq, expanded, rec.Expanded)
+			return fmt.Errorf("%w: seq %d join replay diverged: expansion %v, log says %v", ErrWALCorrupt, rec.Seq, expanded, rec.Expanded)
 		}
-		return obs, nil
+		return nil
 	case walRevoke:
 		if int(rec.Code) < 0 || int(rec.Code) >= s.pool.S() {
-			return 0, fmt.Errorf("%w: seq %d revokes code %d outside pool of %d", ErrWALCorrupt, rec.Seq, rec.Code, s.pool.S())
+			return fmt.Errorf("%w: seq %d revokes code %d outside pool of %d", ErrWALCorrupt, rec.Seq, rec.Code, s.pool.S())
 		}
-		_, obs := s.applyRevoke(codepool.CodeID(rec.Code))
-		return obs, nil
+		s.applyRevoke(codepool.CodeID(rec.Code))
+		return nil
 	default:
-		return 0, fmt.Errorf("%w: seq %d kind %d", ErrWALCorrupt, rec.Seq, rec.Kind)
+		return fmt.Errorf("%w: seq %d kind %d", ErrWALCorrupt, rec.Seq, rec.Kind)
 	}
 }

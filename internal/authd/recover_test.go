@@ -232,8 +232,8 @@ func TestAutoSnapshotCadence(t *testing.T) {
 
 // TestConcurrentMutationsRacingSnapshot is the -race satellite: joins,
 // provisions, and revokes hammer the server while snapshots fire
-// concurrently. The snapshot must be a consistent cut across the registry
-// shards and the revocation table, and a restart from snapshot+WAL must
+// concurrently. The snapshot must be a consistent cut across the registry,
+// the slot cursor and the revocation table, and a restart from snapshot+WAL must
 // converge to exactly the live state.
 func TestConcurrentMutationsRacingSnapshot(t *testing.T) {
 	dir := t.TempDir()
@@ -313,17 +313,11 @@ func TestShutdownClosesWAL(t *testing.T) {
 	}
 }
 
-// chainOf reads the durable server's (last sequence, fingerprint chain).
-func chainOf(s *Server) (uint64, uint64) {
-	return s.wal.lastSeq(), s.wal.chainFP()
-}
-
-// TestChainSurvivesRecovery: the fingerprint chain is durable state (the
-// snapshot stores it and replay extends it), so reopening a directory must
-// reproduce the live (lastSeq, chain) pair, from the WAL alone and from a
-// snapshot taken mid-history. The literals pin the fold itself.
-func TestChainSurvivesRecovery(t *testing.T) {
-	const wantSeq, wantFP uint64 = 21, 0xc507c1b67f6e2574
+// TestRecoveredStateMatchesLive: reopening a directory must rebuild the
+// state the live server held — the same stateFingerprint, WAL position
+// included — from the WAL alone and from a snapshot taken mid-history.
+func TestRecoveredStateMatchesLive(t *testing.T) {
+	const wantSeq = 21
 	for _, tc := range []struct {
 		name string
 		snap bool
@@ -338,19 +332,86 @@ func TestChainSurvivesRecovery(t *testing.T) {
 				}
 			}
 			mutate(t, s, 2, 3, 4)
-			seq, fp := chainOf(s)
-			if seq != wantSeq || fp != wantFP {
-				t.Fatalf("live chain (%d, %#016x), want (%d, %#016x)", seq, fp, wantSeq, wantFP)
+			if seq := s.wal.lastSeq(); seq != wantSeq {
+				t.Fatalf("live lastSeq %d, want %d", seq, wantSeq)
 			}
+			live := s.stateFingerprint()
 			if err := s.Shutdown(context.Background()); err != nil {
 				t.Fatal(err)
 			}
 
 			s2 := durableServer(t, dir, Durability{SnapshotEvery: -1})
 			defer func() { _ = s2.Shutdown(context.Background()) }()
-			if seq2, fp2 := chainOf(s2); seq2 != seq || fp2 != fp {
-				t.Fatalf("reopened chain (%d, %#016x), live (%d, %#016x)", seq2, fp2, seq, fp)
+			if got := s2.stateFingerprint(); got != live {
+				t.Fatalf("reopened state diverged:\n--- live\n%s--- reopened\n%s", live, got)
 			}
 		})
 	}
+}
+
+// TestVersion1SnapshotRefused: a snapshot in the version-1 layout (magic
+// JRSNDSN1, with a u64 fingerprint word after seq) must fail boot with
+// errSnapshot, and the refused boot must leave every file in the data
+// directory as it found it.
+func TestVersion1SnapshotRefused(t *testing.T) {
+	dir := t.TempDir()
+	s := durableServer(t, dir, Durability{SnapshotEvery: -1})
+	mutate(t, s, 3, 4, 5)
+	if err := s.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	mutate(t, s, 2, 3, 4)
+	if err := s.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+
+	// Rewrite the snapshot in the version-1 layout: the same payload with
+	// an 8-byte word inserted after seq (identity 4×u32 + i64 seed + u64
+	// seq), under the old magic.
+	snapPath := filepath.Join(dir, snapFileName)
+	data, err := os.ReadFile(snapPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := snapPayload(data)
+	const seqEnd = 4*4 + 8 + 8
+	v1 := append(append(append([]byte(nil), p[:seqEnd]...), 0xc5, 0x07, 0xc1, 0xb6, 0x7f, 0x6e, 0x25, 0x74), p[seqEnd:]...)
+	old := sealSnapshot(v1)
+	copy(old, "JRSNDSN1")
+	if err := os.WriteFile(snapPath, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	before := readDir(t, dir)
+	_, err = New(Config{Params: durableParams(), Seed: 7, Rate: -1, Durable: Durability{Dir: dir, SnapshotEvery: -1}})
+	if !errors.Is(err, errSnapshot) || !strings.Contains(err.Error(), `magic "JRSNDSN1"`) {
+		t.Fatalf("boot on a version-1 snapshot: %v, want errSnapshot naming the old magic", err)
+	}
+	after := readDir(t, dir)
+	if len(after) != len(before) {
+		t.Fatalf("refused boot left %d files, found %d", len(after), len(before))
+	}
+	for name, b := range before {
+		if after[name] != b {
+			t.Fatalf("refused boot changed %s", name)
+		}
+	}
+}
+
+// readDir maps every file name in dir to its contents.
+func readDir(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(map[string]string, len(entries))
+	for _, e := range entries {
+		b, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[e.Name()] = string(b)
+	}
+	return out
 }

@@ -9,11 +9,10 @@ import (
 	"repro/internal/codepool"
 )
 
-// Sharded assignment registry: mutable per-node state lives in S shards,
-// each behind its own mutex, so concurrent provisions and joins on
-// different nodes never contend. Node IDs are dense integers, so the
-// shard function is node modulo the shard count, which New derives from
-// GOMAXPROCS.
+// Assignment registry: every node's assignment record in one map behind
+// one mutex. Inserts happen once per provisioned or joined node and every
+// mutator already holds poolMu, so the table is never the bottleneck; its
+// lock only orders inserts against GET /v1/node lookups.
 
 // record is one node's assignment as the authority remembers it.
 type record struct {
@@ -23,38 +22,25 @@ type record struct {
 	At    time.Time
 }
 
-type regShard struct {
+type registry struct {
 	mu    sync.RWMutex
 	nodes map[int]record
 }
 
-type registry struct {
-	shards []regShard
-}
-
-func newRegistry(shards int) *registry {
-	r := &registry{shards: make([]regShard, shards)} //jrsnd:allow boundedalloc shards is derived by New from GOMAXPROCS, never operator input or a wire-decoded count
-	for i := range r.shards {
-		r.shards[i].nodes = make(map[int]record)
-	}
-	return r
-}
-
-func (r *registry) shard(node int) *regShard {
-	return &r.shards[node%len(r.shards)]
+func newRegistry() *registry {
+	return &registry{nodes: make(map[int]record)}
 }
 
 // insert records node's assignment exactly once. A second insert for the
 // same node is the double-assignment bug the concurrency suite hunts for,
 // surfaced as an error rather than silently overwritten.
 func (r *registry) insert(node int, rec record) error {
-	sh := r.shard(node)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if _, ok := sh.nodes[node]; ok {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if _, ok := r.nodes[node]; ok {
 		return fmt.Errorf("authd: node %d assigned twice", node)
 	}
-	sh.nodes[node] = rec
+	r.nodes[node] = rec
 	return nil
 }
 
@@ -63,10 +49,9 @@ func (r *registry) get(node int) (record, bool) {
 	if node < 0 {
 		return record{}, false
 	}
-	sh := r.shard(node)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	rec, ok := sh.nodes[node]
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	rec, ok := r.nodes[node]
 	return rec, ok
 }
 
@@ -77,31 +62,23 @@ type regEntry struct {
 }
 
 // dump copies every record, sorted by node ID — the canonical order the
-// durability snapshot encodes. Shards are locked one at a time; callers
-// needing a consistent cut across shards (the snapshot path) hold the
-// server's poolMu write lock, which every mutator reads.
+// durability snapshot encodes. Callers needing a cut consistent with the
+// rest of the state (the snapshot path) hold the server's poolMu write
+// lock, which every mutator reads.
 func (r *registry) dump() []regEntry {
-	out := make([]regEntry, 0, r.count()) //jrsnd:allow boundedalloc sized by our own shard maps (every entry passed the decode limits on insert), not by untrusted wire input
-	for i := range r.shards {
-		sh := &r.shards[i]
-		sh.mu.RLock()
-		for node, rec := range sh.nodes {
-			out = append(out, regEntry{Node: node, Rec: rec})
-		}
-		sh.mu.RUnlock()
+	r.mu.RLock()
+	out := make([]regEntry, 0, len(r.nodes))
+	for node, rec := range r.nodes {
+		out = append(out, regEntry{Node: node, Rec: rec})
 	}
+	r.mu.RUnlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].Node < out[j].Node })
 	return out
 }
 
-// count sums the per-shard record counts.
+// count returns the number of records.
 func (r *registry) count() int {
-	total := 0
-	for i := range r.shards {
-		sh := &r.shards[i]
-		sh.mu.RLock()
-		total += len(sh.nodes)
-		sh.mu.RUnlock()
-	}
-	return total
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	return len(r.nodes)
 }

@@ -33,13 +33,12 @@ import (
 //
 // Snapshot file layout (big-endian):
 //
-//	magic "JRSNDSN1" | u32 payload length | u32 CRC-32C(payload) | payload
+//	magic "JRSNDSN2" | u32 payload length | u32 CRC-32C(payload) | payload
 //
 // payload:
 //
 //	u32 n, m, l, γ | i64 seed          — identity; must match the server's
 //	u64 seq                            — WAL sequence this snapshot covers
-//	u64 fp                             — fingerprint chain at seq (apply.go)
 //	u64 cursor                         — raw deployment-slot cursor
 //	i64 takenAt (unix ns)
 //	u32 joinCount                      — §V-A joins to replay
@@ -47,9 +46,12 @@ import (
 //	    u32 node | u8 via (0=provision, 1=join) | i64 at | u16 tagLen | tag
 //	u32 revocation counter count, then per entry: u32 code | u32 count
 //	u32 revoked code count, then per entry: u32 code
+//
+// Version 1 ("JRSNDSN1") carried one more u64 after seq; its magic no
+// longer matches, so such a file is refused at boot rather than misparsed.
 
 const (
-	snapMagic = "JRSNDSN1"
+	snapMagic = "JRSNDSN2"
 	// snapMaxPayload caps a declared payload before trusting it — the
 	// registry of a fully provisioned+joined deployment is a few MiB at
 	// the defaults; 256 MiB is an order-of-magnitude ceiling, not a target.
@@ -72,7 +74,6 @@ type snapshotState struct {
 	N, M, L, Gamma int
 	Seed           int64
 	Seq            uint64
-	FP             uint64
 	Cursor         uint64
 	TakenAt        int64
 	JoinCount      int
@@ -102,7 +103,6 @@ func encodeSnapshot(st snapshotState) ([]byte, error) {
 	p = binary.BigEndian.AppendUint32(p, uint32(st.Gamma))
 	p = binary.BigEndian.AppendUint64(p, uint64(st.Seed))
 	p = binary.BigEndian.AppendUint64(p, st.Seq)
-	p = binary.BigEndian.AppendUint64(p, st.FP)
 	p = binary.BigEndian.AppendUint64(p, st.Cursor)
 	p = binary.BigEndian.AppendUint64(p, uint64(st.TakenAt))
 	p = binary.BigEndian.AppendUint32(p, uint32(st.JoinCount))
@@ -249,7 +249,7 @@ func decodeSnapshot(data []byte) (snapshotState, error) {
 	var st snapshotState
 	h := &cursor{data: data, base: errSnapshot}
 	if magic := h.take(len(snapMagic)); h.err == nil && string(magic) != snapMagic {
-		h.failf("magic mismatch")
+		h.failf("magic %q, want %q", magic, snapMagic)
 	}
 	plen, wantCRC := h.u32(), h.u32()
 	if h.err == nil && plen > snapMaxPayload {
@@ -266,7 +266,7 @@ func decodeSnapshot(data []byte) (snapshotState, error) {
 	c := &cursor{data: payload, base: errSnapshot}
 	st.N, st.M, st.L, st.Gamma = int(c.u32()), int(c.u32()), int(c.u32()), int(c.u32())
 	st.Seed = int64(c.u64())
-	st.Seq, st.FP, st.Cursor = c.u64(), c.u64(), c.u64()
+	st.Seq, st.Cursor = c.u64(), c.u64()
 	st.TakenAt = int64(c.u64())
 	st.JoinCount = int(c.u32())
 	// A registry entry is at least 15 bytes: node, via, at, tag length.
@@ -300,7 +300,7 @@ func decodeSnapshot(data []byte) (snapshotState, error) {
 // Concurrent callers serialize; mutations are excluded for the duration
 // (poolMu is the global consistency lock — every mutator holds at least
 // its read side across apply+append, so the write lock is a consistent
-// cut across all registry shards and the revocation table).
+// cut across the registry, the slot cursor and the revocation table).
 func (s *Server) Snapshot() error {
 	if s.wal == nil {
 		return nil
@@ -326,10 +326,9 @@ func (s *Server) snapshotLocked() (err error) {
 	st := snapshotState{
 		N: s.cfg.Params.N, M: s.cfg.Params.M, L: s.cfg.Params.L, Gamma: s.cfg.Params.Gamma,
 		Seed: s.cfg.Seed,
-		Seq:  s.wal.lastSeq(),
-		// poolMu's write lock excludes appends, so the chain value is the
-		// fingerprint at exactly Seq.
-		FP:        s.wal.chainFP(),
+		// poolMu's write lock excludes appends, so Seq is exactly the
+		// last record this image covers.
+		Seq:       s.wal.lastSeq(),
 		Cursor:    uint64(s.nextSlot.Load()),
 		TakenAt:   now.UnixNano(),
 		JoinCount: s.pool.N() - s.cfg.Params.N,

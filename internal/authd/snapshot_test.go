@@ -17,7 +17,6 @@ func sampleSnapshot() snapshotState {
 		N: 64, M: 8, L: 4, Gamma: 2,
 		Seed:      -7,
 		Seq:       41,
-		FP:        0xdeadbeefcafef00d,
 		Cursor:    17,
 		TakenAt:   1_700_000_000_123_456_789,
 		JoinCount: 3,
@@ -55,8 +54,9 @@ func sealSnapshot(p []byte) []byte {
 }
 
 // snapFixedLen is the payload length before the registry count: four u32
-// identity fields, five u64 fields, and the u32 join count.
-const snapFixedLen = 4*4 + 5*8 + 4
+// identity fields, four u64 fields (seed, seq, cursor, takenAt), and the
+// u32 join count.
+const snapFixedLen = 4*4 + 4*8 + 4
 
 func TestSnapshotRoundTrip(t *testing.T) {
 	want := sampleSnapshot()
@@ -145,7 +145,7 @@ func TestSnapshotRejects(t *testing.T) {
 		// allocation.
 		fast bool
 	}{
-		{name: "bad magic", data: append([]byte("JRSNDSN2"), valid[len(snapMagic):]...)},
+		{name: "bad magic", data: append([]byte("JRSNDSN1"), valid[len(snapMagic):]...)},
 		{name: "bad CRC", data: func() []byte {
 			d := append([]byte(nil), valid...)
 			d[len(snapMagic)+4] ^= 0x01

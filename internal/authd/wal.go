@@ -302,7 +302,6 @@ type wal struct {
 	f      *os.File
 	path   string
 	seq    uint64 // last sequence assigned and handed to the OS (guarded by mu)
-	fp     uint64 // fingerprint chain at seq (guarded by mu; see fpFold)
 	failed error  // sticky failure
 	buf    []byte
 
@@ -315,15 +314,14 @@ type wal struct {
 }
 
 // openWAL opens (creating if needed) the log file in append mode. seq is
-// the last sequence number recovery observed (snapshot or replay) and fp
-// the fingerprint chain at it.
-func openWAL(path string, seq, fp uint64, hook CrashHook, appends, fsyncs *metrics.Counter) (*wal, error) {
+// the last sequence number recovery observed (snapshot or replay).
+func openWAL(path string, seq uint64, hook CrashHook, appends, fsyncs *metrics.Counter) (*wal, error) {
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND|os.O_CREATE, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("authd: open WAL: %w", err)
 	}
 	return &wal{
-		f: f, path: path, seq: seq, fp: fp, synced: seq,
+		f: f, path: path, seq: seq, synced: seq,
 		hook: hook, appends: appends, fsyncs: fsyncs,
 	}, nil
 }
@@ -331,12 +329,10 @@ func openWAL(path string, seq, fp uint64, hook CrashHook, appends, fsyncs *metri
 // append assigns the next sequence number, encodes and writes the record
 // under mu, then joins (or leads) the current fsync group outside mu so
 // concurrent appends coalesce, returning the assigned sequence once the
-// record is durable. obs is the mutation's observation digest, folded
-// into the fingerprint chain at the instant the record gains its place in
-// the order. The caller acknowledges the mutation to the client
+// record is durable. The caller acknowledges the mutation to the client
 // strictly after this returns.
-func (w *wal) append(rec walRecord, obs uint64) (uint64, error) {
-	seq, err := w.appendLocked(rec, obs)
+func (w *wal) append(rec walRecord) (uint64, error) {
+	seq, err := w.appendLocked(rec)
 	if err != nil {
 		return 0, err
 	}
@@ -350,7 +346,7 @@ func (w *wal) append(rec walRecord, obs uint64) (uint64, error) {
 
 // appendLocked is the mu-held half of append: sequence assignment,
 // encode, and write.
-func (w *wal) appendLocked(rec walRecord, obs uint64) (uint64, error) {
+func (w *wal) appendLocked(rec walRecord) (uint64, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.failed != nil {
@@ -383,8 +379,6 @@ func (w *wal) appendLocked(rec walRecord, obs uint64) (uint64, error) {
 		return 0, w.fail(err)
 	}
 	w.seq = rec.Seq
-	// Folded under mu, so the chain order is the log order.
-	w.fp = fpRecord(w.fp, rec.Seq, rec.Kind, obs)
 	w.appends.Inc()
 	return rec.Seq, nil
 }
@@ -441,13 +435,6 @@ func (w *wal) lastSeq() uint64 {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return w.seq
-}
-
-// chainFP returns the fingerprint chain at the last assigned sequence.
-func (w *wal) chainFP() uint64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.fp
 }
 
 // truncate discards the on-disk log after a snapshot has durably captured

@@ -23,7 +23,7 @@ func walCounters(t testing.TB) (*metrics.Counter, *metrics.Counter) {
 func testWAL(t testing.TB) *wal {
 	t.Helper()
 	appends, fsyncs := walCounters(t)
-	w, err := openWAL(filepath.Join(t.TempDir(), walFileName), 0, fpBasis, nil, appends, fsyncs)
+	w, err := openWAL(filepath.Join(t.TempDir(), walFileName), 0, nil, appends, fsyncs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +45,7 @@ func TestWALRoundTrip(t *testing.T) {
 	w := testWAL(t)
 	want := sampleRecords()
 	for _, rec := range want {
-		if _, err := w.append(rec, 0); err != nil {
+		if _, err := w.append(rec); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -81,7 +81,7 @@ func TestWALRoundTrip(t *testing.T) {
 func TestWALTornTailTruncates(t *testing.T) {
 	w := testWAL(t)
 	for _, rec := range sampleRecords() {
-		if _, err := w.append(rec, 0); err != nil {
+		if _, err := w.append(rec); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -120,7 +120,7 @@ func TestWALTornTailTruncates(t *testing.T) {
 func TestWALMiddleCorruptionRefused(t *testing.T) {
 	w := testWAL(t)
 	for _, rec := range sampleRecords() {
-		if _, err := w.append(rec, 0); err != nil {
+		if _, err := w.append(rec); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -161,13 +161,13 @@ func TestWALSequenceGapRefused(t *testing.T) {
 
 func TestWALStickyFailureAfterClose(t *testing.T) {
 	w := testWAL(t)
-	if _, err := w.append(walRecord{Kind: walRevoke, Code: 1, At: 1}, 0); err != nil {
+	if _, err := w.append(walRecord{Kind: walRevoke, Code: 1, At: 1}); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := w.append(walRecord{Kind: walRevoke, Code: 2, At: 2}, 0); !errors.Is(err, ErrWALClosed) {
+	if _, err := w.append(walRecord{Kind: walRevoke, Code: 2, At: 2}); !errors.Is(err, ErrWALClosed) {
 		t.Fatalf("append after close: %v, want ErrWALClosed", err)
 	}
 }
@@ -178,11 +178,11 @@ func TestWALRejectsOversizedTag(t *testing.T) {
 	for i := range big {
 		big[i] = 'x'
 	}
-	if _, err := w.append(walRecord{Kind: walJoin, Node: 1, Tag: string(big), At: 1}, 0); err == nil {
+	if _, err := w.append(walRecord{Kind: walJoin, Node: 1, Tag: string(big), At: 1}); err == nil {
 		t.Fatal("oversized tag accepted")
 	}
 	// The failure is sticky by design (memory/log divergence).
-	if _, err := w.append(walRecord{Kind: walRevoke, Code: 1, At: 1}, 0); !errors.Is(err, ErrWALClosed) {
+	if _, err := w.append(walRecord{Kind: walRevoke, Code: 1, At: 1}); !errors.Is(err, ErrWALClosed) {
 		t.Fatalf("append after encode failure: %v, want sticky ErrWALClosed", err)
 	}
 }
@@ -194,7 +194,7 @@ func TestWALRejectsOversizedTag(t *testing.T) {
 func TestWALGroupFsync(t *testing.T) {
 	const writers, perWriter = 8, 64
 	appends, fsyncs := walCounters(t)
-	w, err := openWAL(filepath.Join(t.TempDir(), walFileName), 0, fpBasis, nil, appends, fsyncs)
+	w, err := openWAL(filepath.Join(t.TempDir(), walFileName), 0, nil, appends, fsyncs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +205,7 @@ func TestWALGroupFsync(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < perWriter; i++ {
-				seq, err := w.append(walRecord{Kind: walRevoke, Code: int32(g*perWriter + i), At: int64(i)}, 0)
+				seq, err := w.append(walRecord{Kind: walRevoke, Code: int32(g*perWriter + i), At: int64(i)})
 				if err != nil {
 					errs <- err
 					return

@@ -343,9 +343,9 @@ func (s *CodeSet) Remove(c CodeID) {
 	}
 }
 
-// Contains reports membership.
+// Contains reports membership. Ids outside [0, size) are never members.
 func (s *CodeSet) Contains(c CodeID) bool {
-	if s == nil {
+	if s == nil || c < 0 {
 		return false
 	}
 	w, b := int(c)/64, uint(c)%64

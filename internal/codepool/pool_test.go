@@ -337,6 +337,31 @@ func TestCodeSet(t *testing.T) {
 	}
 }
 
+// TestCodeSetOutOfRange: ids outside [0, size) are never members. A
+// negative id (radio.SessionCode is -1) must not wrap onto bit 63 of the
+// first word.
+func TestCodeSetOutOfRange(t *testing.T) {
+	s := NewCodeSet(128)
+	s.Add(63)
+	for _, tc := range []struct {
+		c        CodeID
+		contains bool
+		rank     int
+	}{
+		{c: 63, contains: true, rank: 0},
+		{c: -1, contains: false, rank: -1},
+		{c: -64, contains: false, rank: -1},
+		{c: 128, contains: false, rank: -1},
+	} {
+		if got := s.Contains(tc.c); got != tc.contains {
+			t.Errorf("Contains(%d) = %v, want %v", tc.c, got, tc.contains)
+		}
+		if got := s.Rank(tc.c); got != tc.rank {
+			t.Errorf("Rank(%d) = %d, want %d", tc.c, got, tc.rank)
+		}
+	}
+}
+
 func TestRevoker(t *testing.T) {
 	if _, err := NewRevoker(0); err == nil {
 		t.Fatal("accepted γ=0")

@@ -59,7 +59,7 @@ func (n *Network) adversaryProfile(idx int) (adversary.Profile, error) {
 	for _, c := range att.codes {
 		for _, victim := range n.graph.Adj[idx] {
 			vn := n.nodes[victim]
-			if vn.compromised || !vn.codeSet[c] {
+			if vn.compromised || !vn.issued(c) {
 				continue
 			}
 			targets = append(targets, adversary.FloodTarget{Victim: victim, Code: c})

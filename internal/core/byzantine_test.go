@@ -228,7 +228,7 @@ func TestIngressDespreadsBeforeDecoding(t *testing.T) {
 	held := victim.codes[0]
 	notHeld := codepool.CodeID(-1)
 	for c := codepool.CodeID(0); int(c) < net.pool.S(); c++ {
-		if !victim.codeSet[c] {
+		if !victim.issued(c) {
 			notHeld = c
 			break
 		}

@@ -329,10 +329,6 @@ func (n *Network) newNode(idx int, keyRng *rand.Rand) (*Node, error) {
 		return nil, fmt.Errorf("core: %w", err)
 	}
 	codes := n.pool.Codes(idx)
-	codeSet := make(map[codepool.CodeID]bool, len(codes))
-	for _, c := range codes {
-		codeSet[c] = true
-	}
 	skew := 1.0
 	if spread := n.cfg.ClockSkewSpread; spread > 0 {
 		skew = 1 + spread*(2*n.streams.Get("clock-skew").Float64()-1)
@@ -342,7 +338,6 @@ func (n *Network) newNode(idx int, keyRng *rand.Rand) (*Node, error) {
 		index:        idx,
 		id:           ibc.NodeID(idx),
 		codes:        codes,
-		codeSet:      codeSet,
 		priv:         priv,
 		revoker:      revoker,
 		rng:          n.streams.Get("node-" + strconv.Itoa(idx)),
@@ -403,7 +398,7 @@ func (n *Network) RevokeGlobally(code codepool.CodeID) (int, error) {
 	}
 	held := 0
 	for _, nd := range n.nodes {
-		if !nd.codeSet[code] {
+		if !nd.issued(code) {
 			continue
 		}
 		held++

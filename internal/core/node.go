@@ -101,8 +101,7 @@ type Node struct {
 	index int
 	id    ibc.NodeID
 
-	codes   []codepool.CodeID
-	codeSet map[codepool.CodeID]bool
+	codes   []codepool.CodeID // sorted, as every pool assignment is
 	priv    *ibc.PrivateKey
 	revoker *codepool.Revoker
 	rng     *rand.Rand
@@ -221,10 +220,16 @@ func (nd *Node) newNonce() []byte {
 	return buf
 }
 
+// issued reports whether the node was issued code c.
+func (nd *Node) issued(c codepool.CodeID) bool {
+	_, ok := slices.BinarySearch(nd.codes, c)
+	return ok
+}
+
 // holdsCode reports whether the node may de-spread code c (it was issued
 // the code and has not locally revoked it).
 func (nd *Node) holdsCode(c codepool.CodeID) bool {
-	return nd.codeSet[c] && !nd.revoker.Revoked(c)
+	return nd.issued(c) && !nd.revoker.Revoked(c)
 }
 
 // reportInvalid feeds the §V-D revocation counter for c.

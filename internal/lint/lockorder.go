@@ -11,7 +11,8 @@ import (
 )
 
 // lockorder: authd and transport each hold several mutexes (poolMu, the
-// registry shard locks, the WAL's syncMu/mu pair, the endpoint mu), and
+// registry and rate-limiter locks, the WAL's syncMu/mu pair, the
+// endpoint mu), and
 // a deadlock needs only two call paths that acquire the same pair in
 // opposite orders. The analyzer builds a static lock-acquisition graph:
 // acquiring B while holding A adds the edge A→B, including acquisitions

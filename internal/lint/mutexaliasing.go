@@ -5,7 +5,7 @@ import (
 	"go/types"
 )
 
-// mutexaliasing: the sharded registries (authd.registry, the rate
+// mutexaliasing: the lock-guarded tables (authd.registry, the rate
 // limiter, codepool.Revoker) are only as safe as their encapsulation.
 // Two ways that encapsulation silently dies: a lock-holding struct is
 // passed or received by value (the copy's mutex guards nothing — go

@@ -63,9 +63,6 @@ type Config struct {
 	// authenticated peer. The frame is the receiver's copy. Called from
 	// the read loop: keep it fast, hand off anything slow.
 	OnFrame func(from int, frame []byte)
-	// OnPeerChange, when set, is told when a peer registers (up) or is
-	// removed (down).
-	OnPeerChange func(peer int, up bool)
 	// Metrics receives the transport instruments; nil disables them.
 	Metrics *metrics.Registry
 	// Trace, when set, receives peer-lifecycle and drop events,
@@ -593,12 +590,6 @@ func (e *Endpoint) register(id int, addr *net.UDPAddr) (*peer, error) {
 		e.emit(trace.KindExpiry, id, "peer re-registered from "+key+" (stale entry replaced)")
 	}
 	e.emit(trace.KindDiscovery, id, "peer authenticated at "+key)
-	if e.cfg.OnPeerChange != nil {
-		if replaced != nil {
-			e.cfg.OnPeerChange(id, false)
-		}
-		e.cfg.OnPeerChange(id, true)
-	}
 	return p, nil
 }
 
@@ -619,8 +610,8 @@ func (e *Endpoint) removeLocked(p *peer) bool {
 	return true
 }
 
-// removePeer is the clean removal path: detach, update the gauge, trace,
-// and notify.
+// removePeer is the clean removal path: detach, update the gauge, and
+// trace.
 func (e *Endpoint) removePeer(p *peer, reason string) {
 	e.mu.Lock()
 	removed := e.removeLocked(p)
@@ -631,9 +622,6 @@ func (e *Endpoint) removePeer(p *peer, reason string) {
 	}
 	e.m.peers.Set(float64(count))
 	e.emit(trace.KindExpiry, p.id, "peer removed: "+reason)
-	if e.cfg.OnPeerChange != nil {
-		e.cfg.OnPeerChange(p.id, false)
-	}
 }
 
 // reapLoop periodically pings quiet peers, removes dead ones, and

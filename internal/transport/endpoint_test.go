@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/codepool"
 	"repro/internal/metrics"
+	"repro/internal/trace"
 )
 
 // Live-socket coverage on loopback: handshake and mutual registration,
@@ -253,17 +254,16 @@ func TestReapRemovesIdlePeers(t *testing.T) {
 	var clock atomic.Int64
 	base := time.Now()
 	now := func() time.Time { return base.Add(time.Duration(clock.Load())) }
-	var downs atomic.Int64
+	rec, err := trace.NewRecorder(256)
+	if err != nil {
+		t.Fatal(err)
+	}
 	eps := testCluster(t, 2, func(node int, cfg *Config) {
 		cfg.now = now
 		cfg.IdleAfter = 10 * time.Second
 		cfg.PingEvery = time.Hour // keep the prober out of this test
 		if node == 0 {
-			cfg.OnPeerChange = func(peer int, up bool) {
-				if !up {
-					downs.Add(1)
-				}
-			}
+			cfg.Trace = rec
 		}
 	})
 	if err := eps[0].Dial(eps[1].Addr()); err != nil {
@@ -275,8 +275,8 @@ func TestReapRemovesIdlePeers(t *testing.T) {
 	if eps[0].PeerCount() != 0 {
 		t.Fatal("idle peer survived the reaper")
 	}
-	if downs.Load() != 1 {
-		t.Fatalf("OnPeerChange(down) fired %d times, want 1", downs.Load())
+	if got := rec.Filter(trace.KindExpiry, 0, "peer removed"); len(got) != 1 || got[0].Peer != 1 {
+		t.Fatalf("peer-removed expiry events %+v, want exactly one for peer 1", got)
 	}
 }
 
